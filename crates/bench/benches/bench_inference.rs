@@ -1,6 +1,7 @@
 //! Inference cost (DESIGN.md S2): intensional-answer latency vs rule-set
 //! cardinality — the storing/searching overhead §5.2.2 motivates pruning
-//! with.
+//! with — for a reused engine and for a cold cache miss, which builds
+//! the engine and infers once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use intensio_induction::{Ils, InductionConfig};
@@ -29,18 +30,38 @@ fn bench_rule_set_size(c: &mut Criterion) {
     .expect("query parses");
     let analysis = analyze(&fleet.db, &q).expect("analysis succeeds");
 
+    let rule_sets: Vec<_> = [50usize, 20, 5, 1]
+        .into_iter()
+        .map(|nc| {
+            Ils::new(&model, InductionConfig::with_min_support(nc))
+                .induce(&fleet.db)
+                .expect("induction succeeds")
+                .rules
+        })
+        .collect();
+    let cfg = InferenceConfig::default();
     let mut g = c.benchmark_group("infer_vs_rule_count");
-    for nc in [50usize, 20, 5, 1] {
-        let rules = Ils::new(&model, InductionConfig::with_min_support(nc))
-            .induce(&fleet.db)
-            .expect("induction succeeds")
-            .rules;
-        let engine = InferenceEngine::new(&model, &rules, &fleet.db, InferenceConfig::default())
-            .expect("engine builds");
+    for rules in &rule_sets {
+        let engine = InferenceEngine::new(&model, rules, &fleet.db, cfg).expect("engine builds");
         g.bench_with_input(
             BenchmarkId::from_parameter(rules.len()),
             &engine,
             |b, engine| b.iter(|| engine.infer(&analysis)),
+        );
+    }
+    g.finish();
+    let mut g = c.benchmark_group("cold_miss_vs_rule_count");
+    for rules in &rule_sets {
+        g.bench_with_input(
+            BenchmarkId::from_parameter(rules.len()),
+            rules,
+            |b, rules| {
+                b.iter(|| {
+                    InferenceEngine::new(&model, rules, &fleet.db, cfg)
+                        .expect("engine builds")
+                        .infer(&analysis)
+                })
+            },
         );
     }
     g.finish();
@@ -82,25 +103,5 @@ fn bench_paper_examples(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_engine_construction(c: &mut Criterion) {
-    let db = ship_database().expect("test bed builds");
-    let model = ship_model().expect("schema parses");
-    let rules = Ils::new(&model, InductionConfig::with_min_support(1))
-        .induce(&db)
-        .expect("induction succeeds")
-        .rules;
-    c.bench_function("engine_snapshot_build", |b| {
-        b.iter(|| {
-            InferenceEngine::new(&model, &rules, &db, InferenceConfig::default())
-                .expect("engine builds")
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_rule_set_size,
-    bench_paper_examples,
-    bench_engine_construction
-);
+criterion_group!(benches, bench_rule_set_size, bench_paper_examples);
 criterion_main!(benches);

@@ -7,23 +7,32 @@
 //! `Displacement > 8000` as subsumed by `7250 <= Displacement <= 30000`
 //! because every *database* displacement above 8000 lies in the rule's
 //! range — interval containment alone would reject it (the condition is
-//! unbounded above). The engine therefore checks that every observed
+//! unbounded above). The engine therefore checks that every stored
 //! value of the attribute satisfying the condition lies in the premise
-//! range. A `PureInterval` mode is provided as an ablation.
+//! range, walking only the distinct values inside the condition's range
+//! in the relation's secondary index. A `PureInterval` mode is provided
+//! as an ablation.
 //!
 //! **Backward** inference inverts rules whose consequence the query (or
 //! a forward conclusion) fixes, yielding descriptions of a subset of the
 //! answer, with an explicit completeness check that reproduces the
-//! paper's Example 2 caveat about class 1301.
+//! paper's Example 2 caveat about class 1301: an index lookup of the
+//! rows holding the consequence, each of whose premise values must lie
+//! in the premise range.
+//!
+//! The engine borrows the database and keeps no copy of it: building
+//! one costs nothing, and both data checks read the indexes each
+//! relation caches until it next mutates.
 
 use crate::answer::{BackwardCharacterization, Direction, ForwardFact, IntensionalAnswer, RuleUse};
 use intensio_ker::model::KerModel;
-use intensio_rules::range::ValueRange;
-use intensio_rules::rule::{AttrId, Rule, RuleSet};
+use intensio_rules::range::{Endpoint, ValueRange};
+use intensio_rules::rule::{AttrId, Clause, Rule, RuleSet};
 use intensio_sql::QueryAnalysis;
 use intensio_storage::catalog::Database;
 use intensio_storage::error::Result;
-use intensio_storage::value::{Value, ValueKey};
+use intensio_storage::index::AttributeIndex;
+use intensio_storage::value::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How premise subsumption is decided.
@@ -56,103 +65,35 @@ fn attr_key(a: &AttrId) -> (String, String) {
     )
 }
 
+/// A range endpoint in the `(value, inclusive)` form of index lookups.
+fn index_bound(end: &Option<Endpoint>) -> Option<(&Value, bool)> {
+    end.as_ref().map(|e| (&e.value, e.inclusive))
+}
+
 /// The inference processor.
 pub struct InferenceEngine<'a> {
     model: &'a KerModel,
     rules: &'a RuleSet,
+    /// Supplies stored values for data-grounded subsumption and
+    /// completeness checks, through each relation's secondary indexes.
+    db: &'a Database,
     cfg: InferenceConfig,
-    /// Distinct observed values per attribute (sorted).
-    observed: HashMap<(String, String), Vec<Value>>,
-    /// Per-relation (X, Y) joint support for completeness checks:
-    /// observed X values per (X attr, Y attr, y value).
-    db_snapshot: DbSnapshot,
-}
-
-/// Column-index map plus materialized rows for one relation.
-type RelationSnapshot = (HashMap<String, usize>, Vec<Vec<Value>>);
-
-/// Lightweight snapshot of the relations the rules mention.
-struct DbSnapshot {
-    /// relation (lowercase) -> (attr lowercase -> column index, rows).
-    relations: HashMap<String, RelationSnapshot>,
-}
-
-impl DbSnapshot {
-    fn build(db: &Database, attrs: &BTreeSet<(String, String)>) -> DbSnapshot {
-        let mut relations = HashMap::new();
-        for (rel_name, _) in attrs {
-            if relations.contains_key(rel_name) {
-                continue;
-            }
-            if let Ok(rel) = db.get(rel_name) {
-                let cols: HashMap<String, usize> = rel
-                    .schema()
-                    .attributes()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, a)| (a.name().to_ascii_lowercase(), i))
-                    .collect();
-                let rows: Vec<Vec<Value>> = rel.iter().map(|t| t.values().to_vec()).collect();
-                relations.insert(rel_name.clone(), (cols, rows));
-            }
-        }
-        DbSnapshot { relations }
-    }
-
-    /// Observed X values among rows with Y = y (same relation only).
-    fn x_values_where_y(&self, x: &AttrId, y: &AttrId, y_value: &Value) -> Option<Vec<Value>> {
-        if !x.object.eq_ignore_ascii_case(&y.object) {
-            return None;
-        }
-        let (cols, rows) = self.relations.get(&x.object.to_ascii_lowercase())?;
-        let xi = *cols.get(&x.attribute.to_ascii_lowercase())?;
-        let yi = *cols.get(&y.attribute.to_ascii_lowercase())?;
-        let mut set: BTreeSet<ValueKey> = BTreeSet::new();
-        for row in rows {
-            if row[yi].sem_eq(y_value) {
-                set.insert(ValueKey(row[xi].clone()));
-            }
-        }
-        Some(set.into_iter().map(|k| k.0).collect())
-    }
 }
 
 impl<'a> InferenceEngine<'a> {
-    /// Build an engine over a model, rule set, and database (the
-    /// database supplies observed values for data-grounded subsumption
-    /// and completeness checks).
+    /// An engine over a model, rule set, and database.
     pub fn new(
         model: &'a KerModel,
         rules: &'a RuleSet,
-        db: &Database,
+        db: &'a Database,
         cfg: InferenceConfig,
     ) -> Result<InferenceEngine<'a>> {
         intensio_fault::fire("inference.engine")?;
-        let mut attrs: BTreeSet<(String, String)> = BTreeSet::new();
-        for r in rules.iter() {
-            for c in &r.lhs {
-                attrs.insert(attr_key(&c.attr));
-            }
-            attrs.insert(attr_key(&r.rhs.attr));
-        }
-        let mut observed = HashMap::new();
-        for (rel_name, attr_name) in &attrs {
-            if let Ok(rel) = db.get(rel_name) {
-                if let Ok(vals) = rel.distinct_values(attr_name) {
-                    observed.insert(
-                        (rel_name.clone(), attr_name.clone()),
-                        vals.into_iter().filter(|v| !v.is_null()).collect(),
-                    );
-                }
-            }
-        }
-        let db_snapshot = DbSnapshot::build(db, &attrs);
         Ok(InferenceEngine {
             model,
             rules,
+            db,
             cfg,
-            observed,
-            db_snapshot,
         })
     }
 
@@ -478,44 +419,48 @@ impl<'a> InferenceEngine<'a> {
         rule: &Rule,
         facts: &BTreeMap<(String, String), ValueRange>,
     ) -> bool {
-        let mut any_constrained = false;
-        for clause in &rule.lhs {
-            let k = attr_key(&clause.attr);
-            let fact = facts.get(&k);
-            if fact.is_some() {
-                any_constrained = true;
-            }
-            let satisfied = match self.cfg.subsumption {
-                SubsumptionMode::PureInterval => match fact {
-                    Some(f) => clause.range.subsumes(f),
-                    None => false,
-                },
-                SubsumptionMode::DataGrounded => {
-                    let Some(observed) = self.observed.get(&k) else {
-                        return false;
-                    };
-                    let matching: Vec<&Value> = observed
-                        .iter()
-                        .filter(|v| fact.map(|f| f.contains(v)).unwrap_or(true))
-                        .collect();
-                    !matching.is_empty() && matching.iter().all(|v| clause.range.contains(v))
-                }
-            };
-            if !satisfied {
-                return false;
-            }
+        let fact_on = |clause: &Clause| facts.get(&attr_key(&clause.attr));
+        if !rule.lhs.iter().any(|c| fact_on(c).is_some()) {
+            return false;
         }
-        any_constrained
+        rule.lhs.iter().all(|clause| match self.cfg.subsumption {
+            SubsumptionMode::PureInterval => {
+                fact_on(clause).is_some_and(|f| clause.range.subsumes(f))
+            }
+            SubsumptionMode::DataGrounded => {
+                // Every stored value meeting the fact (all of them when
+                // the attribute carries none) lies in the premise, and
+                // there is at least one.
+                let (lo, hi) = fact_on(clause)
+                    .map_or((None, None), |f| (index_bound(&f.lo), index_bound(&f.hi)));
+                let premise_covers = |idx: &AttributeIndex| {
+                    let mut matching = idx.values_in(lo, hi).peekable();
+                    matching.peek().is_some() && matching.all(|v| clause.range.contains(v))
+                };
+                self.db
+                    .get(&clause.attr.object)
+                    .and_then(|rel| rel.with_index(&clause.attr.attribute, premise_covers))
+                    .unwrap_or(false)
+            }
+        })
     }
 
-    /// Does the rule's premise range cover *every* observed X value
+    /// Does the rule's premise range cover the X value of *every* row
     /// whose Y equals `value`? (`None` when X and Y live in different
     /// relations and the joint distribution is not directly checkable.)
     fn backward_completeness(&self, rule: &Rule, x: &AttrId, value: &Value) -> Option<bool> {
-        let xs = self
-            .db_snapshot
-            .x_values_where_y(x, &rule.rhs.attr, value)?;
+        let y = &rule.rhs.attr;
+        if !x.object.eq_ignore_ascii_case(&y.object) {
+            return None;
+        }
+        let rel = self.db.get(&x.object).ok()?;
+        let xi = rel.schema().index_of(&x.attribute)?;
         let lhs = rule.lhs_clause(&x.object, &x.attribute)?;
-        Some(xs.iter().all(|v| lhs.range.contains(v)))
+        rel.with_index(&y.attribute, |idx| {
+            idx.lookup(value)
+                .iter()
+                .all(|&row| lhs.range.contains(rel.tuples()[row].get(xi)))
+        })
+        .ok()
     }
 }

@@ -19,6 +19,13 @@ pub struct Date {
 }
 
 impl Date {
+    /// The earliest representable date.
+    pub const MIN: Date = Date {
+        year: i32::MIN,
+        month: 1,
+        day: 1,
+    };
+
     /// Construct a date, validating month and day-of-month.
     pub fn new(year: i32, month: u32, day: u32) -> Result<Self> {
         if !(1..=12).contains(&month) || day == 0 || day > days_in_month(year, month) {

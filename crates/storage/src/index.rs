@@ -5,9 +5,13 @@
 //! demand, and invalidated by any mutation (inserts, deletes, updates,
 //! sorting) — the next lookup rebuilds them lazily. The SQL executor
 //! uses them for equality restriction push-down and as prebuilt join
-//! sides.
+//! sides; the inference engine reads the distinct values inside a
+//! condition's range (data-grounded subsumption) and the rows holding
+//! one value (backward completeness) from them.
 
+use crate::date::Date;
 use crate::value::{Value, ValueKey};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -48,38 +52,94 @@ impl AttributeIndex {
     }
 
     /// Positions of tuples whose value lies in `[lo, hi]`-style bounds,
-    /// in value order.
+    /// in value order. Bounds compare under the total order, so an open
+    /// side runs on into the other value types (contrast
+    /// [`AttributeIndex::values_in`]).
     pub fn range(&self, lo: Option<(&Value, bool)>, hi: Option<(&Value, bool)>) -> Vec<usize> {
-        // Provably empty bounds (lo > hi, or a shared endpoint that is
-        // excluded on either side) return nothing; `BTreeMap::range`
-        // would panic on them.
-        if let (Some((l, li)), Some((h, hi_incl))) = (lo, hi) {
-            match l.total_cmp(h) {
-                std::cmp::Ordering::Greater => return Vec::new(),
-                std::cmp::Ordering::Equal if !(li && hi_incl) => return Vec::new(),
-                _ => {}
-            }
-        }
-        let lo_bound = match lo {
-            None => Bound::Unbounded,
-            Some((v, true)) => Bound::Included(ValueKey(v.clone())),
-            Some((v, false)) => Bound::Excluded(ValueKey(v.clone())),
+        let Some(bounds) = key_bounds(lo, hi) else {
+            return Vec::new();
         };
-        let hi_bound = match hi {
-            None => Bound::Unbounded,
-            Some((v, true)) => Bound::Included(ValueKey(v.clone())),
-            Some((v, false)) => Bound::Excluded(ValueKey(v.clone())),
+        self.map
+            .range(bounds)
+            .flat_map(|(_, positions)| positions.iter().copied())
+            .collect()
+    }
+
+    /// The distinct values inside the bounds, ascending, with a range
+    /// predicate's semantics: a value of a type incomparable with a
+    /// bound (a string under integer bounds) lies outside, as do nulls.
+    /// Only values inside the bounds are visited: an open side stops at
+    /// the edge of the bound's type.
+    pub fn values_in(
+        &self,
+        lo: Option<(&Value, bool)>,
+        hi: Option<(&Value, bool)>,
+    ) -> impl Iterator<Item = &Value> + '_ {
+        let satisfiable = match (lo, hi) {
+            (Some((l, _)), Some((h, _))) => l.compare(h).is_ok(),
+            (Some((v, _)), None) | (None, Some((v, _))) => !v.is_null(),
+            (None, None) => true,
         };
-        let mut out = Vec::new();
-        for (_, positions) in self.map.range((lo_bound, hi_bound)) {
-            out.extend_from_slice(positions);
-        }
-        out
+        let bounds = key_bounds(lo, hi)
+            .filter(|_| satisfiable)
+            .map(|(l, h)| match lo.or(hi) {
+                None => (l, h),
+                Some((v, _)) => {
+                    let (floor, ceiling) = type_span(v);
+                    (
+                        if lo.is_some() { l } else { floor },
+                        if hi.is_some() { h } else { ceiling },
+                    )
+                }
+            });
+        bounds
+            .into_iter()
+            .flat_map(|b| self.map.range(b))
+            .map(|(k, _)| &k.0)
     }
 
     /// Number of distinct indexed values.
     pub fn distinct(&self) -> usize {
         self.map.len()
+    }
+}
+
+/// The `BTreeMap` bounds for `(value, inclusive)` endpoints, or `None`
+/// when they are provably empty: lo > hi, or a shared endpoint excluded
+/// on either side. `BTreeMap::range` would panic on those.
+fn key_bounds(
+    lo: Option<(&Value, bool)>,
+    hi: Option<(&Value, bool)>,
+) -> Option<(Bound<ValueKey>, Bound<ValueKey>)> {
+    if let (Some((l, l_incl)), Some((h, h_incl))) = (lo, hi) {
+        match l.total_cmp(h) {
+            Ordering::Greater => return None,
+            Ordering::Equal if !(l_incl && h_incl) => return None,
+            _ => {}
+        }
+    }
+    let bound = |end: Option<(&Value, bool)>| match end {
+        None => Bound::Unbounded,
+        Some((v, true)) => Bound::Included(ValueKey(v.clone())),
+        Some((v, false)) => Bound::Excluded(ValueKey(v.clone())),
+    };
+    Some((bound(lo), bound(hi)))
+}
+
+/// Bounds enclosing every non-null value of `v`'s type. The total order
+/// ranks nulls, then numbers, then strings, then dates, so each type is
+/// one contiguous run of keys.
+fn type_span(v: &Value) -> (Bound<ValueKey>, Bound<ValueKey>) {
+    let first_string = || ValueKey(Value::Str(String::new()));
+    let first_date = || ValueKey(Value::Date(Date::MIN));
+    match v {
+        Value::Str(_) => (
+            Bound::Included(first_string()),
+            Bound::Excluded(first_date()),
+        ),
+        Value::Date(_) => (Bound::Included(first_date()), Bound::Unbounded),
+        // Only nulls, which are never indexed, rank below the numbers.
+        _ => (Bound::Unbounded, Bound::Excluded(first_string())),
     }
 }
 
@@ -134,5 +194,135 @@ mod tests {
         // Numbers sort before strings in the total order.
         let all = idx.range(None, None);
         assert_eq!(all, vec![0, 2, 1]);
+    }
+
+    fn values(
+        idx: &AttributeIndex,
+        lo: Option<(&Value, bool)>,
+        hi: Option<(&Value, bool)>,
+    ) -> Vec<Value> {
+        idx.values_in(lo, hi).cloned().collect()
+    }
+
+    #[test]
+    fn lo_above_hi_is_empty() {
+        let idx = sample();
+        let (v3, v9) = (Value::Int(3), Value::Int(9));
+        assert!(idx.range(Some((&v9, true)), Some((&v3, true))).is_empty());
+        assert!(values(&idx, Some((&v9, true)), Some((&v3, true))).is_empty());
+    }
+
+    #[test]
+    fn equal_endpoints_need_both_sides_included() {
+        let idx = sample();
+        let v5 = Value::Int(5);
+        assert_eq!(idx.range(Some((&v5, true)), Some((&v5, true))), vec![0, 2]);
+        assert_eq!(
+            values(&idx, Some((&v5, true)), Some((&v5, true))),
+            vec![v5.clone()]
+        );
+        for (li, hi) in [(true, false), (false, true), (false, false)] {
+            assert!(idx.range(Some((&v5, li)), Some((&v5, hi))).is_empty());
+            assert!(values(&idx, Some((&v5, li)), Some((&v5, hi))).is_empty());
+        }
+    }
+
+    #[test]
+    fn unbounded_both_sides_yields_every_value_but_null() {
+        let idx = sample();
+        assert_eq!(idx.range(None, None), vec![1, 0, 2, 4]);
+        assert_eq!(
+            values(&idx, None, None),
+            vec![Value::Int(3), Value::Int(5), Value::Int(9)]
+        );
+    }
+
+    #[test]
+    fn nulls_are_never_returned() {
+        let idx = sample();
+        let null = Value::Null;
+        let v9 = Value::Int(9);
+        assert!(values(&idx, Some((&null, true)), None).is_empty());
+        assert!(values(&idx, None, Some((&null, true))).is_empty());
+        assert!(!idx.range(None, Some((&v9, true))).contains(&3));
+        assert!(!values(&idx, None, Some((&v9, true))).contains(&Value::Null));
+    }
+
+    #[test]
+    fn int_and_real_share_one_number_line() {
+        let column = [
+            Value::Int(1),
+            Value::Real(1.5),
+            Value::Int(2),
+            Value::Real(2.0),
+        ];
+        let idx = AttributeIndex::build(column.iter());
+        let (lo, hi) = (Value::Real(1.0), Value::Int(2));
+        // Int(2) and Real(2.0) are one key; the first stored spelling wins.
+        assert_eq!(
+            values(&idx, Some((&lo, false)), Some((&hi, true))),
+            vec![Value::Real(1.5), Value::Int(2)]
+        );
+        assert_eq!(
+            idx.range(Some((&lo, false)), Some((&hi, true))),
+            vec![1, 2, 3]
+        );
+        let half = Value::Real(1.5);
+        assert_eq!(
+            values(&idx, None, Some((&half, false))),
+            vec![Value::Int(1)]
+        );
+    }
+
+    #[test]
+    fn int_bounds_on_a_string_column_match_nothing() {
+        let column = [Value::str("0101"), Value::str("9000"), Value::str("x")];
+        let idx = AttributeIndex::build(column.iter());
+        let (lo, hi) = (Value::Int(0), Value::Int(10_000));
+        assert!(values(&idx, Some((&lo, true)), None).is_empty());
+        assert!(values(&idx, None, Some((&hi, true))).is_empty());
+        assert!(values(&idx, Some((&lo, true)), Some((&hi, true))).is_empty());
+        // The total-order scan keeps its cross-type reach: strings rank
+        // above every number.
+        assert_eq!(idx.range(Some((&lo, true)), None), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn mixed_columns_yield_only_the_bounds_type() {
+        let day = |d| Value::Date(Date::new(1981, 1, d).unwrap());
+        let column = [
+            Value::Int(7),
+            Value::str("a"),
+            day(5),
+            Value::Int(9),
+            Value::str("c"),
+            day(2),
+        ];
+        let idx = AttributeIndex::build(column.iter());
+        let (seven, b, z) = (Value::Int(7), Value::str("b"), Value::str("z"));
+        assert_eq!(
+            values(&idx, Some((&seven, false)), None),
+            vec![Value::Int(9)]
+        );
+        assert_eq!(values(&idx, None, Some((&b, true))), vec![Value::str("a")]);
+        assert_eq!(values(&idx, Some((&b, true)), None), vec![Value::str("c")]);
+        assert_eq!(
+            values(&idx, None, Some((&z, true))),
+            vec![Value::str("a"), Value::str("c")]
+        );
+        assert_eq!(values(&idx, None, Some((&day(3), true))), vec![day(2)]);
+        assert_eq!(values(&idx, Some((&day(3), true)), None), vec![day(5)]);
+        // Bounds of two incomparable types admit nothing.
+        assert!(values(&idx, Some((&seven, true)), Some((&z, true))).is_empty());
+    }
+
+    #[test]
+    fn string_bounds_on_a_number_column_match_nothing() {
+        let idx = sample();
+        let (a, z) = (Value::str("a"), Value::str("z"));
+        assert!(values(&idx, None, Some((&z, true))).is_empty());
+        assert!(values(&idx, Some((&a, true)), None).is_empty());
+        let never = Value::Date(Date::MIN);
+        assert!(values(&idx, None, Some((&never, true))).is_empty());
     }
 }

@@ -21,12 +21,12 @@ pub struct Relation {
     tuples: Vec<Tuple>,
     key_indices: Vec<usize>,
     key_set: BTreeSet<Vec<ValueKey>>,
-    /// Mutation counter for lazy index invalidation.
-    version: u64,
-    /// Lazily built secondary indexes: attr (lowercase) -> (version,
-    /// index). Interior mutability lets read-only scans build and reuse
-    /// indexes; the lock is uncontended in single-threaded use.
-    indexes: RwLock<HashMap<String, (u64, AttributeIndex)>>,
+    /// Lazily built secondary indexes: attr (lowercase) -> index.
+    /// Interior mutability lets read-only scans build and reuse
+    /// indexes; the lock is uncontended in single-threaded use. Every
+    /// mutation empties the cache, and a clone shares the built indexes
+    /// (`Arc`), so a copy-on-write snapshot copies none of them.
+    indexes: RwLock<HashMap<String, Arc<AttributeIndex>>>,
 }
 
 impl Clone for Relation {
@@ -37,7 +37,6 @@ impl Clone for Relation {
             tuples: self.tuples.clone(),
             key_indices: self.key_indices.clone(),
             key_set: self.key_set.clone(),
-            version: self.version,
             indexes: RwLock::new(
                 self.indexes
                     .read()
@@ -63,14 +62,17 @@ impl Relation {
             tuples: Vec::new(),
             key_indices,
             key_set: BTreeSet::new(),
-            version: 0,
             indexes: RwLock::new(HashMap::new()),
         }
     }
 
-    /// Bump the mutation counter (invalidates cached indexes lazily).
+    /// Drop the cached indexes after a mutation; the next lookup
+    /// rebuilds the one it needs.
     fn touch(&mut self) {
-        self.version = self.version.wrapping_add(1);
+        self.indexes
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
     }
 
     /// The relation name.
@@ -232,28 +234,36 @@ impl Relation {
 
     /// Run `f` over the (lazily built, cached) secondary index on
     /// `attr`. The index is rebuilt when the relation has mutated since
-    /// it was last built.
+    /// it was last built; until then every caller, and every clone of
+    /// the relation, reads the same one.
     ///
-    /// A panic in an earlier caller's `f` poisons the cache lock; the
-    /// cache holds only derived data (rebuildable from `tuples`), so
-    /// poisoning is recovered rather than propagated — one panicked
-    /// reader must not wedge every future query of a long-lived
-    /// service.
+    /// `f` runs outside the cache lock, so a panicking reader cannot
+    /// poison it; a poisoned lock is recovered anyway — the cache holds
+    /// only derived data (rebuildable from `tuples`), and one failed
+    /// reader must not wedge every future query of a long-lived service.
     pub fn with_index<R>(&self, attr: &str, f: impl FnOnce(&AttributeIndex) -> R) -> Result<R> {
         let idx = self.schema.require(&self.name, attr)?;
         let key = attr.to_ascii_lowercase();
-        {
-            let cache = self.indexes.read().unwrap_or_else(|e| e.into_inner());
-            if let Some((v, index)) = cache.get(&key) {
-                if *v == self.version {
-                    return Ok(f(index));
-                }
+        let cached = self
+            .indexes
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&key)
+            .cloned();
+        let index = match cached {
+            Some(index) => index,
+            None => {
+                let built = Arc::new(AttributeIndex::build(
+                    self.tuples.iter().map(|t| t.get(idx)),
+                ));
+                self.indexes
+                    .write()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .insert(key, Arc::clone(&built));
+                built
             }
-        }
-        let built = AttributeIndex::build(self.tuples.iter().map(|t| t.get(idx)));
-        let mut cache = self.indexes.write().unwrap_or_else(|e| e.into_inner());
-        let entry = cache.entry(key).insert_entry((self.version, built));
-        Ok(f(&entry.get().1))
+        };
+        Ok(f(&index))
     }
 
     /// Positions of tuples whose `attr` equals `v`, via the secondary
@@ -431,7 +441,7 @@ mod tests {
         let mut r = submarine();
         r.insert(tuple!["SSBN730", "Rhode Island", "0101"]).unwrap();
         r.insert(tuple!["SSN582", "Bonefish", "0215"]).unwrap();
-        // Poison the cache lock: panic inside the index closure.
+        // A reader panics inside the index closure.
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = r.with_index("Class", |_| panic!("reader died"));
         }));
@@ -452,7 +462,7 @@ mod tests {
         r.insert(tuple!["SSN582", "Bonefish", "0215"]).unwrap();
         r.insert(tuple!["SSN592", "Snook", "0209"]).unwrap();
         let r = &r;
-        // Poisoner threads repeatedly kill readers inside the index
+        // Panicking threads repeatedly kill readers inside the index
         // closure while reader threads hammer lookups; every answer
         // must stay correct throughout — poisoning is invisible.
         std::thread::scope(|s| {
@@ -482,5 +492,29 @@ mod tests {
         // And the cache still answers correctly after the storm.
         let hits = r.index_lookup("Class", &Value::str("0101")).unwrap();
         assert_eq!(hits, vec![0]);
+    }
+
+    #[test]
+    fn clone_shares_cached_indexes_until_a_side_mutates() {
+        let mut r = submarine();
+        r.insert(tuple!["SSBN730", "Rhode Island", "0101"]).unwrap();
+        let addr = |rel: &Relation| {
+            rel.with_index("Class", |idx| idx as *const AttributeIndex as usize)
+                .unwrap()
+        };
+        let original = addr(&r);
+        let mut copy = r.clone();
+        assert_eq!(addr(&copy), original, "a clone reuses the built index");
+        copy.insert(tuple!["SSN582", "Bonefish", "0215"]).unwrap();
+        assert_eq!(
+            copy.index_lookup("Class", &Value::str("0215")).unwrap(),
+            vec![1]
+        );
+        // The original keeps its own index and never sees the row.
+        assert_eq!(addr(&r), original);
+        assert!(r
+            .index_lookup("Class", &Value::str("0215"))
+            .unwrap()
+            .is_empty());
     }
 }
