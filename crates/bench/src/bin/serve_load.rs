@@ -34,9 +34,10 @@
 //! how `BENCH_failover.json` is measured.
 //!
 //! `--topology partition` keeps every process alive and injects link
-//! faults instead (`intensio_net`): a symmetric split, a one-way
-//! (half-open) link, flapping links, and pure heartbeat delay. All
-//! three in-process nodes share this process's fault registry, so one
+//! faults instead (`net.*` specs in `intensio_fault`): a symmetric
+//! split, a one-way (half-open) link, flapping links, and pure
+//! heartbeat delay. All three in-process nodes share this process's
+//! fault registry, so one
 //! `net.*` spec governs both ends of a link — the same physics a real
 //! partition has. Per scenario the run measures time-to-promotion,
 //! write unavailability, minority stale-read availability, and
@@ -1150,7 +1151,7 @@ fn partition_seeds(timeout: Duration) -> (u64, u64) {
     (win, lose)
 }
 
-/// Three in-process nodes sharing this process's link-fault registry:
+/// Three in-process nodes sharing this process's fault registry:
 /// primary `a` polling its peers, durable candidate `b` (seeded to win
 /// any promotion race), memory candidate `c` (seeded to lose). Address
 /// aliases are registered so a `net.*` spec written in terms of labels
@@ -1167,8 +1168,8 @@ struct PartitionCluster {
 
 impl PartitionCluster {
     fn spawn(args: &Args, tag: &str) -> Result<PartitionCluster, String> {
-        intensio_net::faults::clear();
-        intensio_net::faults::clear_aliases();
+        intensio_fault::clear();
+        intensio_fault::clear_aliases();
         let timeout = Duration::from_millis(args.failover_timeout_ms);
         let (win, lose) = partition_seeds(timeout);
         let base =
@@ -1214,9 +1215,9 @@ impl PartitionCluster {
         // the pre-promotion sweep probes.
         let (c, cserver, caddr) =
             open(mk("c", None, Some(format!("{paddr},{baddr}")), true, lose))?;
-        intensio_net::faults::register_alias(&paddr, "a");
-        intensio_net::faults::register_alias(&baddr, "b");
-        intensio_net::faults::register_alias(&caddr, "c");
+        intensio_fault::register_alias(&paddr, "a");
+        intensio_fault::register_alias(&baddr, "b");
+        intensio_fault::register_alias(&caddr, "c");
         // The poller is how a stranded primary discovers a newer term
         // after a heal — without peers it would stay primary forever.
         a.set_peers(vec![baddr.clone(), caddr.clone()]);
@@ -1356,8 +1357,8 @@ impl PartitionCluster {
         drop_service(self.a);
         drop_service(self.b);
         drop_service(self.c);
-        intensio_net::faults::clear();
-        intensio_net::faults::clear_aliases();
+        intensio_fault::clear();
+        intensio_fault::clear_aliases();
         let _ = std::fs::remove_dir_all(&self.base);
     }
 }
@@ -1391,7 +1392,7 @@ fn partition_read_ok(addr: &str) -> bool {
 /// Inject `specs` into the shared registry, failing the scenario on a
 /// refused spec rather than silently running without the fault.
 fn partition_inject(specs: &str) -> Result<(), String> {
-    intensio_net::faults::configure_str(specs).map_err(|e| format!("fault spec {specs:?}: {e}"))
+    intensio_fault::configure_str(specs).map_err(|e| format!("fault spec {specs:?}: {e}"))
 }
 
 /// Symmetric split: `a` loses both followers at once. The majority
@@ -1457,7 +1458,7 @@ fn partition_scenario_symmetric(args: &Args) -> Result<PartitionOutcome, String>
         notes.push("stale-term fence missing on the stranded primary".to_string());
     }
 
-    intensio_net::faults::clear();
+    intensio_fault::clear();
     let heal = cluster.await_converged(new_term, "post-heal")?;
     let _ = caddr;
     let (lost, duplicates, leaked) = cluster.audit(&acked, &[])?;
@@ -1529,7 +1530,7 @@ fn partition_scenario_oneway(args: &Args) -> Result<PartitionOutcome, String> {
     }
     let new_term = cluster.b.stats().term;
 
-    intensio_net::faults::clear();
+    intensio_fault::clear();
     let heal = cluster.await_converged(new_term, "post-heal")?;
     let (lost, duplicates, leaked) = cluster.audit(&acked, &banned)?;
     cluster.teardown();
@@ -1566,7 +1567,7 @@ fn partition_scenario_flapping(args: &Args) -> Result<PartitionOutcome, String> 
             acked.push(id);
         }
         std::thread::sleep(flap_hold);
-        intensio_net::faults::clear();
+        intensio_fault::clear();
         let marker = format!("FLM{flap:04}");
         partition_append(&paddr, &marker)?;
         acked.push(marker);
@@ -1642,7 +1643,7 @@ fn partition_scenario_delay(args: &Args) -> Result<PartitionOutcome, String> {
         ));
     }
 
-    intensio_net::faults::clear();
+    intensio_fault::clear();
     let heal = cluster.await_converged(0, "post-delay")?;
     let (lost, duplicates, leaked) = cluster.audit(&acked, &[])?;
     cluster.teardown();
@@ -1672,11 +1673,8 @@ fn partition_main(args: &Args) {
         );
         std::process::exit(2);
     }
-    let seed = std::env::var("INTENSIO_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    intensio_net::faults::set_seed(seed);
+    let seed = intensio_fault::chaos_seed().unwrap_or(42);
+    intensio_fault::set_seed(seed);
     println!(
         "serve_load partition: 4 scenario(s), failover timeout {} ms, chaos seed {seed} (fsync {})",
         args.failover_timeout_ms, args.fsync

@@ -7,6 +7,7 @@
 //! label like `R3`), an optional [`Span`] into that text, and free-form
 //! notes (provenance such as the refuting rule of an empty query).
 
+use intensio_obs::push_json_str;
 use std::fmt;
 
 /// How bad a finding is.
@@ -201,13 +202,16 @@ impl Report {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"origin\":{},\"message\":{}",
-                json_str(d.code),
-                json_str(&d.severity.to_string()),
-                json_str(&d.origin),
-                json_str(&d.message),
-            ));
+            let members = [
+                ("{\"code\":", d.code),
+                (",\"severity\":", &d.severity.to_string()),
+                (",\"origin\":", &d.origin),
+                (",\"message\":", &d.message),
+            ];
+            for (key, value) in members {
+                out.push_str(key);
+                push_json_str(&mut out, value);
+            }
             if let Some(s) = &d.span {
                 out.push_str(&format!(
                     ",\"span\":{{\"line\":{},\"col\":{},\"len\":{}}}",
@@ -220,7 +224,7 @@ impl Report {
                     if j > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_str(n));
+                    push_json_str(&mut out, n);
                 }
                 out.push(']');
             }
@@ -229,25 +233,6 @@ impl Report {
         out.push(']');
         out
     }
-}
-
-/// Escape a string as a JSON literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Locate the `n`-th (0-based) occurrence of `needle` in `src`,
@@ -355,10 +340,5 @@ mod tests {
         assert!(json.contains("\"code\":\"IC001\""));
         assert!(json.contains("\"span\":{\"line\":2,\"col\":3,\"len\":4}"));
         assert!(json.contains("\"notes\":[\"N_c = 3\"]"));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 }

@@ -3,11 +3,12 @@
 //! replication reconnects).
 //!
 //! Delays double from a base up to a cap, and each delay is jittered
-//! into `[delay/2, delay)` by a process-independent xorshift64 stream,
-//! so a fleet of retrying loops does not reconnect in lockstep. For a
-//! fixed seed the schedule is fully deterministic, which keeps chaos
-//! runs replayable.
+//! into `[delay/2, delay)` by a seeded [`Rng`] stream of its own, so a
+//! fleet of retrying loops does not reconnect in lockstep. For a fixed
+//! seed the schedule is fully deterministic, which keeps chaos runs
+//! replayable.
 
+use crate::Rng;
 use std::time::Duration;
 
 /// A capped-exponential retry schedule. Call [`Backoff::next_delay`]
@@ -18,23 +19,18 @@ pub struct Backoff {
     base: Duration,
     cap: Duration,
     attempt: u32,
-    jitter: u64,
+    jitter: Rng,
 }
 
 impl Backoff {
     /// A schedule doubling from `base` up to `cap`, jittered by a
-    /// deterministic stream seeded with `seed` (0 is remapped — the
-    /// xorshift state must never be zero).
+    /// deterministic stream seeded with `seed`.
     pub fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
         Backoff {
             base: base.max(Duration::from_millis(1)),
             cap: cap.max(base),
             attempt: 0,
-            jitter: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
+            jitter: Rng::new(seed),
         }
     }
 
@@ -57,12 +53,8 @@ impl Backoff {
             .base
             .saturating_mul(1u32 << attempt.clamp(1, 20).saturating_sub(1));
         let delay = exp.min(self.cap);
-        // xorshift64: cheap, deterministic, good enough to decorrelate.
-        self.jitter ^= self.jitter << 13;
-        self.jitter ^= self.jitter >> 7;
-        self.jitter ^= self.jitter << 17;
         let half_ms = (delay.as_millis() as u64 / 2).max(1);
-        delay / 2 + Duration::from_millis(self.jitter % half_ms)
+        delay / 2 + Duration::from_millis(self.jitter.next_u64() % half_ms)
     }
 
     /// Record a success: the next failure starts from `base` again.

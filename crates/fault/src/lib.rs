@@ -1,67 +1,110 @@
 //! # intensio-fault
 //!
-//! A zero-dependency failpoint framework for fault injection across the
-//! intensional query pipeline. Production code marks *named injection
-//! points* with [`fire`]; tests and operators arm those points with
-//! actions — inject an error, add latency, panic, or any of these with
-//! a probability and a trigger budget — without recompiling.
+//! The workspace's one fault registry, with zero dependencies. It holds
+//! two kinds of fault under one grammar: *failpoints*, named injection
+//! points production code marks with [`fire`] (an armed point injects
+//! an error, adds latency or panics), and *link faults*, names under
+//! `net.` that sever, skew, duplicate, tear or reset one link's
+//! traffic. The cluster transport (`intensio-net`) asks
+//! [`link_effects`] what to do to each network operation and applies
+//! the answer itself.
 //!
-//! ## Cost when disarmed
-//!
-//! With no failpoint configured, [`fire`] is one relaxed atomic load
-//! and a branch (the `ACTIVE` flag), so injection points can sit on hot
-//! paths — storage scans, cache lookups — without measurable overhead.
-//! The slow path (registry lookup, RNG roll) runs only while at least
-//! one point is armed.
+//! With nothing armed, [`fire`] and [`link_effects`] are each one
+//! relaxed atomic load and a branch, so injection points can sit on hot
+//! paths; the registry lookup and the RNG roll run only while some
+//! fault is armed.
 //!
 //! ## Spec grammar
 //!
-//! One failpoint: `name=[P%]action[*N]`, several separated by `;`:
+//! One fault: `name=[P%]body[*N]`, several separated by `;`. `P` is a
+//! trigger probability in percent (`0.5%` is allowed) and `*N` a
+//! trigger budget. A trailing `*N` is a budget only when digits follow
+//! the last `*`, so a link endpoint may be `*`. The body `off` disarms.
+//! A failpoint's body is `error`, `panic` or `delay:MS`; a link
+//! fault's name carries its kind (and `net.delay`'s `:MS`, and an
+//! optional `#tag` that keeps names unique) and its body is the link,
+//! between node labels, `host:port` addresses, aliases
+//! ([`register_alias`]) or `*`:
 //!
 //! ```text
 //! storage.scan=25%error        inject an error on 25% of firings
 //! serve.worker=panic*2         panic, at most twice in total
 //! serve.cache=delay:50         sleep 50 ms on every firing
-//! induction.run=error*3        fail the next three firings
-//! storage.scan=off             disarm the point
+//! net.partition=a<->b          sever the a↔b link (both directions)
+//! net.oneway=a->b              drop only a→b traffic
+//! net.delay:50#2=a->b          add 50 ms to every a→b operation
+//! net.dup=a->b                 every a→b write crosses twice
+//! net.torn_write=a->b*1        the next a→b write ships half, then dies
+//! net.reset=0.5%a<->*          0.5% of a's operations see ECONNRESET
 //! ```
 //!
-//! The same grammar is accepted by the `INTENSIO_FAILPOINTS`
-//! environment variable (read by [`init_from_env`]) and by the serve
-//! protocol's `FAULT SET` verb.
+//! `INTENSIO_FAILPOINTS` ([`init_from_env`]) and the serve protocol's
+//! `FAULT SET` verb take the same grammar. Probabilistic triggers of
+//! both kinds roll one seeded [`Rng`] ([`set_seed`], or
+//! `INTENSIO_CHAOS_SEED` in [`init_from_env`]), so a chaos schedule
+//! replays for a fixed seed and thread interleaving.
 //!
-//! ## Determinism
-//!
-//! Probabilistic triggering uses a process-global xorshift generator
-//! seeded by [`set_seed`], so a chaos schedule replays identically for
-//! a fixed seed and thread interleaving.
+//! [`scoped`] arms a spec for faults fired on the calling thread only
+//! and disarms it when the guard drops, so tests running in parallel
+//! in one binary cannot spend each other's budgets:
 //!
 //! ```
 //! use intensio_fault as fault;
 //!
-//! fault::clear();
 //! assert!(fault::fire("demo.point").is_ok(), "disarmed points are no-ops");
-//! fault::configure("demo.point", "error*1").unwrap();
+//! let armed = fault::scoped("demo.point", "error*1").unwrap();
 //! assert!(fault::fire("demo.point").is_err(), "armed: injects once");
 //! assert!(fault::fire("demo.point").is_ok(), "budget of 1 is spent");
-//! fault::clear();
+//! drop(armed);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 pub mod backoff;
-pub use backoff::Backoff;
+mod link;
 
-/// What an armed failpoint does when it triggers.
+pub use backoff::Backoff;
+pub use link::LinkEffects;
+
+use link::{Endpoint, Link, LINK_PREFIX};
+
+/// Trigger probabilities are kept in parts per million.
+const PPM: u32 = 1_000_000;
+
+/// The workspace's one seeded generator (splitmix64): the fault
+/// registry's trigger rolls, [`Backoff`] jitter, and test workloads
+/// that must replay for a fixed seed. Every seed, 0 included, is valid.
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// A generator seeded with `seed`.
+    pub const fn new(seed: u64) -> Rng {
+        Rng(seed)
+    }
+
+    /// The next 64 pseudo-random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// What an armed fault does when it triggers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
+enum Action {
     /// [`fire`] returns `Err(InjectedFault)`.
     Error,
     /// [`fire`] sleeps for the duration, then returns `Ok`.
@@ -69,6 +112,29 @@ pub enum Action {
     /// [`fire`] panics (for exercising `catch_unwind` isolation and
     /// worker supervision).
     Panic,
+    /// [`link_effects`] reports the link's effect on matching traffic.
+    Link(Link),
+}
+
+impl Action {
+    /// Parse a failpoint action: `error`, `panic` or `delay:MS`.
+    fn parse(name: &str, body: &str) -> Result<Action, String> {
+        let lower = body.to_ascii_lowercase();
+        match lower.as_str() {
+            "error" => Ok(Action::Error),
+            "panic" => Ok(Action::Panic),
+            _ => match lower.strip_prefix("delay:") {
+                Some(ms) => ms
+                    .trim()
+                    .parse()
+                    .map(|ms| Action::Delay(Duration::from_millis(ms)))
+                    .map_err(|_| format!("{name}: bad delay {ms:?}")),
+                None => Err(format!(
+                    "{name}: unknown action {body:?}; expected error, panic, delay:MS, or off"
+                )),
+            },
+        }
+    }
 }
 
 impl fmt::Display for Action {
@@ -77,47 +143,128 @@ impl fmt::Display for Action {
             Action::Error => write!(f, "error"),
             Action::Delay(d) => write!(f, "delay:{}", d.as_millis()),
             Action::Panic => write!(f, "panic"),
+            Action::Link(link) => write!(f, "{link}"),
         }
     }
 }
 
-/// One armed failpoint.
+/// When an armed fault runs its action: the `[P%]` and `[*N]`
+/// modifiers, and the hit/trigger accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Spec {
-    /// Trigger probability in parts per million (1_000_000 = always).
+struct Trigger {
+    /// Trigger probability in parts per million ([`PPM`] = always).
     prob_ppm: u32,
-    action: Action,
     /// Remaining trigger budget; `None` is unlimited.
     remaining: Option<u64>,
-    /// Times [`fire`] consulted this point.
+    /// Times a firing or a link check consulted this fault.
     hits: u64,
     /// Times the action actually ran.
     triggered: u64,
 }
 
-impl Spec {
-    fn render(&self) -> String {
-        let mut out = String::new();
-        if self.prob_ppm < 1_000_000 {
-            out.push_str(&format!("{}%", self.prob_ppm as f64 / 10_000.0));
+impl Trigger {
+    /// Count one consultation and decide whether the action runs: the
+    /// budget must not be spent and the probability roll must pass.
+    fn roll(&mut self, rng: &mut Rng) -> bool {
+        self.hits += 1;
+        if self.remaining == Some(0) {
+            return false;
         }
-        out.push_str(&self.action.to_string());
-        if let Some(n) = self.remaining {
-            out.push_str(&format!("*{n}"));
+        if self.prob_ppm < PPM && rng.next_u64() % u64::from(PPM) >= u64::from(self.prob_ppm) {
+            return false;
         }
-        out
+        if let Some(n) = self.remaining.as_mut() {
+            *n -= 1;
+        }
+        self.triggered += 1;
+        true
     }
 }
 
-/// A point-in-time view of one armed failpoint, for `FAULT LIST` and
-/// test assertions.
+/// One armed fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Spec {
+    action: Action,
+    trigger: Trigger,
+}
+
+impl Spec {
+    /// Parse `[P%]body[*N]` (or `off`, which is `None`) for the fault
+    /// `name`: a link body under `net.`, an action otherwise.
+    fn parse(name: &str, text: &str) -> Result<Option<Spec>, String> {
+        let text = text.trim();
+        if text.is_empty() {
+            return Err(format!("{name}: empty spec"));
+        }
+        if text.eq_ignore_ascii_case("off") {
+            return Ok(None);
+        }
+        let (prob_ppm, rest) = match text.split_once('%') {
+            Some((p, rest)) => {
+                let pct: f64 = p
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("{name}: bad probability {p:?}"))?;
+                if !(0.0..=100.0).contains(&pct) {
+                    return Err(format!("{name}: probability {pct} outside 0..=100"));
+                }
+                ((pct * 10_000.0).round() as u32, rest)
+            }
+            None => (PPM, text),
+        };
+        let (body, remaining) = match rest.rsplit_once('*').map(|(b, n)| (b, n.trim())) {
+            Some((body, n)) if !n.is_empty() && n.bytes().all(|c| c.is_ascii_digit()) => {
+                let n = n
+                    .parse()
+                    .map_err(|_| format!("{name}: bad trigger budget {n:?}"))?;
+                (body.trim(), Some(n))
+            }
+            _ => (rest.trim(), None),
+        };
+        let action = if is_link(name) {
+            Action::Link(Link::parse(name, body)?)
+        } else {
+            Action::parse(name, body)?
+        };
+        Ok(Some(Spec {
+            action,
+            trigger: Trigger {
+                prob_ppm,
+                remaining,
+                hits: 0,
+                triggered: 0,
+            },
+        }))
+    }
+
+    fn status(&self, name: &str) -> FailpointStatus {
+        let t = &self.trigger;
+        let mut spec = String::new();
+        if t.prob_ppm < PPM {
+            spec.push_str(&format!("{}%", f64::from(t.prob_ppm) / 10_000.0));
+        }
+        spec.push_str(&self.action.to_string());
+        if let Some(n) = t.remaining {
+            spec.push_str(&format!("*{n}"));
+        }
+        FailpointStatus {
+            name: name.to_string(),
+            spec,
+            hits: t.hits,
+            triggered: t.triggered,
+        }
+    }
+}
+
+/// A point-in-time view of one armed fault, for `FAULT LIST` and test
+/// assertions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailpointStatus {
-    /// The injection point's name.
+    /// The fault's name.
     pub name: String,
     /// The armed spec, re-rendered in the grammar of [`configure`].
     pub spec: String,
-    /// Times [`fire`] consulted this point while armed.
+    /// Times a firing or a link check consulted this fault while armed.
     pub hits: u64,
     /// Times the action actually ran.
     pub triggered: u64,
@@ -138,39 +285,74 @@ impl fmt::Display for InjectedFault {
 
 impl std::error::Error for InjectedFault {}
 
-/// Fast-path gate: true iff at least one failpoint is armed. Checked
-/// with a relaxed load before any other work in [`fire`].
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Deterministic xorshift state for probabilistic triggering.
-static RNG: AtomicU64 = AtomicU64::new(0x9E3779B97F4A7C15);
-
-fn registry() -> &'static Mutex<BTreeMap<String, Spec>> {
-    static REGISTRY: std::sync::OnceLock<Mutex<BTreeMap<String, Spec>>> =
-        std::sync::OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// The process-global faults, the address→label aliases link faults
+/// match through, and the trigger generator.
+struct Registry {
+    specs: BTreeMap<String, Spec>,
+    aliases: BTreeMap<String, String>,
+    rng: Rng,
 }
 
-/// Whether any failpoint is currently armed (one relaxed load).
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    specs: BTreeMap::new(),
+    aliases: BTreeMap::new(),
+    rng: Rng::new(0),
+});
+
+/// Fast-path gate: true iff at least one fault is armed, globally or
+/// scoped to some thread. Checked with a relaxed load before any other
+/// work in [`fire`] and [`link_effects`].
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+/// Live [`Scoped`] guards across all threads.
+static SCOPED_LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// A fault armed by [`scoped`], visible to its arming thread only.
+struct ScopedEntry {
+    id: u64,
+    name: String,
+    spec: Spec,
+}
+
+thread_local! {
+    static SCOPED: RefCell<Vec<ScopedEntry>> = const { RefCell::new(Vec::new()) };
+}
+
+fn lock() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Recompute [`ACTIVE`]; callers hold the registry lock so updates
+/// cannot interleave.
+fn refresh(reg: &Registry) {
+    let armed = !reg.specs.is_empty() || SCOPED_LIVE.load(Ordering::SeqCst) > 0;
+    ACTIVE.store(armed, Ordering::SeqCst);
+}
+
+/// Whether any fault is currently armed (one relaxed load).
 #[inline]
 pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Seed the deterministic trigger RNG (zero is remapped — xorshift has
-/// a fixed point at 0).
-pub fn set_seed(seed: u64) {
-    RNG.store(if seed == 0 { 0xDEADBEEF } else { seed }, Ordering::SeqCst);
+/// Whether `name` is a link fault (`net.*`) rather than a failpoint.
+pub fn is_link(name: &str) -> bool {
+    name.trim().starts_with(LINK_PREFIX)
 }
 
-fn next_rand() -> u64 {
-    // xorshift64*, advanced with a CAS-free fetch_update; contention
-    // only matters while failpoints are armed.
-    let mut x = RNG.load(Ordering::Relaxed);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    RNG.store(x, Ordering::Relaxed);
-    x.wrapping_mul(0x2545F4914F6CDD1D)
+/// Seed the trigger generator both fault kinds roll.
+pub fn set_seed(seed: u64) {
+    lock().rng = Rng::new(seed);
+}
+
+/// The `INTENSIO_CHAOS_SEED` environment variable, if set to a number:
+/// the one knob that makes chaos drills and their probabilistic faults
+/// replay.
+pub fn chaos_seed() -> Option<u64> {
+    std::env::var("INTENSIO_CHAOS_SEED")
+        .ok()?
+        .trim()
+        .parse()
+        .ok()
 }
 
 /// Hit a named injection point.
@@ -178,7 +360,8 @@ fn next_rand() -> u64 {
 /// Disarmed (the common case): returns `Ok(())` after one relaxed
 /// atomic load. Armed: rolls the probability, spends the trigger
 /// budget, and runs the action — sleeping for `delay`, returning
-/// `Err` for `error`, panicking for `panic`.
+/// `Err` for `error`, panicking for `panic`. A spec [`scoped`] to this
+/// thread shadows a global one of the same name.
 #[inline]
 pub fn fire(name: &str) -> Result<(), InjectedFault> {
     if !active() {
@@ -189,120 +372,93 @@ pub fn fire(name: &str) -> Result<(), InjectedFault> {
 
 #[cold]
 fn fire_armed(name: &str) -> Result<(), InjectedFault> {
+    // The lock is released before acting: a delay must not serialize
+    // every other armed fault behind this one.
     let action = {
-        let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        let Some(spec) = reg.get_mut(name) else {
-            return Ok(());
-        };
-        spec.hits += 1;
-        if spec.remaining == Some(0) {
-            return Ok(());
+        let mut reg = lock();
+        let Registry { specs, rng, .. } = &mut *reg;
+        let mut roll = |spec: &mut Spec| spec.trigger.roll(rng).then(|| spec.action.clone());
+        let scoped = SCOPED.with(|s| {
+            let mut s = s.borrow_mut();
+            let entry = s.iter_mut().rev().find(|e| e.name == name)?;
+            Some(roll(&mut entry.spec))
+        });
+        match scoped {
+            Some(outcome) => outcome,
+            None => specs.get_mut(name).and_then(roll),
         }
-        if spec.prob_ppm < 1_000_000 && next_rand() % 1_000_000 >= spec.prob_ppm as u64 {
-            return Ok(());
-        }
-        if let Some(n) = spec.remaining.as_mut() {
-            *n -= 1;
-        }
-        spec.triggered += 1;
-        spec.action.clone()
-        // Lock released before acting: a delay must not serialize every
-        // other armed failpoint behind this one.
     };
     match action {
-        Action::Error => Err(InjectedFault {
+        Some(Action::Error) => Err(InjectedFault {
             point: name.to_string(),
         }),
-        Action::Delay(d) => {
+        Some(Action::Delay(d)) => {
             std::thread::sleep(d);
             Ok(())
         }
-        Action::Panic => panic!("injected panic at failpoint {name}"),
+        Some(Action::Panic) => panic!("injected panic at failpoint {name}"),
+        Some(Action::Link(_)) | None => Ok(()),
     }
 }
 
-/// Parse one action spec (`[P%]action[*N]`, or `off`).
-fn parse_spec(point: &str, s: &str) -> Result<Option<Spec>, String> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Err(format!("{point}: empty action"));
+/// The merged effects of every link fault matching traffic flowing
+/// `src → dst`, each end named by an optional label and an address
+/// (either may be empty). Disarmed: one relaxed load.
+#[inline]
+pub fn link_effects(
+    src_label: Option<&str>,
+    src_addr: &str,
+    dst_label: Option<&str>,
+    dst_addr: &str,
+) -> LinkEffects {
+    if !active() {
+        return LinkEffects::default();
     }
-    if s.eq_ignore_ascii_case("off") {
-        return Ok(None);
-    }
-    let (prob_ppm, rest) = match s.split_once('%') {
-        Some((p, rest)) => {
-            let pct: f64 = p
-                .trim()
-                .parse()
-                .map_err(|_| format!("{point}: bad probability {p:?}"))?;
-            if !(0.0..=100.0).contains(&pct) {
-                return Err(format!("{point}: probability {pct} outside 0..=100"));
+    link_effects_armed(Endpoint(src_label, src_addr), Endpoint(dst_label, dst_addr))
+}
+
+#[cold]
+fn link_effects_armed(src: Endpoint<'_>, dst: Endpoint<'_>) -> LinkEffects {
+    let mut fx = LinkEffects::default();
+    let mut guard = lock();
+    let reg = &mut *guard;
+    let mut consult = |spec: &mut Spec| {
+        if let Action::Link(link) = &spec.action {
+            if link.carries(src, dst, &reg.aliases) && spec.trigger.roll(&mut reg.rng) {
+                fx.add(link);
             }
-            ((pct * 10_000.0).round() as u32, rest)
         }
-        None => (1_000_000u32, s),
     };
-    let (body, remaining) = match rest.split_once('*') {
-        Some((body, n)) => {
-            let n: u64 = n
-                .trim()
-                .parse()
-                .map_err(|_| format!("{point}: bad trigger budget {n:?}"))?;
-            (body.trim(), Some(n))
-        }
-        None => (rest.trim(), None),
-    };
-    let action = if body.eq_ignore_ascii_case("error") {
-        Action::Error
-    } else if body.eq_ignore_ascii_case("panic") {
-        Action::Panic
-    } else if let Some(ms) = body
-        .strip_prefix("delay:")
-        .or_else(|| body.strip_prefix("DELAY:"))
-    {
-        let ms: u64 = ms
-            .trim()
-            .parse()
-            .map_err(|_| format!("{point}: bad delay {ms:?}"))?;
-        Action::Delay(Duration::from_millis(ms))
-    } else {
-        return Err(format!(
-            "{point}: unknown action {body:?}; expected error, panic, delay:MS, or off"
-        ));
-    };
-    Ok(Some(Spec {
-        prob_ppm,
-        action,
-        remaining,
-        hits: 0,
-        triggered: 0,
-    }))
+    reg.specs.values_mut().for_each(&mut consult);
+    SCOPED.with(|s| s.borrow_mut().iter_mut().for_each(|e| consult(&mut e.spec)));
+    fx
 }
 
-/// Arm (or, with `off`, disarm) one failpoint. See the module docs for
-/// the spec grammar.
-pub fn configure(name: &str, spec: &str) -> Result<(), String> {
+fn checked_name(name: &str) -> Result<&str, String> {
     let name = name.trim();
     if name.is_empty() {
-        return Err("failpoint name is empty".to_string());
+        return Err("fault name is empty".to_string());
     }
-    let parsed = parse_spec(name, spec)?;
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
+    Ok(name)
+}
+
+/// Arm (or, with `off`, disarm) one fault. See the module docs for the
+/// spec grammar.
+pub fn configure(name: &str, spec: &str) -> Result<(), String> {
+    let name = checked_name(name)?;
+    let parsed = Spec::parse(name, spec)?;
+    let mut reg = lock();
     match parsed {
-        Some(spec) => {
-            reg.insert(name.to_string(), spec);
-        }
-        None => {
-            reg.remove(name);
-        }
-    }
-    ACTIVE.store(!reg.is_empty(), Ordering::SeqCst);
+        Some(spec) => reg.specs.insert(name.to_string(), spec),
+        None => reg.specs.remove(name),
+    };
+    refresh(&reg);
     Ok(())
 }
 
-/// Arm several failpoints from `name=spec;name=spec` text (the
-/// `INTENSIO_FAILPOINTS` grammar). Stops at the first malformed entry.
+/// Arm several faults from `name=spec;name=spec` text (the
+/// `INTENSIO_FAILPOINTS` and `FAULT SET` grammar). Stops at the first
+/// malformed entry.
 pub fn configure_str(s: &str) -> Result<(), String> {
     for part in s.split(';') {
         let part = part.trim();
@@ -311,30 +467,35 @@ pub fn configure_str(s: &str) -> Result<(), String> {
         }
         let (name, spec) = part
             .split_once('=')
-            .ok_or_else(|| format!("malformed failpoint {part:?}; expected name=action"))?;
+            .ok_or_else(|| format!("malformed fault {part:?}; expected name=spec"))?;
         configure(name, spec)?;
     }
     Ok(())
 }
 
-/// Disarm one failpoint.
-pub fn remove(name: &str) {
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    reg.remove(name.trim());
-    ACTIVE.store(!reg.is_empty(), Ordering::SeqCst);
-}
-
-/// Disarm every failpoint.
+/// Disarm every global fault of both kinds (scoped ones belong to their
+/// guards; aliases survive — they are topology, not faults).
 pub fn clear() {
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    reg.clear();
-    ACTIVE.store(false, Ordering::SeqCst);
+    let mut reg = lock();
+    reg.specs.clear();
+    refresh(&reg);
 }
 
-/// Arm failpoints from the `INTENSIO_FAILPOINTS` environment variable,
-/// if set. Malformed specs are reported on stderr and skipped, never
-/// fatal — a typo in an ops knob must not take the service down.
+/// Disarm every global link fault, leaving failpoints armed.
+pub fn clear_links() {
+    let mut reg = lock();
+    reg.specs.retain(|name, _| !is_link(name));
+    refresh(&reg);
+}
+
+/// Seed from `INTENSIO_CHAOS_SEED` and arm faults from
+/// `INTENSIO_FAILPOINTS`, when set. Malformed specs are reported on
+/// stderr and skipped, never fatal — a typo in an ops knob must not take
+/// the service down.
 pub fn init_from_env() {
+    if let Some(seed) = chaos_seed() {
+        set_seed(seed);
+    }
     if let Ok(v) = std::env::var("INTENSIO_FAILPOINTS") {
         if let Err(e) = configure_str(&v) {
             eprintln!("intensio-fault: ignoring INTENSIO_FAILPOINTS: {e}");
@@ -342,30 +503,91 @@ pub fn init_from_env() {
     }
 }
 
-/// Every armed failpoint with its hit/trigger counts, name-sorted.
+/// Every armed fault visible to this thread (global ones and this
+/// thread's scoped ones) with its hit/trigger counts, name-sorted.
 pub fn list() -> Vec<FailpointStatus> {
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    reg.iter()
-        .map(|(name, spec)| FailpointStatus {
-            name: name.clone(),
-            spec: spec.render(),
-            hits: spec.hits,
-            triggered: spec.triggered,
+    let reg = lock();
+    let mut out: Vec<FailpointStatus> = reg
+        .specs
+        .iter()
+        .map(|(name, spec)| spec.status(name))
+        .collect();
+    SCOPED.with(|s| out.extend(s.borrow().iter().map(|e| e.spec.status(&e.name))));
+    out.sort_by(|a, b| a.name.cmp(&b.name));
+    out
+}
+
+/// Map a listening address to a node label, so link faults written
+/// against labels also catch connections that only know the address
+/// (in-process multi-node harnesses register every node here).
+pub fn register_alias(addr: &str, label: &str) {
+    lock().aliases.insert(addr.to_string(), label.to_string());
+}
+
+/// Drop every registered alias.
+pub fn clear_aliases() {
+    lock().aliases.clear();
+}
+
+/// Arm `name=spec` for faults fired (and links checked) on the calling
+/// thread only, until the returned guard drops. A scoped spec shadows a
+/// global failpoint of the same name on this thread.
+pub fn scoped(name: &str, spec: &str) -> Result<Scoped, String> {
+    static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+    let name = checked_name(name)?;
+    let spec = Spec::parse(name, spec)?
+        .ok_or_else(|| format!("{name}: a scoped fault needs a spec, not off"))?;
+    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    let reg = lock();
+    SCOPED.with(|s| {
+        s.borrow_mut().push(ScopedEntry {
+            id,
+            name: name.to_string(),
+            spec,
         })
-        .collect()
+    });
+    SCOPED_LIVE.fetch_add(1, Ordering::SeqCst);
+    refresh(&reg);
+    Ok(Scoped {
+        id,
+        _thread: PhantomData,
+    })
+}
+
+/// The guard of a [`scoped`] fault: disarms it on drop. It cannot leave
+/// its thread.
+#[derive(Debug)]
+#[must_use = "the scoped fault is disarmed when the guard drops"]
+pub struct Scoped {
+    id: u64,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for Scoped {
+    fn drop(&mut self) {
+        let reg = lock();
+        SCOPED.with(|s| s.borrow_mut().retain(|e| e.id != self.id));
+        SCOPED_LIVE.fetch_sub(1, Ordering::SeqCst);
+        refresh(&reg);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The registry is process-global; tests that arm points must not
-    /// interleave. One lock serializes them.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
+    /// Tests that touch the global registry, the shared generator or
+    /// the `ACTIVE` flag must not interleave. One lock serializes them.
+    fn serial() -> MutexGuard<'static, ()> {
         static GATE: Mutex<()> = Mutex::new(());
         let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
         clear();
+        clear_aliases();
         guard
+    }
+
+    fn fx(src: &str, dst: &str) -> LinkEffects {
+        link_effects(Some(src), "", Some(dst), "")
     }
 
     #[test]
@@ -373,6 +595,7 @@ mod tests {
         let _g = serial();
         assert!(!active());
         assert!(fire("nothing.armed").is_ok());
+        assert!(!fx("a", "b").severed);
         assert!(list().is_empty());
     }
 
@@ -460,6 +683,13 @@ mod tests {
         assert!(configure("x", "error*many").is_err());
         assert!(configure("", "error").is_err());
         assert!(configure_str("no-equals-sign").is_err());
+        assert!(configure("net.delay", "a->b").is_err(), "delay needs MS");
+        assert!(configure("net.partition", "ab").is_err(), "no link arrow");
+        assert!(configure("net.bogus", "a->b").is_err(), "unknown kind");
+        assert!(
+            configure("net.reset", "x%a<->b").is_err(),
+            "bad probability"
+        );
         assert!(!active(), "failed configs arm nothing");
     }
 
@@ -472,5 +702,142 @@ mod tests {
         assert_eq!(st[0].name, "a");
         assert_eq!(st[0].spec, "10%delay:5");
         assert_eq!(st[1].spec, "panic*1");
+    }
+
+    #[test]
+    fn link_specs_keep_star_endpoints_and_name_delays() {
+        let _g = serial();
+        configure_str("net.partition=*<->b*2;net.oneway=a->*;net.delay:50#2=a->b*3").unwrap();
+        let specs: Vec<_> = list().into_iter().map(|s| (s.name, s.spec)).collect();
+        assert_eq!(
+            specs,
+            [
+                ("net.delay:50#2".to_string(), "a->b*3".to_string()),
+                ("net.oneway".to_string(), "a->*".to_string()),
+                ("net.partition".to_string(), "*<->b*2".to_string()),
+            ]
+        );
+        assert_eq!(fx("a", "b").delay, Some(Duration::from_millis(50)));
+        assert!(fx("z", "b").severed, "`*` is an endpoint");
+        assert!(!fx("b", "z").severed, "`*2` is a budget, spent by now");
+    }
+
+    #[test]
+    fn fractional_link_probability_is_a_probability() {
+        let _g = serial();
+        configure("net.reset", "0.5%a<->b").unwrap();
+        assert_eq!(list()[0].spec, "0.5%a<->b");
+        set_seed(7);
+        let resets = (0..20_000).filter(|_| fx("a", "b").reset).count();
+        assert!(
+            (40..=160).contains(&resets),
+            "0.5% armed, got {resets}/20000"
+        );
+    }
+
+    #[test]
+    fn direction_and_symmetry() {
+        let _g = serial();
+        configure("net.oneway", "a->b").unwrap();
+        assert!(fx("a", "b").severed);
+        assert!(!fx("b", "a").severed, "reverse is open");
+        configure("net.partition", "a<->c").unwrap();
+        assert!(fx("a", "c").severed);
+        assert!(fx("c", "a").severed);
+    }
+
+    #[test]
+    fn aliases_resolve_addresses_to_labels() {
+        let _g = serial();
+        register_alias("127.0.0.1:9999", "b");
+        configure("net.partition", "a<->b").unwrap();
+        assert!(link_effects(Some("a"), "", None, "127.0.0.1:9999").severed);
+        assert!(!link_effects(Some("c"), "", None, "127.0.0.1:9999").severed);
+    }
+
+    #[test]
+    fn link_budget_depletes() {
+        let _g = serial();
+        configure("net.torn_write", "a->b*2").unwrap();
+        assert!(fx("a", "b").torn);
+        assert!(fx("a", "b").torn);
+        assert!(!fx("a", "b").torn, "budget spent");
+        let status = list();
+        assert_eq!(status.len(), 1);
+        assert_eq!((status[0].hits, status[0].triggered), (3, 2));
+    }
+
+    #[test]
+    fn seeded_link_probability_is_deterministic() {
+        let _g = serial();
+        configure("net.reset", "50%a->b").unwrap();
+        set_seed(42);
+        let run1: Vec<bool> = (0..32).map(|_| fx("a", "b").reset).collect();
+        set_seed(42);
+        let run2: Vec<bool> = (0..32).map(|_| fx("a", "b").reset).collect();
+        assert_eq!(run1, run2);
+        assert!(run1.iter().any(|&b| b) && run1.iter().any(|&b| !b));
+    }
+
+    #[test]
+    fn clear_links_keeps_failpoints() {
+        let _g = serial();
+        configure_str("net.partition=a<->b;net.dup=a->b;p.err=error").unwrap();
+        configure("net.dup", "off").unwrap();
+        assert_eq!(list().len(), 2);
+        clear_links();
+        assert_eq!(list().len(), 1);
+        assert!(!fx("a", "b").severed);
+        assert!(fire("p.err").is_err());
+    }
+
+    #[test]
+    fn scoped_faults_are_invisible_to_other_threads() {
+        let _g = serial();
+        let armed = scoped("p.mine", "error").unwrap();
+        let link = scoped("net.partition", "a<->b").unwrap();
+        assert!(active());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(fire("p.mine").is_ok(), "another thread's scope");
+                assert!(!fx("a", "b").severed);
+                assert!(list().is_empty());
+            });
+        });
+        assert!(fire("p.mine").is_err());
+        assert!(fx("a", "b").severed);
+        assert_eq!(list().len(), 2);
+        drop((armed, link));
+        assert!(fire("p.mine").is_ok());
+        assert!(!active(), "the last guard disarms");
+    }
+
+    #[test]
+    fn scoped_shadows_global_and_nests() {
+        let _g = serial();
+        configure("p.x", "error").unwrap();
+        {
+            let _outer = scoped("p.x", "delay:0").unwrap();
+            assert!(fire("p.x").is_ok(), "scoped spec shadows the global");
+            {
+                let _inner = scoped("p.x", "error*1").unwrap();
+                assert!(fire("p.x").is_err());
+                assert!(fire("p.x").is_ok(), "inner budget spent");
+            }
+            assert!(fire("p.x").is_ok(), "outer still shadows");
+        }
+        assert!(fire("p.x").is_err(), "global again");
+        assert!(scoped("p.x", "off").is_err());
+    }
+
+    #[test]
+    fn generator_is_seeded_and_zero_is_a_valid_seed() {
+        let draw = |seed| {
+            let mut rng = Rng::new(seed);
+            [rng.next_u64(), rng.next_u64()]
+        };
+        assert_eq!(draw(0), draw(0));
+        assert_ne!(draw(0), draw(1));
+        assert_ne!(draw(0)[0], draw(0)[1], "no fixed point at zero");
     }
 }

@@ -6,16 +6,19 @@
 //! goes through a [`NetConn`] instead of a bare `TcpStream`. That one
 //! chokepoint buys three things the raw socket cannot give:
 //!
-//! * **Deterministic link faults** ([`faults`]): a seeded spec such as
+//! * **Deterministic link faults**: a seeded spec such as
 //!   `net.partition=a<->b`, `net.oneway=a->b`, `net.delay:50=a->b`,
 //!   `net.dup=a->b`, `net.torn_write=a->b`, or `net.reset=a->b` severs,
 //!   skews, duplicates, or tears exactly one direction of one link at
-//!   runtime (`FAULT SET` / `--net-faults`), without touching any other
-//!   traffic. Partitions *blackhole* rather than error on write — the
-//!   nasty half-open behavior real partitions produce — and a severed
-//!   read leaves buffered bytes in the socket, so healing a link floods
-//!   the receiver with the delayed frames, exactly like a real switch
-//!   coming back.
+//!   runtime (`FAULT SET` / `INTENSIO_FAILPOINTS`), without touching any
+//!   other traffic. The specs live in the one fault registry,
+//!   `intensio-fault`, which matches them to a connection and answers
+//!   with [`intensio_fault::LinkEffects`]; this crate applies those
+//!   effects to the socket. Partitions *blackhole* rather than error
+//!   on write — the nasty half-open behavior real partitions produce —
+//!   and a severed read leaves buffered bytes in the socket, so healing
+//!   a link floods the receiver with the delayed frames, exactly like a
+//!   real switch coming back.
 //! * **Timeouts everywhere** ([`connect_timeout`], [`DialConfig`]): no
 //!   cluster connect may block forever; the shutdown self-connect uses
 //!   the fault-*exempt* [`connect_raw`] so severing a node's own links
@@ -29,16 +32,17 @@
 //! `--net-name a`) and a *peer* (label when known, address always).
 //! Fault specs match either labels or raw addresses; in-process
 //! harnesses that run several nodes in one process register
-//! address→label aliases ([`faults::register_alias`]) so one shared
-//! registry can still tell the nodes apart.
+//! address→label aliases ([`intensio_fault::register_alias`]) so one
+//! shared registry can still tell the nodes apart.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dial;
-pub mod faults;
 
 pub use dial::{DialConfig, Dialer};
+
+use intensio_fault::{link_effects, LinkEffects};
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -62,9 +66,9 @@ pub struct Peer {
 }
 
 /// A fault-injectable TCP connection. Reads and writes consult the
-/// link-fault registry ([`faults`]) with this connection's identity
-/// before touching the socket; with no faults armed the check is one
-/// relaxed atomic load.
+/// fault registry ([`intensio_fault::link_effects`]) with this
+/// connection's identity before touching the socket; with no faults
+/// armed the check is one relaxed atomic load.
 #[derive(Debug)]
 pub struct NetConn {
     stream: TcpStream,
@@ -127,13 +131,23 @@ impl NetConn {
 
     /// Effects currently armed against traffic *leaving* this node for
     /// the peer.
-    fn outbound(&self) -> faults::LinkEffects {
-        faults::effects(&self.local, "", self.peer.label.as_deref(), &self.peer.addr)
+    fn outbound(&self) -> LinkEffects {
+        link_effects(
+            Some(&self.local),
+            "",
+            self.peer.label.as_deref(),
+            &self.peer.addr,
+        )
     }
 
     /// Effects currently armed against traffic *arriving* from the peer.
-    fn inbound(&self) -> faults::LinkEffects {
-        faults::effects_inbound(&self.local, "", self.peer.label.as_deref(), &self.peer.addr)
+    fn inbound(&self) -> LinkEffects {
+        link_effects(
+            self.peer.label.as_deref(),
+            &self.peer.addr,
+            Some(&self.local),
+            "",
+        )
     }
 }
 
@@ -255,7 +269,7 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
 }
 
 /// Connect to `addr` as `local_label`, bounded by `timeout`, consulting
-/// the link-fault registry first: a severed link refuses the connect
+/// the fault registry first: a severed link refuses the connect
 /// (fast, like a dropped SYN surfacing as a timeout) instead of letting
 /// the caller wait out a real timeout.
 pub fn connect_timeout(
@@ -263,7 +277,7 @@ pub fn connect_timeout(
     addr: &str,
     timeout: Duration,
 ) -> std::io::Result<NetConn> {
-    let fx = faults::effects(local_label, "", None, addr);
+    let fx = link_effects(Some(local_label), "", None, addr);
     if fx.reset {
         return Err(std::io::Error::new(
             std::io::ErrorKind::ConnectionReset,
@@ -302,17 +316,12 @@ pub fn connect_raw(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use intensio_fault::{register_alias, scoped};
     use std::io::{BufRead, BufReader};
     use std::sync::mpsc;
 
-    /// Serialize tests that arm the process-global fault registry.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        faults::clear();
-        faults::clear_aliases();
-        guard
-    }
+    // Every link check these tests assert on runs on the test thread,
+    // so faults are armed with `scoped` and tests run in parallel.
 
     /// An echo server that prefixes each received line with `echo:`.
     fn echo_server(label: &str) -> (String, mpsc::Receiver<()>) {
@@ -348,7 +357,6 @@ mod tests {
 
     #[test]
     fn plain_roundtrip_without_faults() {
-        let _g = lock();
         let (addr, _done) = echo_server("srv");
         let conn = connect_timeout("cli", &addr, Duration::from_secs(2)).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
@@ -358,23 +366,21 @@ mod tests {
 
     #[test]
     fn partition_severs_connect_and_heals_on_clear() {
-        let _g = lock();
         let (addr, _done) = echo_server("b");
-        faults::register_alias(&addr, "b");
-        faults::configure("net.partition", "a<->b").unwrap();
+        register_alias(&addr, "b");
+        let fault = scoped("net.partition", "a<->b").unwrap();
         let err = connect_timeout("a", &addr, Duration::from_secs(2)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
         // An uninvolved node still gets through.
         assert!(connect_timeout("c", &addr, Duration::from_secs(2)).is_ok());
-        faults::clear();
+        drop(fault);
         assert!(connect_timeout("a", &addr, Duration::from_secs(2)).is_ok());
     }
 
     #[test]
     fn oneway_blackholes_one_direction_only() {
-        let _g = lock();
         let (addr, _done) = echo_server("b");
-        faults::register_alias(&addr, "b");
+        register_alias(&addr, "b");
         let conn = connect_timeout("a", &addr, Duration::from_secs(2)).unwrap();
         conn.set_read_timeout(Some(Duration::from_millis(100)))
             .unwrap();
@@ -382,46 +388,44 @@ mod tests {
         let mut conn = conn;
         assert_eq!(roundtrip(&mut conn, &mut reader, "pre"), "echo:pre");
         // Sever a->b: writes blackhole (Ok, nothing echoed back).
-        faults::configure("net.oneway", "a->b").unwrap();
+        let fault = scoped("net.oneway", "a->b").unwrap();
         conn.write_all(b"dropped\n").unwrap();
         conn.flush().unwrap();
         let mut line = String::new();
         assert!(reader.read_line(&mut line).is_err(), "nothing should echo");
         // Heal: traffic flows again, the dropped line never arrives.
-        faults::clear();
+        drop(fault);
         assert_eq!(roundtrip(&mut conn, &mut reader, "post"), "echo:post");
     }
 
     #[test]
     fn severed_read_buffers_until_heal() {
-        let _g = lock();
         let (addr, _done) = echo_server("b");
-        faults::register_alias(&addr, "b");
+        register_alias(&addr, "b");
         let conn = connect_timeout("a", &addr, Duration::from_secs(2)).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
         let mut conn = conn;
         // Sever the inbound side only; the echo still lands in the
         // socket buffer and must arrive after the heal.
-        faults::configure("net.oneway", "b->a").unwrap();
+        let fault = scoped("net.oneway", "b->a").unwrap();
         conn.write_all(b"late\n").unwrap();
         conn.flush().unwrap();
         let mut line = String::new();
         let err = reader.read_line(&mut line).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-        faults::clear();
+        drop(fault);
         reader.read_line(&mut line).unwrap();
         assert_eq!(line.trim_end(), "echo:late");
     }
 
     #[test]
     fn dup_duplicates_whole_frames() {
-        let _g = lock();
         let (addr, _done) = echo_server("b");
-        faults::register_alias(&addr, "b");
+        register_alias(&addr, "b");
         let conn = connect_timeout("a", &addr, Duration::from_secs(2)).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
         let mut conn = conn;
-        faults::configure("net.dup", "a->b").unwrap();
+        let _fault = scoped("net.dup", "a->b").unwrap();
         conn.write_all(b"twice\n").unwrap();
         conn.flush().unwrap();
         let mut line = String::new();
@@ -434,11 +438,10 @@ mod tests {
 
     #[test]
     fn torn_write_ships_half_then_fails() {
-        let _g = lock();
         let (addr, _done) = echo_server("b");
-        faults::register_alias(&addr, "b");
+        register_alias(&addr, "b");
         let mut conn = connect_timeout("a", &addr, Duration::from_secs(2)).unwrap();
-        faults::configure("net.torn_write", "a->b*1").unwrap();
+        let _fault = scoped("net.torn_write", "a->b*1").unwrap();
         let err = conn.write_all(b"0123456789\n").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted);
         // The *1 budget is spent: the next write goes through whole.
@@ -453,11 +456,10 @@ mod tests {
 
     #[test]
     fn reset_fails_both_directions() {
-        let _g = lock();
         let (addr, _done) = echo_server("b");
-        faults::register_alias(&addr, "b");
+        register_alias(&addr, "b");
         let mut conn = connect_timeout("a", &addr, Duration::from_secs(2)).unwrap();
-        faults::configure("net.reset", "a<->b").unwrap();
+        let _fault = scoped("net.reset", "a<->b").unwrap();
         let err = conn.write_all(b"x\n").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset);
         let mut buf = [0u8; 8];
@@ -467,13 +469,12 @@ mod tests {
 
     #[test]
     fn delay_skews_the_link() {
-        let _g = lock();
         let (addr, _done) = echo_server("b");
-        faults::register_alias(&addr, "b");
+        register_alias(&addr, "b");
         let conn = connect_timeout("a", &addr, Duration::from_secs(2)).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
         let mut conn = conn;
-        faults::configure("net.delay:40", "a->b").unwrap();
+        let _fault = scoped("net.delay:40", "a->b").unwrap();
         let t0 = std::time::Instant::now();
         assert_eq!(roundtrip(&mut conn, &mut reader, "slow"), "echo:slow");
         assert!(t0.elapsed() >= Duration::from_millis(40));
@@ -481,10 +482,9 @@ mod tests {
 
     #[test]
     fn connect_raw_ignores_faults() {
-        let _g = lock();
         let (addr, _done) = echo_server("b");
-        faults::register_alias(&addr, "b");
-        faults::configure("net.partition", "*<->b").unwrap();
+        register_alias(&addr, "b");
+        let _fault = scoped("net.partition", "*<->b").unwrap();
         assert!(connect_raw(&addr, Duration::from_secs(2)).is_ok());
     }
 }

@@ -66,25 +66,14 @@ fn render(reason: &str) -> String {
         if i > 0 {
             out.push(',');
         }
+        out.push_str("{\"name\":");
+        crate::push_json_str(&mut out, s.name);
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"depth\":{},\"us\":{}",
-            escape(s.name),
-            s.trace_id,
-            s.span_id,
-            s.depth,
-            s.duration_us
+            ",\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"depth\":{},\"us\":{}",
+            s.trace_id, s.span_id, s.depth, s.duration_us
         );
-        if !s.fields.is_empty() {
-            out.push_str(",\"fields\":{");
-            for (j, (k, v)) in s.fields.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(v));
-            }
-            out.push('}');
-        }
+        crate::push_json_fields(&mut out, &s.fields);
         out.push('}');
     }
     out.push_str("],\"metrics\":");
@@ -102,16 +91,6 @@ fn sanitize(reason: &str) -> String {
             } else {
                 '_'
             }
-        })
-        .collect()
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
         })
         .collect()
 }

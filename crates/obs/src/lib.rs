@@ -103,6 +103,54 @@ pub fn metrics() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
+/// Append `s` to `out` as an RFC 8259 JSON string literal, quotes
+/// included: `"` and `\` are backslash-escaped, `\n`, `\r` and `\t` get
+/// their short escapes, and every other control character becomes
+/// `\u00XX`. The one JSON string escaper of the workspace.
+pub fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut start = 0;
+    // Every escaped byte is ASCII, so each cut lands on a char boundary.
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        if short.is_empty() {
+            out.push_str(&format!("\\u{b:04x}"));
+        } else {
+            out.push_str(short);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Append span fields as a JSON object member: `,"fields":{"k":"v",..}`
+/// (nothing when there are none).
+pub(crate) fn push_json_fields(out: &mut String, fields: &[(&'static str, String)]) {
+    if fields.is_empty() {
+        return;
+    }
+    out.push_str(",\"fields\":{");
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_str(out, k);
+        out.push(':');
+        push_json_str(out, v);
+    }
+    out.push('}');
+}
+
 /// Whether recording is enabled (cheap relaxed load; hot paths check
 /// this before doing any work).
 pub fn enabled() -> bool {
@@ -192,5 +240,22 @@ pub fn gauge(name: &str, value: i64) {
 pub fn record_stage(stage: Stage, d: Duration) {
     if enabled() {
         metrics().stage(stage).record(d);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_escaping_follows_rfc_8259() {
+        let lit = |s: &str| {
+            let mut out = String::new();
+            push_json_str(&mut out, s);
+            out
+        };
+        assert_eq!(lit("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(lit("\t\r\u{1}\u{1f}"), "\"\\t\\r\\u0001\\u001f\"");
+        assert_eq!(lit("é→ plain"), "\"é→ plain\"");
     }
 }

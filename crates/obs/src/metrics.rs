@@ -339,29 +339,27 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{v}", escape_key(k));
+            crate::push_json_str(&mut out, k);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{v}", escape_key(k));
+            crate::push_json_str(&mut out, k);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.stages.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            crate::push_json_str(&mut out, name);
             let _ = write!(
                 out,
-                "\"{}\":{{\"count\":{},\"sum_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
-                escape_key(name),
-                h.count,
-                h.sum_us,
-                h.p50_us,
-                h.p95_us,
-                h.p99_us
+                ":{{\"count\":{},\"sum_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
+                h.count, h.sum_us, h.p50_us, h.p95_us, h.p99_us
             );
         }
         out.push_str("}}");
@@ -412,18 +410,6 @@ impl MetricsSnapshot {
         }
         out
     }
-}
-
-/// Metric names are ASCII identifiers with dots; escape anything that
-/// would break a JSON key anyway, defensively.
-fn escape_key(k: &str) -> String {
-    k.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Prometheus metric names allow `[a-zA-Z0-9_:]`.

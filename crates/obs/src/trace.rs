@@ -209,24 +209,16 @@ pub(crate) fn record_closed(record: &SpanRecord) {
     let mut line = String::with_capacity(128);
     let _ = write!(
         line,
-        "{{\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\",\"name\":\"{}\",\"us\":{},\"depth\":{}",
-        record.trace_id,
-        record.span_id,
-        record.parent_span,
-        escape(record.name),
-        record.duration_us,
-        record.depth
+        "{{\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\",\"name\":",
+        record.trace_id, record.span_id, record.parent_span,
     );
-    if !record.fields.is_empty() {
-        line.push_str(",\"fields\":{");
-        for (i, (k, v)) in record.fields.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "\"{}\":\"{}\"", escape(k), escape(v));
-        }
-        line.push('}');
-    }
+    crate::push_json_str(&mut line, record.name);
+    let _ = write!(
+        line,
+        ",\"us\":{},\"depth\":{}",
+        record.duration_us, record.depth
+    );
+    crate::push_json_fields(&mut line, &record.fields);
     line.push_str("}\n");
     let mut guard = SINK.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(sink) = guard.as_mut() {
@@ -241,16 +233,6 @@ pub(crate) fn record_closed(record: &SpanRecord) {
             crate::inc("trace.events");
         }
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Start collecting every span closed on this thread (the `PROFILE`

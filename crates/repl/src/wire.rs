@@ -293,6 +293,9 @@ fn parse_trace_token(tok: &str) -> Result<(u64, u64), ReplError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    // The property tests draw from the fault registry's seeded
+    // generator, so every case replays from its seed.
+    use intensio_fault::Rng;
 
     #[test]
     fn every_variant_round_trips() {
@@ -387,72 +390,57 @@ mod tests {
         assert!(!StreamMsg::Heartbeat { epoch: 1, term: 1 }.is_stale_term());
     }
 
-    /// xorshift64: deterministic pseudo-random stream for the property
-    /// tests below — no external crates, seed-reproducible.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-    }
-
     fn random_msg(rng: &mut Rng) -> StreamMsg {
         let body = |rng: &mut Rng| -> Vec<u8> {
-            let len = (rng.next() % 64) as usize;
-            (0..len).map(|_| (rng.next() & 0xff) as u8).collect()
+            let len = (rng.next_u64() % 64) as usize;
+            (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect()
         };
-        match rng.next() % 5 {
+        match rng.next_u64() % 5 {
             0 => StreamMsg::Ok {
-                epoch: rng.next(),
-                term: rng.next(),
+                epoch: rng.next_u64(),
+                term: rng.next_u64(),
             },
             1 => StreamMsg::Heartbeat {
-                epoch: rng.next(),
-                term: rng.next(),
+                epoch: rng.next_u64(),
+                term: rng.next_u64(),
             },
             2 => StreamMsg::Snapshot {
-                epoch: rng.next(),
-                data_version: rng.next(),
-                term: rng.next(),
+                epoch: rng.next_u64(),
+                data_version: rng.next_u64(),
+                term: rng.next_u64(),
                 db: body(rng),
-                rules: if rng.next().is_multiple_of(2) {
+                rules: if rng.next_u64().is_multiple_of(2) {
                     Some(body(rng))
                 } else {
                     None
                 },
             },
             3 => {
-                let kind = match rng.next() % 3 {
+                let kind = match rng.next_u64() % 3 {
                     0 => RecordKind::Write,
                     1 => RecordKind::Rules,
                     _ => RecordKind::Term,
                 };
-                let trace = if rng.next().is_multiple_of(2) {
-                    Some((rng.next() | 1, rng.next()))
+                let trace = if rng.next_u64().is_multiple_of(2) {
+                    Some((rng.next_u64() | 1, rng.next_u64()))
                 } else {
                     None
                 };
                 StreamMsg::Record {
                     rec: Record {
                         kind,
-                        term: rng.next(),
-                        epoch: rng.next(),
-                        data_version: rng.next(),
+                        term: rng.next_u64(),
+                        epoch: rng.next_u64(),
+                        data_version: rng.next_u64(),
                         body: body(rng),
                     },
                     trace,
                 }
             }
             _ => {
-                let len = 1 + (rng.next() % 40) as usize;
+                let len = 1 + (rng.next_u64() % 40) as usize;
                 let msg: String = (0..len)
-                    .map(|_| (b'a' + (rng.next() % 26) as u8) as char)
+                    .map(|_| (b'a' + (rng.next_u64() % 26) as u8) as char)
                     .collect();
                 StreamMsg::Error(msg)
             }
@@ -461,7 +449,7 @@ mod tests {
 
     #[test]
     fn property_random_frames_round_trip() {
-        let mut rng = Rng(0x5eed_f011_0b5e_55ed);
+        let mut rng = Rng::new(0x5eed_f011_0b5e_55ed);
         for i in 0..500 {
             let msg = random_msg(&mut rng);
             let line = msg.encode();
@@ -477,7 +465,7 @@ mod tests {
         // tearing the line — must parse to an error or to a *different*
         // message. Parsing a strict prefix back to the original would
         // mean a field silently defaulted under truncation.
-        let mut rng = Rng(0x070c_47ed_f4a3_3751);
+        let mut rng = Rng::new(0x070c_47ed_f4a3_3751);
         for _ in 0..200 {
             let msg = random_msg(&mut rng);
             let line = msg.encode(); // always ASCII, so byte cuts are char-safe
@@ -498,10 +486,10 @@ mod tests {
         // by a duplicating or tearing link — may only ever produce a
         // parse error (or, by blind luck, a syntactically valid frame);
         // the reader must not panic on any of them.
-        let mut rng = Rng(0x6a5b_a6e5_eed1_1235);
+        let mut rng = Rng::new(0x6a5b_a6e5_eed1_1235);
         for i in 0..500 {
-            let len = (rng.next() % 120) as usize;
-            let mut s = if rng.next().is_multiple_of(2) {
+            let len = (rng.next_u64() % 120) as usize;
+            let mut s = if rng.next_u64().is_multiple_of(2) {
                 String::new()
             } else {
                 // Half the inputs start as stream lines so the garbage
@@ -511,9 +499,9 @@ mod tests {
             };
             for _ in 0..len {
                 // Printable ASCII, space-heavy to vary token counts.
-                let c = match rng.next() % 4 {
+                let c = match rng.next_u64() % 4 {
                     0 => b' ',
-                    _ => (0x20 + (rng.next() % 0x5f) as u8).min(0x7e),
+                    _ => (0x20 + (rng.next_u64() % 0x5f) as u8).min(0x7e),
                 };
                 s.push(c as char);
             }
@@ -527,7 +515,7 @@ mod tests {
         // Deleting any single token from an encoded frame must yield a
         // parse error or a *different* message — never the original
         // (i.e. no field is silently defaulted).
-        let mut rng = Rng(0xdefa_ced5_7a1e_7e12);
+        let mut rng = Rng::new(0xdefa_ced5_7a1e_7e12);
         for _ in 0..200 {
             let msg = random_msg(&mut rng);
             let line = msg.encode();

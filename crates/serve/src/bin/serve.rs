@@ -11,7 +11,7 @@
 //!       [--replicate-from HOST:PORT[,HOST:PORT..]] [--peers HOST:PORT,..]
 //!       [--candidate] [--failover-timeout-ms N] [--failover-seed N]
 //!       [--repl-heartbeat-ms N]
-//!       [--net-name LABEL] [--net-faults SPEC]
+//!       [--net-name LABEL]
 //! ```
 //!
 //! Observability: `--verbose` logs every completed span to stderr,
@@ -37,20 +37,19 @@
 //! Fault tolerance: `--queue N` bounds the admission queue (overflow is
 //! shed with a `BUSY` reply; `0` disables shedding) and `--deadline-ms N`
 //! sets the per-request budget past which answers degrade their
-//! intensional side. The `INTENSIO_FAILPOINTS` environment variable
-//! arms fault-injection points at startup (e.g.
-//! `storage.scan=1%error;inference.infer=5%delay:20`), and the `FAULT`
-//! protocol verb administers them at runtime.
+//! intensional side.
 //!
-//! Network chaos: `--net-name LABEL` names this node for link-fault
-//! specs (the label also rides the `REPLICATE` handshake so the
-//! primary can target a follower's stream by name), and `--net-faults
-//! SPEC` arms link faults at startup — e.g.
-//! `net.partition=a<->b;net.delay:25=client->a` severs the a↔b link
-//! and skews client→a writes by 25ms. `INTENSIO_NET_FAULTS` is the
-//! environment equivalent, and `FAULT SET net.…` adjusts links at
-//! runtime (on any node, including read-only followers).
-//! `INTENSIO_CHAOS_SEED` seeds the probabilistic (`P%`) triggers.
+//! Fault injection: the `INTENSIO_FAILPOINTS` environment variable arms
+//! faults of both kinds at startup, and the `FAULT` protocol verb
+//! administers them at runtime. Failpoints inject errors, latency or
+//! panics (`storage.scan=1%error;inference.infer=5%delay:20`); link
+//! faults under `net.` sever or skew this node's links
+//! (`net.partition=a<->b;net.delay:25=client->a` severs the a↔b link
+//! and skews client→a writes by 25ms). `--net-name LABEL` names this
+//! node for link-fault specs (the label also rides the `REPLICATE`
+//! handshake so the primary can target a follower's stream by name).
+//! Read-only followers accept `FAULT SET net.…` too. `INTENSIO_CHAOS_SEED`
+//! seeds the probabilistic (`P%`) triggers of both kinds.
 //!
 //! Durability: `--data-dir PATH` turns on the write-ahead log — every
 //! acknowledged mutation and rule-set install is appended to
@@ -104,7 +103,7 @@ fn usage() -> ! {
          \x20            [--replicate-from HOST:PORT[,HOST:PORT..]] [--peers HOST:PORT,..]\n\
          \x20            [--candidate] [--failover-timeout-ms N] [--failover-seed N]\n\
          \x20            [--repl-heartbeat-ms N]\n\
-         \x20            [--net-name LABEL] [--net-faults SPEC]"
+         \x20            [--net-name LABEL]"
     );
     std::process::exit(2);
 }
@@ -143,7 +142,6 @@ fn main() {
     let mut peers: Vec<String> = Vec::new();
     intensio_obs::init_from_env();
     intensio_fault::init_from_env();
-    intensio_net::faults::init_from_env();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -227,13 +225,6 @@ fn main() {
             }
             "--net-name" => {
                 cfg.net_label = args.next().unwrap_or_else(|| usage());
-            }
-            "--net-faults" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                if let Err(e) = intensio_net::faults::configure_str(&spec) {
-                    eprintln!("serve: bad --net-faults: {e}");
-                    usage();
-                }
             }
             "--peers" => {
                 peers = args

@@ -3,10 +3,12 @@
 //! The build environment vendors no serialization crates, and the
 //! protocol needs only flat objects of strings, numbers, booleans, and
 //! (nested) arrays — so this module implements exactly that subset of
-//! RFC 8259. Strings are escaped/unescaped per the RFC (including
-//! `\uXXXX` with surrogate pairs on the parsing side); numbers are
-//! written from `u64`/`usize` and parsed as `f64`.
+//! RFC 8259. Strings are escaped per the RFC by
+//! [`intensio_obs::push_json_str`] and unescaped here (including
+//! `\uXXXX` with surrogate pairs); numbers are written from
+//! `u64`/`usize` and parsed as `f64`.
 
+use intensio_obs::push_json_str;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -69,25 +71,6 @@ impl Json {
     }
 }
 
-/// Append a JSON string literal (with quotes) for `s`.
-pub fn push_str_literal(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// An incremental single-line JSON object writer.
 #[derive(Debug, Default)]
 pub struct ObjWriter {
@@ -109,7 +92,7 @@ impl ObjWriter {
             self.buf.push(',');
         }
         self.any = true;
-        push_str_literal(&mut self.buf, key);
+        push_json_str(&mut self.buf, key);
         self.buf.push(':');
     }
 
@@ -123,7 +106,7 @@ impl ObjWriter {
     /// Add a string member.
     pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
-        push_str_literal(&mut self.buf, value);
+        push_json_str(&mut self.buf, value);
         self
     }
 
@@ -155,7 +138,7 @@ impl ObjWriter {
             if i > 0 {
                 self.buf.push(',');
             }
-            push_str_literal(&mut self.buf, item);
+            push_json_str(&mut self.buf, item);
         }
         self.buf.push(']');
         self
@@ -174,7 +157,7 @@ impl ObjWriter {
                 if j > 0 {
                     self.buf.push(',');
                 }
-                push_str_literal(&mut self.buf, cell);
+                push_json_str(&mut self.buf, cell);
             }
             self.buf.push(']');
         }

@@ -38,7 +38,8 @@
 //! stale-epoch cached answer or was dropped entirely); a shed request
 //! answers `{"ok":false,"kind":"busy",...}` without executing; and the
 //! `FAULT` verb (`FAULT LIST` / `FAULT SET name=spec[;...]` /
-//! `FAULT CLEAR`) administers [`intensio_fault`] failpoints at runtime.
+//! `FAULT CLEAR`) administers [`intensio_fault`] faults — failpoints
+//! and link faults — at runtime.
 //!
 //! Observability on the wire: `PROFILE <sql>` runs the query and
 //! answers with an EXPLAIN-ANALYZE-style timing tree; `TELEMETRY`

@@ -1979,9 +1979,11 @@ fn exec_check(shared: &Shared, arg: &str) -> Reply {
 }
 
 /// `FAULT LIST` / `FAULT SET name=spec[;...]` / `FAULT CLEAR`: runtime
-/// failpoint administration over the wire. On a follower only `LIST`
-/// is allowed: arming or clearing failpoints mutates node state, and a
-/// replica's state is owned by its primary's log.
+/// administration of the fault registry, failpoints and link faults
+/// alike. A follower may `SET` only link faults (`net.*`) and its
+/// `CLEAR` clears only those: link faults are node-local transport
+/// state, which a partition drill must be able to sever on a follower,
+/// while failpoints mutate node state a replica's primary owns.
 fn exec_fault(shared: &Shared, cmd: &str) -> Reply {
     let cmd = cmd.trim();
     let (op, rest) = match cmd.split_once(char::is_whitespace) {
@@ -1989,73 +1991,35 @@ fn exec_fault(shared: &Shared, cmd: &str) -> Reply {
         None => (cmd, ""),
     };
     let op = op.to_ascii_uppercase();
-    // Transport faults (`net.*`) are node-local link state, not
-    // replicated knowledge: a partition drill must be able to sever a
-    // follower's own links, so the READONLY guard exempts specs that
-    // only touch the net registry.
-    let net_only = !rest.is_empty()
-        && rest.split(';').all(|part| {
-            let name = part.trim().split('=').next().unwrap_or("");
-            intensio_net::faults::is_net_name(name)
-        });
-    // (A follower CLEAR is allowed through, but only empties the net
-    // registry — see the CLEAR arm below.)
-    if !shared.is_primary() && op == "SET" && !net_only {
+    let primary = shared.is_primary();
+    let links_only = !rest.is_empty()
+        && rest
+            .split(';')
+            .all(|part| intensio_fault::is_link(part.split('=').next().unwrap_or("")));
+    if !primary && op == "SET" && !links_only {
         return error(readonly_message(
             &shared.repl.primary_hint(),
             "FAULT administration",
         ));
     }
-    // `FAULT LIST` merges both registries; SET routes each `name=spec`
-    // by prefix; CLEAR empties both.
-    let merged_list = || {
-        let mut failpoints = intensio_fault::list();
-        failpoints.extend(intensio_net::faults::list());
-        failpoints
-    };
-    let route = |part: &str| -> Result<(), String> {
-        let part = part.trim();
-        if part.is_empty() {
-            return Ok(());
-        }
-        let (name, spec) = part
-            .split_once('=')
-            .ok_or_else(|| format!("fault spec without '=': {part:?}"))?;
-        if intensio_net::faults::is_net_name(name.trim()) {
-            intensio_net::faults::configure(name, spec)
-        } else {
-            intensio_fault::configure(name.trim(), spec.trim())
-        }
-    };
     match op.as_str() {
-        "" | "LIST" => Reply::Fault {
-            failpoints: merged_list(),
-        },
-        "SET" if !rest.is_empty() => match rest.split(';').try_for_each(route) {
-            Ok(()) => Reply::Fault {
-                failpoints: merged_list(),
-            },
-            Err(e) => error(format!("fault: {e}")),
-        },
-        "SET" => error("FAULT SET requires name=spec[;...]".to_string()),
-        "CLEAR" if !shared.is_primary() => {
-            // A follower may clear only its transport faults (healing
-            // its own links); the failpoint registry stays primary-run.
-            intensio_net::faults::clear();
-            Reply::Fault {
-                failpoints: intensio_fault::list(),
+        "" | "LIST" => {}
+        "SET" if !rest.is_empty() => {
+            if let Err(e) = intensio_fault::configure_str(rest) {
+                return error(format!("fault: {e}"));
             }
         }
-        "CLEAR" => {
-            intensio_fault::clear();
-            intensio_net::faults::clear();
-            Reply::Fault {
-                failpoints: Vec::new(),
-            }
+        "SET" => return error("FAULT SET requires name=spec[;...]".to_string()),
+        "CLEAR" if primary => intensio_fault::clear(),
+        "CLEAR" => intensio_fault::clear_links(),
+        other => {
+            return error(format!(
+                "unknown FAULT operation {other:?}; expected LIST, SET, or CLEAR"
+            ))
         }
-        other => error(format!(
-            "unknown FAULT operation {other:?}; expected LIST, SET, or CLEAR"
-        )),
+    }
+    Reply::Fault {
+        failpoints: intensio_fault::list(),
     }
 }
 

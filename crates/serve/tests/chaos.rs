@@ -17,6 +17,7 @@
 
 mod support;
 
+use intensio_serve::json::Json;
 use intensio_serve::{Reply, Request, Service, ServiceConfig};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -467,4 +468,49 @@ fn promotion_dumps_a_flight_record() {
     println!("promotion flight record: {}", dump.display());
     drop(candidate);
     let _ = std::fs::remove_dir_all(&pdir);
+}
+
+/// `INTENSIO_CHAOS_SEED` seeds the serve binary's failpoint `P%`
+/// triggers, not only its link faults: a child armed with
+/// `serve.worker=50%error` drops exactly the requests the same seed
+/// drops in-process.
+#[test]
+fn chaos_seed_env_seeds_failpoint_triggers_in_serve() {
+    const REQUESTS: usize = 24;
+    let expected = |seed: u64| -> Vec<bool> {
+        let _gate = fault_gate();
+        intensio_fault::set_seed(seed);
+        intensio_fault::configure("seed.probe", "50%error").unwrap();
+        let drops = (0..REQUESTS)
+            .map(|_| intensio_fault::fire("seed.probe").is_err())
+            .collect();
+        intensio_fault::clear();
+        drops
+    };
+    let observed = |seed: u64| -> Vec<bool> {
+        let dir = support::temp_dir("chaos-seed");
+        let seed = seed.to_string();
+        let child = support::ServeChild::spawn_env(
+            &dir,
+            &["--no-learn"],
+            &[
+                ("INTENSIO_CHAOS_SEED", seed.as_str()),
+                ("INTENSIO_FAILPOINTS", "serve.worker=50%error"),
+            ],
+        );
+        let mut conn = child.connect();
+        let drops = (0..REQUESTS)
+            .map(|_| {
+                let v = conn.json(&format!("SQL {STABLE}"));
+                v.get("ok").and_then(Json::as_bool) == Some(false)
+            })
+            .collect();
+        child.kill();
+        let _ = std::fs::remove_dir_all(&dir);
+        drops
+    };
+    assert_ne!(expected(7), expected(1234), "seeds must differ");
+    for seed in [7, 1234] {
+        assert_eq!(observed(seed), expected(seed), "serve ignored seed {seed}");
+    }
 }

@@ -167,32 +167,14 @@ fn seeded_failover_twenty_rounds() {
 fn dueling_candidates_tie_broken_by_seed() {
     const TIMEOUT_MS: u64 = 400;
     let timeout = Duration::from_millis(TIMEOUT_MS);
-    // The promotion deadline is deterministic per seed (the same
-    // Backoff construction replicator_loop uses): pick two seeds whose
-    // deadlines are far enough apart that the loser's sweep always
-    // sees the winner already promoted.
-    let deadline_for = |seed: u64| {
-        timeout / 2
-            + intensio_fault::Backoff::new(timeout, timeout, seed.wrapping_add(1)).delay_for(0)
-    };
-    // Deadlines are jittered into a [timeout, 1.5*timeout) band, so
-    // scan a pool and take the extremes — the widest gap the band
-    // offers — rather than hoping two fixed seeds land far apart.
-    let (a, b) = (1u64..=64)
-        .flat_map(|x| (1u64..=64).map(move |y| (x, y)))
-        .filter(|(x, y)| x != y && deadline_for(*x) < deadline_for(*y))
-        .max_by_key(|(x, y)| deadline_for(*y) - deadline_for(*x))
-        .expect("seed pool yields a winner/loser pair");
-    assert!(
-        deadline_for(b) - deadline_for(a) >= Duration::from_millis(150),
-        "seed pool too narrow: {:?} vs {:?}",
-        deadline_for(a),
-        deadline_for(b)
-    );
+    // The promotion deadline is deterministic per seed: pick two seeds
+    // whose deadlines are far enough apart that the loser's sweep
+    // always sees the winner already promoted.
+    let (a, b) = support::winner_loser_seeds(timeout);
     println!(
         "seeds {a}/{b}: deadlines {:?} vs {:?}",
-        deadline_for(a),
-        deadline_for(b)
+        support::failover_deadline(timeout, a),
+        support::failover_deadline(timeout, b)
     );
 
     let pdir = temp_dir("duel-p");
@@ -233,7 +215,7 @@ fn dueling_candidates_tie_broken_by_seed() {
     // ...and the later one must stay subordinate: its sweep finds the
     // winner, so it keeps tailing instead of promoting. Give it past
     // its own deadline (plus slack) to prove it held fire.
-    std::thread::sleep(deadline_for(b) + Duration::from_millis(500));
+    std::thread::sleep(support::failover_deadline(timeout, b) + Duration::from_millis(500));
     let (_, role_b, term_b) = Conn::to(&baddr).status();
     assert_eq!(
         role_b, "candidate",

@@ -1,11 +1,11 @@
 //! Partition-tolerance chaos drills over real `serve` child processes
-//! and injected link faults (`intensio_net`): no process dies in these
-//! tests — the *network* does.
+//! and injected link faults (applied by `intensio_net`): no process
+//! dies in these tests — the *network* does.
 //!
 //! Topology per drill: primary `a` plus two follower-candidates `b`
 //! and `c`, every node labeled (`--net-name`) so `FAULT SET net.*`
 //! specs can address links by name. Each process carries its own
-//! link-fault registry, so a drill administers the partition on every
+//! fault registry, so a drill administers the partition on every
 //! node that borders it — the same way a real partition is visible
 //! from both sides. The harness connections are raw `TcpStream`s (see
 //! `support`): the control plane stays up while the cluster's links
@@ -17,7 +17,7 @@
 //! application), one primary, one term, healed at lag 0. Failover
 //! seeds are chosen so the promotion winner is deterministic; the
 //! chaos probability seeds come from `INTENSIO_CHAOS_SEED` (inherited
-//! by the children — see `intensio_net::faults::init_from_env`).
+//! by the children — see `intensio_fault::init_from_env`).
 
 #![cfg(unix)]
 
@@ -29,28 +29,6 @@ use support::{await_epoch_match, await_role, temp_dir, write_retrying, Conn};
 
 const HEARTBEAT_MS: u64 = 50;
 const TIMEOUT_MS: u64 = 400;
-
-/// Failover seeds whose deterministic promotion deadlines are far
-/// enough apart that the earlier one (the winner) always promotes
-/// before the later one's sweep runs — the same scan the dueling-
-/// candidates drill in `failover.rs` uses.
-fn winner_loser_seeds() -> (u64, u64) {
-    let timeout = Duration::from_millis(TIMEOUT_MS);
-    let deadline_for = |seed: u64| {
-        timeout / 2
-            + intensio_fault::Backoff::new(timeout, timeout, seed.wrapping_add(1)).delay_for(0)
-    };
-    let (win, lose) = (1u64..=64)
-        .flat_map(|x| (1u64..=64).map(move |y| (x, y)))
-        .filter(|(x, y)| x != y && deadline_for(*x) < deadline_for(*y))
-        .max_by_key(|(x, y)| deadline_for(*y) - deadline_for(*x))
-        .expect("seed pool yields a winner/loser pair");
-    assert!(
-        deadline_for(lose) - deadline_for(win) >= Duration::from_millis(150),
-        "seed pool too narrow for a deterministic winner"
-    );
-    (win, lose)
-}
 
 /// One 3-node drill cluster: primary `a` polling its peers, candidates
 /// `b` (seeded to win any promotion race) and `c` (seeded to lose),
@@ -64,7 +42,7 @@ struct Cluster {
 }
 
 fn spawn_cluster(tag: &str) -> Cluster {
-    let (win, lose) = winner_loser_seeds();
+    let (win, lose) = support::winner_loser_seeds(Duration::from_millis(TIMEOUT_MS));
     let dirs = vec![
         temp_dir(&format!("{tag}-a")),
         temp_dir(&format!("{tag}-b")),

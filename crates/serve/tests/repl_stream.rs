@@ -254,7 +254,7 @@ fn interleaved_garbage_drops_the_stream_and_the_rejoin_heals() {
 fn torn_frames_never_half_apply_across_any_cut_point() {
     let seed = support::chaos_seed(0x7EA6_F8A3);
     println!("torn-frame seed: {seed} (set INTENSIO_CHAOS_SEED to reproduce)");
-    let mut rng = support::Rng(seed | 1);
+    let mut rng = intensio_fault::Rng::new(seed);
 
     let primary = FakePrimary::bind();
     let (server, mut client) = follower(&primary.addr);
@@ -282,7 +282,7 @@ fn torn_frames_never_half_apply_across_any_cut_point() {
         intact.push(good);
         // Tear anywhere in the frame, including inside the hex body.
         conn.send_torn_write(expected + 2, &format!("XTORN{round:02}"), {
-            (rng.next() % 90) as usize + 1
+            (rng.next_u64() % 90) as usize + 1
         });
         expected += 1;
         drop(conn); // close: the torn tail is all the follower ever gets

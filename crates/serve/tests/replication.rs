@@ -274,13 +274,14 @@ fn follower_serves_read_your_writes_via_min_epoch() {
 
 mod chaos {
     use super::*;
-    use crate::support::{chaos_seed, Conn, Rng, ServeChild};
+    use crate::support::{chaos_seed, Conn, ServeChild};
+    use intensio_fault::Rng;
 
     #[test]
     fn sigkill_follower_mid_replay_rejoins_without_duplicate_application() {
         let seed: u64 = chaos_seed(0xC0FFEE);
         println!("chaos seed: {seed} (set INTENSIO_CHAOS_SEED to reproduce)");
-        let mut rng = Rng(seed | 1);
+        let mut rng = Rng::new(seed);
 
         let pdir = super::temp_dir("chaos-p");
         let fdir = super::temp_dir("chaos-f");
@@ -292,7 +293,7 @@ mod chaos {
         let mut pc = primary.connect();
         let mut acked: Vec<(String, u64)> = Vec::new();
         let write = |pc: &mut Conn, rng: &mut Rng| {
-            let id = format!("CH{:05}", rng.next() % 100_000);
+            let id = format!("CH{:05}", rng.next_u64() % 100_000);
             let v = pc.json(&format!(
                 "QUEL append to SUBMARINE (Id = \"{id}\", Name = \"Chaos\", Class = \"0101\")"
             ));
@@ -324,7 +325,7 @@ mod chaos {
             }
             assert!(Instant::now() < deadline, "follower never started applying");
         }
-        for _ in 0..(rng.next() % 5) {
+        for _ in 0..(rng.next_u64() % 5) {
             if let (Some(a), _) = write(&mut pc, &mut rng) {
                 acked.push(a);
             }
@@ -334,7 +335,7 @@ mod chaos {
 
         // Phase 2: the primary keeps committing while the follower is a
         // corpse — this is the divergence window the rejoin must heal.
-        for _ in 0..(6 + rng.next() % 6) {
+        for _ in 0..(6 + rng.next_u64() % 6) {
             if let (Some(a), _) = write(&mut pc, &mut rng) {
                 acked.push(a);
             }

@@ -42,13 +42,40 @@ pub fn reserve_addr() -> String {
 /// The reproducibility seed shared by the chaos suites: the
 /// `INTENSIO_CHAOS_SEED` environment variable, or `default`.
 pub fn chaos_seed(default: u64) -> u64 {
-    std::env::var("INTENSIO_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    intensio_fault::chaos_seed().unwrap_or(default)
 }
 
-/// A running `serve` child on an ephemeral port.
+/// The promotion deadline a `--candidate` with `--failover-timeout-ms`
+/// `timeout` and `--failover-seed` `seed` draws (the same Backoff
+/// construction the replicator uses).
+pub fn failover_deadline(timeout: Duration, seed: u64) -> Duration {
+    timeout / 2 + intensio_fault::Backoff::new(timeout, timeout, seed.wrapping_add(1)).delay_for(0)
+}
+
+/// Failover seeds `(winner, loser)` whose promotion deadlines are far
+/// enough apart that the winner always promotes before the loser's
+/// pre-promotion sweep runs. Deadlines are jittered into a
+/// `[timeout, 1.5*timeout)` band, so scan a pool and take the extremes
+/// — the widest gap the band offers — rather than hoping two fixed
+/// seeds land far apart.
+pub fn winner_loser_seeds(timeout: Duration) -> (u64, u64) {
+    let deadline = |seed| failover_deadline(timeout, seed);
+    let (win, lose) = (1u64..=64)
+        .flat_map(|x| (1u64..=64).map(move |y| (x, y)))
+        .filter(|(x, y)| x != y && deadline(*x) < deadline(*y))
+        .max_by_key(|(x, y)| deadline(*y) - deadline(*x))
+        .expect("seed pool yields a winner/loser pair");
+    assert!(
+        deadline(lose) - deadline(win) >= Duration::from_millis(150),
+        "seed pool too narrow for a deterministic winner: {:?} vs {:?}",
+        deadline(win),
+        deadline(lose)
+    );
+    (win, lose)
+}
+
+/// A running `serve` child on an ephemeral port, SIGKILLed when
+/// dropped so a failing test leaves no process behind.
 pub struct ServeChild {
     pub child: Child,
     pub addr: String,
@@ -61,6 +88,11 @@ impl ServeChild {
     /// baseline (pass `--no-learn` there when epochs must not move on
     /// their own).
     pub fn spawn(data_dir: &Path, extra: &[&str]) -> ServeChild {
+        ServeChild::spawn_env(data_dir, extra, &[])
+    }
+
+    /// [`ServeChild::spawn`] with extra environment variables.
+    pub fn spawn_env(data_dir: &Path, extra: &[&str], env: &[(&str, &str)]) -> ServeChild {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_serve"));
         cmd.arg("--addr")
             .arg("127.0.0.1:0")
@@ -70,6 +102,7 @@ impl ServeChild {
             .arg("2")
             .arg("--quiet")
             .args(extra)
+            .envs(env.iter().copied())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
         let mut child = cmd.spawn().expect("spawn serve binary");
@@ -107,6 +140,13 @@ impl ServeChild {
     /// The protocol has no daemon shutdown; tests always kill.
     pub fn shutdown(self) {
         self.kill();
+    }
+}
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -309,20 +349,5 @@ pub fn await_epoch_match(primary_addr: &str, follower_addr: &str, what: &str) ->
             "{what}: {follower_addr} stuck at {fe}, primary at {pe}"
         );
         std::thread::sleep(Duration::from_millis(15));
-    }
-}
-
-/// Deterministic xorshift64 stream for workload shaping. Seed with a
-/// non-zero value (`Rng(seed | 1)`) — zero is xorshift's fixed point.
-pub struct Rng(pub u64);
-
-impl Rng {
-    pub fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
     }
 }

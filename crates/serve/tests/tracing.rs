@@ -5,137 +5,49 @@
 
 #![cfg(unix)]
 
+mod support;
+
 use intensio_serve::json::{self, Json};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+use support::{temp_dir, ServeChild};
 
-static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("intensio-tracing-{}-{tag}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A `serve` child with tracing armed at sample 1.0 into its own trace
+/// directory, which is returned alongside it.
+fn spawn_traced(tag: &str, extra: &[&str]) -> (ServeChild, PathBuf) {
+    let trace_dir = temp_dir(&format!("{tag}-trace"));
+    let dir = trace_dir.to_str().expect("utf-8 temp dir");
+    let mut args = vec![
+        "--trace-dir",
+        dir,
+        "--trace-sample",
+        "1.0",
+        "--fsync",
+        "off",
+    ];
+    args.extend_from_slice(extra);
+    let child = ServeChild::spawn(&temp_dir(&format!("{tag}-data")), &args);
+    (child, trace_dir)
 }
 
-/// A running `serve` child with tracing armed at sample 1.0.
-struct ServeChild {
-    child: Child,
-    addr: String,
-    trace_dir: PathBuf,
-}
-
-impl ServeChild {
-    fn spawn(data_dir: &Path, trace_dir: &Path, extra: &[&str]) -> ServeChild {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_serve"));
-        cmd.arg("--addr")
-            .arg("127.0.0.1:0")
-            .arg("--data-dir")
-            .arg(data_dir)
-            .arg("--trace-dir")
-            .arg(trace_dir)
-            .arg("--trace-sample")
-            .arg("1.0")
-            .arg("--fsync")
-            .arg("off")
-            .arg("--workers")
-            .arg("2")
-            .arg("--quiet")
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        let mut child = cmd.spawn().expect("spawn serve binary");
-        let stdout = child.stdout.take().expect("child stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .expect("serve exited before listening")
-                .expect("read serve stdout");
-            if let Some(rest) = line.split("listening on ").nth(1) {
-                break rest
-                    .split_whitespace()
-                    .next()
-                    .expect("address after 'listening on'")
-                    .to_string();
-            }
-        };
-        std::thread::spawn(move || while let Some(Ok(_)) = lines.next() {});
-        ServeChild {
-            child,
-            addr,
-            trace_dir: trace_dir.to_path_buf(),
-        }
-    }
-
-    fn connect(&self) -> Conn {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match TcpStream::connect(&self.addr) {
-                Ok(stream) => {
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(30)))
-                        .unwrap();
-                    let reader = BufReader::new(stream.try_clone().unwrap());
-                    return Conn { stream, reader };
-                }
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => panic!("cannot connect to {}: {e}", self.addr),
-            }
-        }
-    }
-
-    /// Poll the child's trace file (the background flusher writes it
-    /// every ~200ms) until `pred` matches some line.
-    fn await_trace_line(&self, what: &str, pred: impl Fn(&str) -> bool) -> String {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            for entry in std::fs::read_dir(&self.trace_dir).unwrap().flatten() {
-                if let Ok(content) = std::fs::read_to_string(entry.path()) {
-                    if let Some(line) = content.lines().find(|l| pred(l)) {
-                        return line.to_string();
-                    }
+/// Poll a child's trace files (the background flusher writes them
+/// every ~200ms) until `pred` matches some line.
+fn await_trace_line(trace_dir: &Path, what: &str, pred: impl Fn(&str) -> bool) -> String {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        for entry in std::fs::read_dir(trace_dir).unwrap().flatten() {
+            if let Ok(content) = std::fs::read_to_string(entry.path()) {
+                if let Some(line) = content.lines().find(|l| pred(l)) {
+                    return line.to_string();
                 }
             }
-            assert!(
-                Instant::now() < deadline,
-                "no trace line matching {what} in {}",
-                self.trace_dir.display()
-            );
-            std::thread::sleep(Duration::from_millis(50));
         }
-    }
-}
-
-impl Drop for ServeChild {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-struct Conn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Conn {
-    fn roundtrip(&mut self, line: &str) -> Json {
-        self.stream.write_all(line.as_bytes()).unwrap();
-        self.stream.write_all(b"\n").unwrap();
-        self.stream.flush().unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        json::parse(reply.trim()).unwrap_or_else(|e| panic!("undecodable reply ({e}): {reply}"))
+        assert!(
+            Instant::now() < deadline,
+            "no trace line matching {what} in {}",
+            trace_dir.display()
+        );
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -143,19 +55,12 @@ const READ: &str = "SELECT Class FROM CLASS WHERE Displacement > 8000";
 
 #[test]
 fn one_trace_spans_follower_redirect_and_primary_execution() {
-    let primary = ServeChild::spawn(&temp_dir("p-data"), &temp_dir("p-trace"), &[]);
+    let (primary, p_trace) = spawn_traced("p", &[]);
     // Two followers (the 1p2f topology); the REDIRECT probe goes
     // through the first. `--deadline-ms` keeps the redirect prompt.
-    let f1 = ServeChild::spawn(
-        &temp_dir("f1-data"),
-        &temp_dir("f1-trace"),
-        &["--replicate-from", &primary.addr, "--deadline-ms", "300"],
-    );
-    let _f2 = ServeChild::spawn(
-        &temp_dir("f2-data"),
-        &temp_dir("f2-trace"),
-        &["--replicate-from", &primary.addr, "--deadline-ms", "300"],
-    );
+    let follower_args = ["--replicate-from", &primary.addr, "--deadline-ms", "300"];
+    let (f1, f1_trace) = spawn_traced("f1", &follower_args);
+    let _f2 = spawn_traced("f2", &follower_args);
 
     let mut pc = primary.connect();
     let mut fc = f1.connect();
@@ -163,7 +68,7 @@ fn one_trace_spans_follower_redirect_and_primary_execution() {
     // A traced write on the primary: its commit span ids ride the
     // `#repl` stream to both followers.
     let write_trace = "11c0ffee00000001";
-    let v = pc.roundtrip(&format!(
+    let v = pc.json(&format!(
         "#trace {write_trace}/0000000000000000 QUEL append to SUBMARINE \
          (Id = \"TRC0001\", Name = \"Trace Probe\", Class = \"0101\")"
     ));
@@ -178,7 +83,7 @@ fn one_trace_spans_follower_redirect_and_primary_execution() {
     // A REDIRECTed read: ask the follower for an epoch nobody has.
     // The reply is the redirect, under the same trace id.
     let read_trace = "22c0ffee00000002";
-    let v = fc.roundtrip(&format!(
+    let v = fc.json(&format!(
         "#trace {read_trace}/0000000000000000 SQL@{} {READ}",
         acked_epoch + 1000
     ));
@@ -196,27 +101,65 @@ fn one_trace_spans_follower_redirect_and_primary_execution() {
 
     // The client re-issues against the primary under the same id —
     // that is the stitch that makes one cross-node trace.
-    let v = pc.roundtrip(&format!("#trace {read_trace}/0000000000000000 SQL {READ}"));
+    let v = pc.json(&format!("#trace {read_trace}/0000000000000000 SQL {READ}"));
     assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(v.get("trace").and_then(Json::as_str), Some(read_trace));
 
     // Both nodes' trace files carry spans of the read's trace: the
     // follower its admission/redirect leg, the primary the execution.
-    let follower_leg = f1.await_trace_line("follower redirect span", |l| {
+    let follower_leg = await_trace_line(&f1_trace, "follower redirect span", |l| {
         l.contains(read_trace) && l.contains("serve.admission")
     });
     assert!(follower_leg.contains("redirect"), "got {follower_leg}");
-    primary.await_trace_line("primary execution span", |l| {
+    await_trace_line(&p_trace, "primary execution span", |l| {
         l.contains(read_trace) && l.contains("serve.request")
     });
 
     // The traced write reappears on the follower as a repl.apply span
     // under the write's trace id (shipped on the record line).
-    f1.await_trace_line("follower apply span", |l| {
+    await_trace_line(&f1_trace, "follower apply span", |l| {
         l.contains(write_trace) && l.contains("repl.apply")
     });
     // And the primary logged the commit (wal.append) under it.
-    primary.await_trace_line("primary commit span", |l| {
+    await_trace_line(&p_trace, "primary commit span", |l| {
         l.contains(write_trace) && l.contains("wal.append")
     });
+}
+
+/// Trace lines and flight records escape strings per RFC 8259: a span
+/// field holding a newline, a tab, a control character, a quote and a
+/// backslash parses back byte for byte through the wire protocol's
+/// JSON parser.
+#[test]
+fn trace_lines_and_flight_records_round_trip_control_characters() {
+    const NASTY: &str = "\n\t\u{1}\"\\";
+    let field = |v: &Json| {
+        v.get("fields")
+            .and_then(|f| f.get("nasty"))
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+
+    let sink = intensio_obs::set_trace_sink(&temp_dir("escape-trace"), 1.0).unwrap();
+    {
+        let _trace = intensio_obs::with_context(intensio_obs::start_trace());
+        let _span = intensio_obs::Span::enter("escape.probe").with_field("nasty", NASTY);
+    }
+    intensio_obs::flush_trace_sink();
+    let traced: Vec<String> = std::fs::read_to_string(&sink)
+        .unwrap()
+        .lines()
+        .map(|l| json::parse(l).unwrap_or_else(|e| panic!("bad trace line ({e}): {l}")))
+        .filter_map(|v| field(&v))
+        .collect();
+    assert_eq!(traced, [NASTY]);
+
+    intensio_obs::flightrec::set_dir(Some(&temp_dir("escape-flightrec")));
+    let dump = intensio_obs::flight_record("escape_probe").expect("flight record written");
+    let record = json::parse(&std::fs::read_to_string(&dump).unwrap()).unwrap();
+    let spans = record.get("spans").and_then(Json::as_array).expect("spans");
+    assert!(
+        spans.iter().filter_map(field).any(|f| f == NASTY),
+        "flight record lost the field"
+    );
 }

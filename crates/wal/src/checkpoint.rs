@@ -372,9 +372,9 @@ mod tests {
     #[test]
     fn partial_checkpoint_failpoint_leaves_no_valid_checkpoint() {
         let dir = tmpdir("partial");
-        intensio_fault::configure("wal.checkpoint", "error*1").unwrap();
+        let fault = intensio_fault::scoped("wal.checkpoint", "error*1").unwrap();
         let err = write_checkpoint(&dir, &sample_db(), None, 1, 1, 0);
-        intensio_fault::remove("wal.checkpoint");
+        drop(fault);
         assert!(err.is_err());
         assert!(
             list_checkpoints(&dir).unwrap().is_empty(),

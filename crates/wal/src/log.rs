@@ -420,9 +420,9 @@ mod tests {
         let mut wal = Wal::open(&dir, cfg(), 0).unwrap();
         wal.append(&Record::write(1, 1, "append to R (Id = \"a\")"))
             .unwrap();
-        intensio_fault::configure("wal.torn", "error*1").unwrap();
+        let fault = intensio_fault::scoped("wal.torn", "error*1").unwrap();
         let err = wal.append(&Record::write(2, 2, "append to R (Id = \"b\")"));
-        intensio_fault::remove("wal.torn");
+        drop(fault);
         assert!(err.is_err(), "torn write must not acknowledge");
         // The writer healed itself: the next append lands cleanly and
         // replay sees records 1 and 2 with no gap.
@@ -441,9 +441,9 @@ mod tests {
         let mut wal = Wal::open(&dir, cfg(), 0).unwrap();
         wal.append(&Record::write(1, 1, "append to R (Id = \"a\")"))
             .unwrap();
-        intensio_fault::configure("wal.fsync", "error*1").unwrap();
+        let fault = intensio_fault::scoped("wal.fsync", "error*1").unwrap();
         let err = wal.append(&Record::write(2, 2, "append to R (Id = \"b\")"));
-        intensio_fault::remove("wal.fsync");
+        drop(fault);
         assert!(err.is_err());
         let rec = recover(&dir).unwrap();
         assert_eq!(
@@ -462,9 +462,9 @@ mod tests {
     fn append_failpoint_fails_cleanly() {
         let dir = tmpdir("appendfp");
         let mut wal = Wal::open(&dir, cfg(), 0).unwrap();
-        intensio_fault::configure("wal.append", "error*1").unwrap();
+        let fault = intensio_fault::scoped("wal.append", "error*1").unwrap();
         assert!(wal.append(&Record::write(1, 1, "x")).is_err());
-        intensio_fault::remove("wal.append");
+        drop(fault);
         assert!(recover(&dir).unwrap().records.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
