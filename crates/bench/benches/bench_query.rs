@@ -1,6 +1,7 @@
-//! Extensional query cost: SQL execution (restriction push-down + hash
-//! joins) and the intensional-vs-extensional latency comparison — the
-//! practical argument for intensional answers on large answer sets.
+//! Extensional query cost: SQL execution (restriction row-id sets +
+//! index-probe joins), answer summaries on the serve benchmark's fleet,
+//! and the intensional-vs-extensional latency comparison — the practical
+//! argument for intensional answers on large answer sets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use intensio_core::IntensionalQueryProcessor;
@@ -101,8 +102,90 @@ fn bench_semantic_query_optimization(c: &mut Criterion) {
     g.finish();
 }
 
+/// `execute` and `summarize` for the four answer-cache query families
+/// of the serve benchmark, on its fleet shape (6 types × 10 classes × 30
+/// ships, seed 11): `Type =`, a whole displacement band, a
+/// `SUBMARINE.Class` range, and a band spanning two types.
+fn bench_serve_fleet_families(c: &mut Criterion) {
+    let f = generate(FleetConfig {
+        seed: 11,
+        n_types: 6,
+        classes_per_type: 10,
+        ships_per_class: 30,
+        sonars_per_family: 4,
+        id_noise: 0.02,
+        overlapping_bands: false,
+    })
+    .expect("generation succeeds");
+    let model = f.ker_model();
+    let (lo1, hi1) = f.type_band["T01"];
+    let (_, hi2) = f.type_band["T02"];
+    let families = [
+        ("type_eq", "CLASS.Type = 'T01'".to_string()),
+        (
+            "whole_band",
+            format!(
+                "CLASS.Displacement >= {} AND CLASS.Displacement <= {}",
+                lo1 - 1,
+                hi1 + 1
+            ),
+        ),
+        (
+            "class_range",
+            "SUBMARINE.Class >= '0100' AND SUBMARINE.Class <= '0199'".to_string(),
+        ),
+        (
+            "two_type_band",
+            format!(
+                "CLASS.Displacement >= {} AND CLASS.Displacement <= {}",
+                lo1 - 1,
+                hi2 + 1
+            ),
+        ),
+    ];
+    let mut g = c.benchmark_group("serve_fleet_families");
+    for (name, cond) in families {
+        let q = intensio_sql::parse(&format!(
+            "SELECT SUBMARINE.Id, SUBMARINE.Name, CLASS.Class, CLASS.Type \
+             FROM SUBMARINE, CLASS WHERE SUBMARINE.Class = CLASS.Class AND {cond}"
+        ))
+        .expect("query parses");
+        let answer = intensio_sql::execute(&f.db, &q).expect("query succeeds");
+        assert!(answer.len() >= 300, "{name}: {} rows", answer.len());
+        g.bench_function(&format!("execute/{name}"), |b| {
+            b.iter(|| intensio_sql::execute(&f.db, &q).expect("query succeeds"))
+        });
+        g.bench_function(&format!("summarize/{name}"), |b| {
+            b.iter(|| intensio_core::summarize(&answer, &model))
+        });
+    }
+    g.finish();
+}
+
+/// A self-join on a low-cardinality key with both entries restricted to
+/// one ship: the probe matches every install of a sonar (about 640 of
+/// 7,680) and one of them is admitted.
+fn bench_restricted_low_key_join(c: &mut Criterion) {
+    let f = fleet(320);
+    let ship = f.db.get("INSTALL").expect("INSTALL exists").tuples()[0]
+        .get(0)
+        .render_bare();
+    let q = intensio_sql::parse(&format!(
+        "SELECT a.Ship, b.Ship, a.Sonar FROM INSTALL a, INSTALL b \
+         WHERE a.Sonar = b.Sonar AND a.Ship = '{ship}' AND b.Ship = '{ship}'"
+    ))
+    .expect("query parses");
+    let answer = intensio_sql::execute(&f.db, &q).expect("query succeeds");
+    assert_eq!(answer.len(), 1);
+    c.bench_function("restricted_low_key_join_7680_ships", |b| {
+        b.iter(|| intensio_sql::execute(&f.db, &q).expect("query succeeds"))
+    });
+}
+
 criterion_group!(
     benches,
+    bench_serve_fleet_families,
+    bench_restricted_low_key_join,
     bench_join_scaling,
     bench_three_way_join,
     bench_intensional_vs_extensional,

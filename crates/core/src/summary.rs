@@ -8,9 +8,9 @@
 //! by grouping on every classifying attribute present in the answer's
 //! schema.
 
-use intensio_ker::model::KerModel;
+use intensio_ker::model::{subtype_label_among, Classifier, KerModel};
 use intensio_storage::relation::Relation;
-use intensio_storage::value::{Value, ValueKey};
+use intensio_storage::value::{Value, ValueRef};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -99,30 +99,26 @@ impl fmt::Display for AnswerSummary {
 /// SQL executor may be alias-prefixed (`c.Type`); the suffix after the
 /// last `.` is matched.
 pub fn summarize(rel: &Relation, model: &KerModel) -> AnswerSummary {
-    let classifier_attrs: Vec<String> = model
-        .classifiers()
-        .into_iter()
-        .map(|(_, c)| c.attribute)
-        .collect();
+    let classifiers: Vec<Classifier> = model.classifiers().into_iter().map(|(_, c)| c).collect();
 
     let mut levels = Vec::new();
     for (idx, attr) in rel.schema().attributes().iter().enumerate() {
         let base_name = attr.name().rsplit('.').next().unwrap_or(attr.name());
-        if !classifier_attrs
+        if !classifiers
             .iter()
-            .any(|c| c.eq_ignore_ascii_case(base_name))
+            .any(|c| c.attribute.eq_ignore_ascii_case(base_name))
         {
             continue;
         }
-        let mut counts: BTreeMap<ValueKey, usize> = BTreeMap::new();
+        let mut counts: BTreeMap<ValueRef<'_>, usize> = BTreeMap::new();
         for t in rel.iter() {
-            *counts.entry(ValueKey(t.get(idx).clone())).or_insert(0) += 1;
+            *counts.entry(ValueRef(t.get(idx))).or_insert(0) += 1;
         }
         let mut groups: Vec<SummaryGroup> = counts
             .into_iter()
             .map(|(v, count)| SummaryGroup {
-                subtype: model.subtype_label_for(base_name, &v.0),
-                value: v.0,
+                subtype: subtype_label_among(&classifiers, base_name, v.0),
+                value: v.0.clone(),
                 count,
             })
             .collect();

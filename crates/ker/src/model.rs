@@ -538,15 +538,12 @@ impl KerModel {
     /// names are assumed unique across the schema (true of the paper's
     /// test bed: `Type`, `Class`, `SonarType`); when several hierarchies
     /// share the attribute name, the first declared match wins.
+    ///
+    /// A caller labelling many values can build [`KerModel::classifiers`]
+    /// once and call [`subtype_label_among`] instead.
     pub fn subtype_label_for(&self, attribute: &str, value: &Value) -> Option<String> {
-        for (_, c) in self.classifiers() {
-            if c.attribute.eq_ignore_ascii_case(attribute) {
-                if let Some(s) = c.subtype_for(value) {
-                    return Some(s.to_string());
-                }
-            }
-        }
-        None
+        let classifiers = self.classifiers();
+        subtype_label_among(classifiers.iter().map(|(_, c)| c), attribute, value)
     }
 
     /// The derivation clause(s) characterizing a subtype, if any.
@@ -569,6 +566,21 @@ impl KerModel {
             t.name.as_str()
         })
     }
+}
+
+/// The subtype selected by `attribute = value` among `classifiers`, in
+/// the order [`KerModel::classifiers`] declares them: the first one on
+/// that attribute that maps the value wins.
+pub fn subtype_label_among<'c>(
+    classifiers: impl IntoIterator<Item = &'c Classifier>,
+    attribute: &str,
+    value: &Value,
+) -> Option<String> {
+    classifiers
+        .into_iter()
+        .filter(|c| c.attribute.eq_ignore_ascii_case(attribute))
+        .find_map(|c| c.subtype_for(value))
+        .map(str::to_string)
 }
 
 fn parse_char_n(name: &str) -> Option<usize> {

@@ -66,3 +66,14 @@ pub struct SelectQuery {
     /// ORDER BY attributes (ascending).
     pub order_by: Vec<AttrRef>,
 }
+
+impl SelectQuery {
+    /// Whether the query aggregates: an aggregate item or a GROUP BY.
+    pub fn is_aggregate(&self) -> bool {
+        !self.group_by.is_empty()
+            || self
+                .targets
+                .iter()
+                .any(|t| matches!(t, SelectItem::Aggregate { .. }))
+    }
+}

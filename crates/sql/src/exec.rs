@@ -1,5 +1,20 @@
-//! SQL execution: restriction push-down, greedy hash equi-joins, residual
-//! predicate evaluation, projection, and ordering.
+//! SQL execution over row ids; no base relation or intermediate row is
+//! copied. Each FROM entry's restriction is evaluated once, by
+//! [`ops::select_positions`], into a sorted row-id set (an unrestricted
+//! entry admits every row). The join order starts from the entry
+//! admitting the fewest rows and attaches the others along the first
+//! equi-join in WHERE order with one side bound, probing that entry's
+//! cached [`AttributeIndex`] and keeping its admitted matches (null keys
+//! never match); with no such join, the smallest unbound entry starts a
+//! cartesian product. Unused join edges and residual predicates then
+//! filter the rows. A row is a vector of row ids, one per FROM entry;
+//! values are read through borrowed tuples and cloned only into the
+//! result. Without ORDER BY, result rows follow their base-row positions
+//! in FROM order, compared lexicographically, whichever entry the plan
+//! starts from; ORDER BY sorts stably on top. EXPLAIN renders the
+//! same [`Plan`].
+//!
+//! [`AttributeIndex`]: intensio_storage::index::AttributeIndex
 
 use crate::ast::{SelectItem, SelectQuery, TableRef};
 use crate::parser::{parse, SqlParseError};
@@ -11,8 +26,8 @@ use intensio_storage::ops;
 use intensio_storage::relation::Relation;
 use intensio_storage::schema::{Attribute, Schema};
 use intensio_storage::tuple::Tuple;
-use intensio_storage::value::ValueKey;
-use std::collections::{HashMap, HashSet};
+use intensio_storage::value::{Value, ValueRef, ValueType};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 /// An error from parsing or executing SQL.
@@ -57,71 +72,53 @@ pub fn query(db: &Database, src: &str) -> Result<Relation, SqlError> {
 
 /// A resolved attribute: which FROM entry and which column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Resolved {
-    table: usize,
-    column: usize,
+pub(crate) struct Resolved {
+    pub(crate) table: usize,
+    pub(crate) column: usize,
 }
 
-/// Resolution context: alias → index, schema per index.
-struct Ctx<'a> {
+/// An equi-join edge `left = right` between two FROM entries.
+pub(crate) struct Join<'a> {
+    pub(crate) left: Resolved,
+    pub(crate) right: Resolved,
+    expr: &'a Expr,
+}
+
+/// One step of a join order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Pair every row so far with each admitted row of the entry.
+    Scan(usize),
+    /// Attach `into.table` along join edge `edge`: each row probes the
+    /// entry's index on `into.column` with its value at `from`.
+    Probe {
+        edge: usize,
+        from: Resolved,
+        into: Resolved,
+    },
+}
+
+/// How a query runs: the rows each FROM entry admits, the join order,
+/// and the predicates checked on joined rows.
+pub(crate) struct Plan<'a> {
     from: &'a [TableRef],
-    schemas: Vec<&'a Schema>,
+    base: Vec<&'a Relation>,
+    /// Per FROM entry, its single-table conjuncts.
+    pub(crate) restrictions: Vec<Vec<&'a Expr>>,
+    /// Per FROM entry, the admitted rows (ascending); `None` admits all.
+    admitted: Vec<Option<Vec<usize>>>,
+    /// Equi-join edges, in WHERE order.
+    pub(crate) joins: Vec<Join<'a>>,
+    pub(crate) steps: Vec<Step>,
+    /// Conjuncts over several entries that are not equi-joins.
+    pub(crate) residual: Vec<&'a Expr>,
 }
 
-impl<'a> Ctx<'a> {
-    fn resolve(&self, attr: &AttrRef) -> Result<Resolved, SqlError> {
-        match &attr.qualifier {
-            Some(q) => {
-                let table = self
-                    .from
-                    .iter()
-                    .position(|t| t.alias.eq_ignore_ascii_case(q))
-                    .ok_or_else(|| SqlError::Semantic(format!("unknown relation or alias: {q}")))?;
-                let column = self.schemas[table].index_of(&attr.name).ok_or_else(|| {
-                    SqlError::Semantic(format!(
-                        "relation {} has no attribute {}",
-                        self.from[table].name, attr.name
-                    ))
-                })?;
-                Ok(Resolved { table, column })
-            }
-            None => {
-                let mut found = None;
-                for (i, s) in self.schemas.iter().enumerate() {
-                    if let Some(c) = s.index_of(&attr.name) {
-                        if found.is_some() {
-                            return Err(SqlError::Semantic(format!(
-                                "ambiguous attribute: {}",
-                                attr.name
-                            )));
-                        }
-                        found = Some(Resolved {
-                            table: i,
-                            column: c,
-                        });
-                    }
-                }
-                found.ok_or_else(|| SqlError::Semantic(format!("unknown attribute: {}", attr.name)))
-            }
-        }
-    }
-}
-
-/// The aliases referenced by an expression, as table indices.
-fn tables_of(e: &Expr, ctx: &Ctx<'_>) -> Result<HashSet<usize>, SqlError> {
-    let mut out = HashSet::new();
-    for a in e.attr_refs() {
-        out.insert(ctx.resolve(a)?.table);
-    }
-    Ok(out)
-}
-
-/// Execute a parsed query.
-pub fn execute(db: &Database, q: &SelectQuery) -> Result<Relation, SqlError> {
+/// Resolve a query, evaluate its restrictions and order its joins.
+pub(crate) fn plan<'a>(db: &'a Database, q: &'a SelectQuery) -> Result<Plan<'a>, SqlError> {
     if q.from.is_empty() {
         return Err(SqlError::Semantic("FROM list is empty".to_string()));
     }
-    // Duplicate alias check.
     for (i, t) in q.from.iter().enumerate() {
         if q.from[..i]
             .iter()
@@ -130,266 +127,313 @@ pub fn execute(db: &Database, q: &SelectQuery) -> Result<Relation, SqlError> {
             return Err(SqlError::Semantic(format!("duplicate alias: {}", t.alias)));
         }
     }
-
-    let base: Vec<&Relation> = q
-        .from
-        .iter()
-        .map(|t| db.get(&t.name))
-        .collect::<Result<_, _>>()?;
-    let ctx = Ctx {
+    let n = q.from.len();
+    let mut plan = Plan {
         from: &q.from,
-        schemas: base.iter().map(|r| r.schema()).collect(),
+        base: q
+            .from
+            .iter()
+            .map(|t| db.get(&t.name))
+            .collect::<Result<_, _>>()?,
+        restrictions: vec![Vec::new(); n],
+        admitted: Vec::with_capacity(n),
+        joins: Vec::new(),
+        steps: Vec::with_capacity(n),
+        residual: Vec::new(),
     };
 
-    // Classify WHERE conjuncts.
-    let mut restrictions: Vec<Vec<&Expr>> = vec![Vec::new(); q.from.len()];
-    let mut joins: Vec<(Resolved, Resolved, &Expr)> = Vec::new();
-    let mut residual: Vec<&Expr> = Vec::new();
-    if let Some(w) = &q.where_clause {
-        for c in w.conjuncts() {
-            let tables = tables_of(c, &ctx)?;
-            match tables.len() {
-                0 | 1 => {
-                    let t = tables.into_iter().next().unwrap_or(0);
-                    restrictions[t].push(c);
-                }
-                2 => {
-                    if let Expr::Cmp {
-                        op: CmpOp::Eq,
-                        left,
-                        right,
-                    } = c
-                    {
-                        if let (Expr::Attr(a), Expr::Attr(b)) = (&**left, &**right) {
-                            let ra = ctx.resolve(a)?;
-                            let rb = ctx.resolve(b)?;
-                            if ra.table != rb.table {
-                                joins.push((ra, rb, c));
-                                continue;
-                            }
-                        }
-                    }
-                    residual.push(c);
-                }
-                _ => residual.push(c),
+    for expr in q.where_clause.iter().flat_map(Expr::conjuncts) {
+        let refs = expr.attr_refs().into_iter();
+        let tables: HashSet<usize> = refs
+            .map(|a| plan.resolve(a).map(|r| r.table))
+            .collect::<Result<_, _>>()?;
+        if tables.len() <= 1 {
+            plan.restrictions[tables.into_iter().next().unwrap_or(0)].push(expr);
+            continue;
+        }
+        let edge = match expr {
+            Expr::Cmp { op, left, right } if *op == CmpOp::Eq => match (&**left, &**right) {
+                (Expr::Attr(a), Expr::Attr(b)) => Some((plan.resolve(a)?, plan.resolve(b)?)),
+                _ => None,
+            },
+            _ => None,
+        };
+        match edge {
+            Some((left, right)) if left.table != right.table => {
+                plan.joins.push(Join { left, right, expr })
             }
+            _ => plan.residual.push(expr),
         }
     }
 
-    // Push restrictions down onto each base relation.
-    let mut filtered: Vec<Relation> = Vec::with_capacity(base.len());
-    for (i, rel) in base.iter().enumerate() {
-        if restrictions[i].is_empty() {
-            filtered.push((*rel).clone());
-        } else {
-            let pred = Expr::conjoin(restrictions[i].iter().map(|e| (*e).clone()).collect())
-                .expect("non-empty");
-            filtered.push(ops::select_indexed(rel, &q.from[i].alias, &pred)?);
-        }
+    for (i, rel) in plan.base.iter().enumerate() {
+        let pred = Expr::conjoin(plan.restrictions[i].iter().map(|e| (*e).clone()).collect());
+        plan.admitted.push(match pred {
+            None => None,
+            Some(pred) => Some(ops::select_positions(rel, &q.from[i].alias, &pred)?),
+        });
     }
 
-    // Greedy join: rows are vectors of one tuple per joined table.
-    let mut bound: Vec<usize> = vec![0]; // table indices joined so far
-    let mut rows: Vec<Vec<Tuple>> = filtered[0].iter().map(|t| vec![t.clone()]).collect();
-    let mut remaining: Vec<usize> = (1..q.from.len()).collect();
-    let mut pending_joins: Vec<(Resolved, Resolved)> =
-        joins.iter().map(|(a, b, _)| (*a, *b)).collect();
-
-    while !remaining.is_empty() {
-        // Prefer a table connected to the bound set by an equi-join.
-        let next_info = pending_joins.iter().enumerate().find_map(|(ji, (a, b))| {
-            let (inb, outb) = (bound.contains(&a.table), bound.contains(&b.table));
-            match (inb, outb) {
-                (true, false) => Some((ji, *a, *b)),
-                (false, true) => Some((ji, *b, *a)),
+    // Probe along the first equi-join in WHERE order with one side
+    // bound; failing that, scan the unbound entry admitting the fewest
+    // rows (the lowest FROM position on a tie).
+    let mut bound = vec![false; n];
+    while plan.steps.len() < n {
+        let probe = plan.joins.iter().enumerate().find_map(|(edge, j)| {
+            match (bound[j.left.table], bound[j.right.table]) {
+                (true, false) => Some((edge, j.left, j.right)),
+                (false, true) => Some((edge, j.right, j.left)),
                 _ => None,
             }
         });
-        let (new_rows, new_table) = match next_info {
-            Some((ji, bound_side, new_side)) => {
-                pending_joins.remove(ji);
-                let pos_in_bound = bound
-                    .iter()
-                    .position(|&t| t == bound_side.table)
-                    .expect("bound side is bound");
-                // Hash the new side.
-                let mut table: HashMap<ValueKey, Vec<&Tuple>> = HashMap::new();
-                for t in filtered[new_side.table].iter() {
-                    let v = t.get(new_side.column);
-                    if !v.is_null() {
-                        table.entry(ValueKey(v.clone())).or_default().push(t);
-                    }
+        let (step, table) = match probe {
+            Some((edge, from, into)) => (Step::Probe { edge, from, into }, into.table),
+            None => {
+                let unbound = (0..n).filter(|&t| !bound[t]);
+                let t = unbound.min_by_key(|&t| plan.admitted_len(t));
+                let t = t.expect("an unbound entry remains");
+                (Step::Scan(t), t)
+            }
+        };
+        bound[table] = true;
+        plan.steps.push(step);
+    }
+    Ok(plan)
+}
+
+impl<'a> Plan<'a> {
+    fn resolve(&self, attr: &AttrRef) -> Result<Resolved, SqlError> {
+        let column_of = |table: usize| self.base[table].schema().index_of(&attr.name);
+        if let Some(q) = &attr.qualifier {
+            let table = self
+                .from
+                .iter()
+                .position(|t| t.alias.eq_ignore_ascii_case(q))
+                .ok_or_else(|| SqlError::Semantic(format!("unknown relation or alias: {q}")))?;
+            let column = column_of(table).ok_or_else(|| {
+                SqlError::Semantic(format!(
+                    "relation {} has no attribute {}",
+                    self.from[table].name, attr.name
+                ))
+            })?;
+            return Ok(Resolved { table, column });
+        }
+        let mut found = None;
+        for table in 0..self.base.len() {
+            if let Some(column) = column_of(table) {
+                if found.is_some() {
+                    return Err(SqlError::Semantic(format!(
+                        "ambiguous attribute: {}",
+                        attr.name
+                    )));
                 }
-                let mut out = Vec::new();
-                for row in &rows {
-                    let v = row[pos_in_bound].get(bound_side.column);
-                    if v.is_null() {
-                        continue;
-                    }
-                    if let Some(matches) = table.get(&ValueKey(v.clone())) {
-                        for m in matches {
-                            let mut r = row.clone();
-                            r.push((*m).clone());
-                            out.push(r);
+                found = Some(Resolved { table, column });
+            }
+        }
+        found.ok_or_else(|| SqlError::Semantic(format!("unknown attribute: {}", attr.name)))
+    }
+
+    fn attribute(&self, r: Resolved) -> &'a Attribute {
+        self.base[r.table].schema().attr(r.column)
+    }
+
+    /// `alias.Attribute`, in the relation's declared spelling.
+    pub(crate) fn name(&self, r: Resolved) -> String {
+        format!("{}.{}", self.from[r.table].alias, self.attribute(r).name())
+    }
+
+    /// How many rows FROM entry `t` admits.
+    pub(crate) fn admitted_len(&self, t: usize) -> usize {
+        self.admitted[t]
+            .as_ref()
+            .map_or(self.base[t].len(), Vec::len)
+    }
+
+    /// The join edges no step probed along, in WHERE order.
+    pub(crate) fn unused_joins(&self) -> impl Iterator<Item = &Join<'a>> + '_ {
+        self.joins.iter().enumerate().filter_map(|(e, j)| {
+            let probed = self
+                .steps
+                .iter()
+                .any(|s| matches!(s, Step::Probe { edge, .. } if *edge == e));
+            (!probed).then_some(j)
+        })
+    }
+
+    fn tuple(&self, row: &[usize], t: usize) -> &'a Tuple {
+        &self.base[t].tuples()[row[t]]
+    }
+
+    fn value(&self, row: &[usize], r: Resolved) -> &'a Value {
+        self.tuple(row, r.table).get(r.column)
+    }
+
+    /// Run the join order and the post-join checks; rows come back in
+    /// the order contract's order.
+    fn rows(&self) -> Result<Vec<Vec<usize>>, SqlError> {
+        let mut rows = vec![vec![0; self.base.len()]];
+        for step in &self.steps {
+            let mut next = Vec::new();
+            let mut extend = |row: &Vec<usize>, t: usize, p: usize| {
+                let mut r = row.clone();
+                r[t] = p;
+                next.push(r);
+            };
+            match *step {
+                Step::Scan(t) => {
+                    for row in &rows {
+                        match &self.admitted[t] {
+                            Some(ps) => ps.iter().for_each(|&p| extend(row, t, p)),
+                            None => (0..self.base[t].len()).for_each(|p| extend(row, t, p)),
                         }
                     }
                 }
-                (out, new_side.table)
-            }
-            None => {
-                // No connecting join: cartesian with the next table.
-                let t = remaining[0];
-                let mut out = Vec::new();
-                for row in &rows {
-                    for m in filtered[t].iter() {
-                        let mut r = row.clone();
-                        r.push(m.clone());
-                        out.push(r);
-                    }
+                Step::Probe { from, into, .. } => {
+                    let name = self.attribute(into).name();
+                    let admitted = self.admitted[into.table].as_deref();
+                    self.base[into.table].with_index(name, |idx| {
+                        for row in &rows {
+                            let v = self.value(row, from);
+                            if v.is_null() {
+                                continue;
+                            }
+                            // Both lists ascend: walk the shorter and
+                            // search the other.
+                            let (walk, search) = match (idx.lookup(v), admitted) {
+                                (matches, None) => (matches, None),
+                                (matches, Some(ps)) if matches.len() <= ps.len() => {
+                                    (matches, Some(ps))
+                                }
+                                (matches, Some(ps)) => (ps, Some(matches)),
+                            };
+                            for &p in walk {
+                                if search.is_none_or(|s| s.binary_search(&p).is_ok()) {
+                                    extend(row, into.table, p);
+                                }
+                            }
+                        }
+                    })?;
                 }
-                (out, t)
             }
-        };
-        rows = new_rows;
-        bound.push(new_table);
-        remaining.retain(|&t| t != new_table);
-    }
-
-    // Join conditions not consumed by the greedy pass (redundant edges
-    // between already-joined tables) and residual predicates apply now.
-    let mut post: Vec<&Expr> = residual;
-    for (a, b, e) in joins.iter() {
-        if pending_joins.contains(&(*a, *b)) {
-            post.push(e);
+            rows = next;
         }
-    }
 
-    if !post.is_empty() {
-        let order = bound.clone();
-        rows.retain(|row| {
+        let post: Vec<&Expr> = self
+            .unused_joins()
+            .map(|j| j.expr)
+            .chain(self.residual.iter().copied())
+            .collect();
+        if let (false, Some(first)) = (post.is_empty(), rows.first()) {
             let mut env = Env::empty();
-            for (pos, &t) in order.iter().enumerate() {
-                env.push(&q.from[t].alias, ctx.schemas[t], &row[pos]);
+            for (t, from) in self.from.iter().enumerate() {
+                env.push(&from.alias, self.base[t].schema(), self.tuple(first, t));
             }
-            post.iter().all(|e| e.eval_bool(&env).unwrap_or(false))
-        });
+            rows.retain(|row| {
+                for t in 0..row.len() {
+                    env.rebind(t, self.tuple(row, t));
+                }
+                post.iter().all(|e| e.eval_bool(&env).unwrap_or(false))
+            });
+        }
+        rows.sort_unstable();
+        Ok(rows)
+    }
+}
+
+/// Execute a parsed query.
+pub fn execute(db: &Database, q: &SelectQuery) -> Result<Relation, SqlError> {
+    let plan = plan(db, q)?;
+    let rows = plan.rows()?;
+    if q.is_aggregate() {
+        return project_grouped(q, &plan, &rows);
     }
 
-    // Aggregate path: any aggregate item or a GROUP BY clause routes
-    // through grouped projection.
-    let table_pos: HashMap<usize, usize> =
-        bound.iter().enumerate().map(|(pos, &t)| (t, pos)).collect();
-    let has_aggregate = !q.group_by.is_empty()
-        || q.targets
-            .iter()
-            .any(|t| matches!(t, SelectItem::Aggregate { .. }));
-    if has_aggregate {
-        return project_grouped(q, &ctx, &rows, &table_pos);
-    }
-
-    // Projection.
     let mut out_cols: Vec<(String, Resolved)> = Vec::new();
     for item in &q.targets {
         match item {
             SelectItem::Star => {
-                for (ti, s) in ctx.schemas.iter().enumerate() {
-                    for (ci, a) in s.attributes().iter().enumerate() {
-                        out_cols.push((
-                            a.name().to_string(),
-                            Resolved {
-                                table: ti,
-                                column: ci,
-                            },
-                        ));
+                for (table, rel) in plan.base.iter().enumerate() {
+                    for (column, a) in rel.schema().attributes().iter().enumerate() {
+                        out_cols.push((a.name().to_string(), Resolved { table, column }));
                     }
                 }
             }
             SelectItem::Attr { attr, output } => {
-                let r = ctx.resolve(attr)?;
                 let name = output.clone().unwrap_or_else(|| attr.name.clone());
-                out_cols.push((name, r));
+                out_cols.push((name, plan.resolve(attr)?));
             }
             SelectItem::Aggregate { .. } => unreachable!("handled by project_grouped"),
         }
     }
-    // Disambiguate duplicate output names with alias prefixes.
-    let mut names: Vec<String> = Vec::with_capacity(out_cols.len());
+    // Duplicate output names are disambiguated with alias prefixes.
+    let mut attrs: Vec<Attribute> = Vec::with_capacity(out_cols.len());
     for (i, (name, r)) in out_cols.iter().enumerate() {
         let dup = out_cols
             .iter()
             .enumerate()
             .any(|(j, (n, _))| j != i && n.eq_ignore_ascii_case(name));
-        if dup {
-            names.push(format!("{}.{}", q.from[r.table].alias, name));
-        } else {
-            names.push(name.clone());
-        }
+        let name = match dup {
+            true => format!("{}.{name}", q.from[r.table].alias),
+            false => name.clone(),
+        };
+        attrs.push(Attribute::new(name, plan.attribute(*r).domain().clone()));
     }
+    let mut result = Relation::new("result", Schema::new(attrs)?);
 
-    let mut attrs: Vec<Attribute> = Vec::with_capacity(out_cols.len());
-    for ((_, r), name) in out_cols.iter().zip(&names) {
-        let src_attr = ctx.schemas[r.table].attr(r.column);
-        attrs.push(Attribute::new(name.clone(), src_attr.domain().clone()));
-    }
-    let schema = Schema::new(attrs).map_err(SqlError::from)?;
-    let mut result = Relation::new("result", schema);
-
+    // DISTINCT keeps the first of each set of equal output rows.
+    let mut seen = BTreeSet::new();
     for row in &rows {
-        let vals = out_cols
-            .iter()
-            .map(|(_, r)| row[table_pos[&r.table]].get(r.column).clone())
-            .collect();
-        result.insert(Tuple::new(vals))?;
-    }
-
-    let mut result = if q.distinct {
-        ops::unique(&result)
-    } else {
-        result
-    };
-    result.set_name("result");
-
-    if !q.order_by.is_empty() {
-        // Order-by attributes are matched against output column names
-        // first, then against source attributes.
-        let mut keys: Vec<String> = Vec::new();
-        for a in &q.order_by {
-            if result.schema().index_of(&a.name).is_some() {
-                keys.push(a.name.clone());
-            } else {
-                let r = ctx.resolve(a)?;
-                let prefixed = format!("{}.{}", q.from[r.table].alias, a.name);
-                if result.schema().index_of(&prefixed).is_some() {
-                    keys.push(prefixed);
-                } else {
-                    return Err(SqlError::Semantic(format!(
-                        "ORDER BY attribute {} is not in the select list",
-                        a
-                    )));
-                }
-            }
+        let values = || out_cols.iter().map(|(_, r)| plan.value(row, *r));
+        if q.distinct && !seen.insert(values().map(ValueRef).collect::<Vec<_>>()) {
+            continue;
         }
-        let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        result.sort_by_names(&refs)?;
+        result.insert(Tuple::new(values().cloned().collect()))?;
     }
+    order_result(&mut result, q, Some(&plan))?;
     Ok(result)
+}
+
+/// Sort the result by the ORDER BY attributes, each matched against an
+/// output column name, then (given the plan) an alias-prefixed one.
+fn order_result(
+    result: &mut Relation,
+    q: &SelectQuery,
+    plan: Option<&Plan<'_>>,
+) -> Result<(), SqlError> {
+    if q.order_by.is_empty() {
+        return Ok(());
+    }
+    let mut keys: Vec<String> = Vec::new();
+    for a in &q.order_by {
+        let key = match plan {
+            _ if result.schema().index_of(&a.name).is_some() => a.name.clone(),
+            Some(plan) => format!("{}.{}", q.from[plan.resolve(a)?.table].alias, a.name),
+            None => String::new(),
+        };
+        if result.schema().index_of(&key).is_none() {
+            return Err(SqlError::Semantic(format!(
+                "ORDER BY attribute {a} is not in the select list"
+            )));
+        }
+        keys.push(key);
+    }
+    let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+    result.sort_by_names(&refs)?;
+    Ok(())
 }
 
 /// Grouped projection for aggregate queries: group the joined rows by
 /// the GROUP BY attributes and compute one output row per group.
 fn project_grouped(
     q: &SelectQuery,
-    ctx: &Ctx<'_>,
-    rows: &[Vec<Tuple>],
-    table_pos: &HashMap<usize, usize>,
+    plan: &Plan<'_>,
+    rows: &[Vec<usize>],
 ) -> Result<Relation, SqlError> {
-    use intensio_storage::value::Value;
-
-    // Resolve the grouping attributes.
-    let mut group_cols: Vec<(String, Resolved)> = Vec::new();
-    for a in &q.group_by {
-        group_cols.push((a.name.clone(), ctx.resolve(a)?));
-    }
+    let group_cols: Vec<Resolved> = q
+        .group_by
+        .iter()
+        .map(|a| plan.resolve(a))
+        .collect::<Result<_, _>>()?;
     // Validate the select list: plain attributes must be grouped; `*`
     // is not meaningful under aggregation.
     for item in &q.targets {
@@ -400,8 +444,7 @@ fn project_grouped(
                 ))
             }
             SelectItem::Attr { attr, .. } => {
-                let r = ctx.resolve(attr)?;
-                if !group_cols.iter().any(|(_, g)| *g == r) {
+                if !group_cols.contains(&plan.resolve(attr)?) {
                     return Err(SqlError::Semantic(format!(
                         "attribute {attr} must appear in GROUP BY"
                     )));
@@ -411,50 +454,34 @@ fn project_grouped(
         }
     }
 
-    // Group rows.
-    let mut groups: std::collections::BTreeMap<
-        Vec<intensio_storage::value::ValueKey>,
-        Vec<&Vec<Tuple>>,
-    > = std::collections::BTreeMap::new();
+    let mut groups: BTreeMap<Vec<ValueRef<'_>>, Vec<&[usize]>> = BTreeMap::new();
     for row in rows {
-        let key: Vec<intensio_storage::value::ValueKey> = group_cols
-            .iter()
-            .map(|(_, r)| {
-                intensio_storage::value::ValueKey(row[table_pos[&r.table]].get(r.column).clone())
-            })
-            .collect();
-        groups.entry(key).or_default().push(row);
+        let key = group_cols.iter().map(|r| ValueRef(plan.value(row, *r)));
+        groups.entry(key.collect()).or_default().push(row);
     }
 
     // Output values per group, in target order.
     let mut out_rows: Vec<Vec<Value>> = Vec::new();
-    let mut emit = |members: &[&Vec<Tuple>],
-                    key: &[intensio_storage::value::ValueKey]|
-     -> Result<(), SqlError> {
+    let mut emit = |members: &[&[usize]], key: &[ValueRef<'_>]| -> Result<(), SqlError> {
         let mut vals = Vec::with_capacity(q.targets.len());
         for item in &q.targets {
             match item {
                 SelectItem::Star => unreachable!("validated"),
                 SelectItem::Attr { attr, .. } => {
-                    let r = ctx.resolve(attr)?;
-                    let pos = group_cols
-                        .iter()
-                        .position(|(_, g)| *g == r)
-                        .expect("validated");
+                    let r = plan.resolve(attr)?;
+                    let pos = group_cols.iter().position(|g| *g == r).expect("validated");
                     vals.push(key[pos].0.clone());
                 }
                 SelectItem::Aggregate { func, arg, .. } => {
-                    let column: Vec<Value> = match arg {
-                        None => vec![Value::Int(1); members.len()],
+                    let one = Value::Int(1);
+                    let value = match arg {
+                        None => ops::aggregate(*func, members.iter().map(|_| &one)),
                         Some(a) => {
-                            let r = ctx.resolve(a)?;
-                            members
-                                .iter()
-                                .map(|row| row[table_pos[&r.table]].get(r.column).clone())
-                                .collect()
+                            let r = plan.resolve(a)?;
+                            ops::aggregate(*func, members.iter().map(|row| plan.value(row, r)))
                         }
                     };
-                    vals.push(ops::aggregate(*func, &column).map_err(SqlError::from)?);
+                    vals.push(value?);
                 }
             }
         }
@@ -469,15 +496,17 @@ fn project_grouped(
         emit(&[], &[])?;
     }
 
-    // Output column names.
-    let mut names: Vec<String> = Vec::with_capacity(q.targets.len());
-    for item in &q.targets {
-        let name = match item {
+    // Grouped attributes keep their domains; aggregates are typed from
+    // the computed values.
+    let mut attrs: Vec<Attribute> = Vec::with_capacity(q.targets.len());
+    for (i, item) in q.targets.iter().enumerate() {
+        let (name, domain) = match item {
             SelectItem::Star => unreachable!("validated"),
-            SelectItem::Attr { attr, output } => {
-                output.clone().unwrap_or_else(|| attr.name.clone())
-            }
-            SelectItem::Aggregate { func, arg, output } => output.clone().unwrap_or_else(|| {
+            SelectItem::Attr { attr, output } => (
+                output.clone().unwrap_or_else(|| attr.name.clone()),
+                plan.attribute(plan.resolve(attr)?).domain().clone(),
+            ),
+            SelectItem::Aggregate { func, arg, output } => {
                 let f = match func {
                     ops::Aggregate::Count => "count",
                     ops::Aggregate::Sum => "sum",
@@ -485,54 +514,22 @@ fn project_grouped(
                     ops::Aggregate::Max => "max",
                     ops::Aggregate::Avg => "avg",
                 };
-                match arg {
-                    None => f.to_string(),
-                    Some(a) => format!("{f}_{}", a.name),
-                }
-            }),
-        };
-        names.push(name);
-    }
-
-    // Schema: grouped attributes keep their domains; aggregates are
-    // typed from computed values.
-    let mut attrs: Vec<Attribute> = Vec::with_capacity(q.targets.len());
-    for (i, (item, name)) in q.targets.iter().zip(&names).enumerate() {
-        let domain = match item {
-            SelectItem::Attr { attr, .. } => {
-                let r = ctx.resolve(attr)?;
-                ctx.schemas[r.table].attr(r.column).domain().clone()
-            }
-            _ => {
-                let ty = out_rows
-                    .iter()
-                    .find_map(|row| row[i].value_type())
-                    .unwrap_or(intensio_storage::value::ValueType::Int);
-                Domain::basic(ty)
+                let name = match (output, arg) {
+                    (Some(o), _) => o.clone(),
+                    (None, None) => f.to_string(),
+                    (None, Some(a)) => format!("{f}_{}", a.name),
+                };
+                let ty = out_rows.iter().find_map(|row| row[i].value_type());
+                (name, Domain::basic(ty.unwrap_or(ValueType::Int)))
             }
         };
-        attrs.push(Attribute::new(name.clone(), domain));
+        attrs.push(Attribute::new(name, domain));
     }
-    let schema = Schema::new(attrs).map_err(SqlError::from)?;
-    let mut result = Relation::new("result", schema);
+    let mut result = Relation::new("result", Schema::new(attrs)?);
     for vals in out_rows {
         result.insert(Tuple::new(vals))?;
     }
-
-    if !q.order_by.is_empty() {
-        let mut keys: Vec<String> = Vec::new();
-        for a in &q.order_by {
-            if result.schema().index_of(&a.name).is_some() {
-                keys.push(a.name.clone());
-            } else {
-                return Err(SqlError::Semantic(format!(
-                    "ORDER BY attribute {a} is not in the select list"
-                )));
-            }
-        }
-        let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        result.sort_by_names(&refs)?;
-    }
+    order_result(&mut result, q, None)?;
     Ok(result)
 }
 
@@ -709,6 +706,42 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.len(), 4);
+    }
+
+    #[test]
+    fn rows_follow_base_positions_in_from_order() {
+        let db = ship_db();
+        let column = |r: &Relation, i: usize| -> Vec<String> {
+            r.iter().map(|t| t.get(i).render_bare()).collect()
+        };
+        // CLASS's restriction reads the index in displacement order
+        // (0203, 0101, 1301); rows still follow CLASS's positions.
+        let r = query(
+            &db,
+            "SELECT c.Class, s.Id FROM CLASS c, SUBMARINE s \
+             WHERE s.Class = c.Class AND c.Displacement > 4000",
+        )
+        .unwrap();
+        assert_eq!(column(&r, 0), ["0101", "1301", "0203"]);
+        // The plan starts from CLASS (two rows admitted against three),
+        // but a cartesian product still varies the last entry fastest.
+        let sql = |from: &str| {
+            format!("SELECT s.Id, c.Class FROM {from} WHERE c.Type = 'SSBN' AND s.Class >= '0200'")
+        };
+        let r = query(&db, &sql("SUBMARINE s, CLASS c")).unwrap();
+        assert_eq!(
+            column(&r, 0),
+            ["SSBN130", "SSBN130", "SSN582", "SSN582", "SSN671", "SSN671"]
+        );
+        assert_eq!(
+            column(&r, 1),
+            ["0101", "1301", "0101", "1301", "0101", "1301"]
+        );
+        let r = query(&db, &sql("CLASS c, SUBMARINE s")).unwrap();
+        assert_eq!(
+            column(&r, 0),
+            ["SSBN130", "SSN582", "SSN671", "SSBN130", "SSN582", "SSN671"]
+        );
     }
 
     #[test]

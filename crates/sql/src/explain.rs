@@ -1,116 +1,93 @@
-//! Query plan explanation: a textual rendering of the executor's
-//! strategy for a query — pushed restrictions (with index eligibility),
-//! the greedy join order, residual predicates, grouping, and ordering.
+//! Query plan explanation: a textual rendering of the plan the
+//! executor runs — each FROM entry's restrictions (with index
+//! eligibility) and admitted rows, the join order, the post-join
+//! checks, grouping, and ordering.
 
-use crate::analyze::{analyze, QueryAnalysis};
-use crate::ast::{SelectItem, SelectQuery};
-use crate::exec::SqlError;
+use crate::ast::SelectQuery;
+use crate::exec::{plan, SqlError, Step};
 use intensio_storage::catalog::Database;
-use intensio_storage::expr::CmpOp;
+use intensio_storage::ops;
 use std::fmt::Write as _;
 
-/// Produce a human-readable plan for a query.
+/// Produce a human-readable plan for a query. Restrictions are
+/// evaluated, as [`execute`](crate::execute) does, to count the rows
+/// each entry admits, so EXPLAIN returns the errors they raise and
+/// fires the `storage.scan` failpoint, span and counters.
 pub fn explain(db: &Database, q: &SelectQuery) -> Result<String, SqlError> {
-    let analysis: QueryAnalysis = analyze(db, q)?;
+    let plan = plan(db, q)?;
+    let alias = |t: usize| q.from[t].alias.as_str();
     let mut out = String::new();
     let _ = writeln!(out, "plan:");
 
-    // Scans with pushed restrictions.
-    for t in &q.from {
-        let rel = db.get(&t.name)?;
-        let restrictions: Vec<String> = analysis
-            .restrictions
-            .iter()
-            .filter(|r| r.attr.alias.eq_ignore_ascii_case(&t.alias))
-            .map(|r| {
-                let indexable = matches!(
-                    r.op,
-                    CmpOp::Eq | CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge
-                );
-                format!(
-                    "{}.{} {} {}{}",
-                    t.alias,
-                    r.attr.attribute,
-                    r.op,
-                    r.value,
-                    if indexable {
-                        " [index range scan]"
-                    } else {
-                        " [scan]"
-                    }
-                )
-            })
-            .collect();
+    for (t, from) in q.from.iter().enumerate() {
+        let rel = db.get(&from.name)?;
         let _ = write!(
             out,
             "  scan {} as {} ({} tuples)",
-            t.name,
-            t.alias,
+            from.name,
+            from.alias,
             rel.len()
         );
+        let restrictions = &plan.restrictions[t];
         if restrictions.is_empty() {
             let _ = writeln!(out);
+            continue;
+        }
+        let conds: Vec<String> = restrictions.iter().map(|e| e.to_string()).collect();
+        let path = if ops::index_scan(rel, &from.alias, restrictions.iter().copied()).is_some() {
+            "index range scan"
         } else {
-            let _ = writeln!(out, " where {}", restrictions.join(" and "));
-        }
-    }
-
-    // Greedy join order: same rule as the executor — start with the
-    // first FROM entry, repeatedly attach a table connected by an
-    // equi-join, cartesian otherwise.
-    let mut bound: Vec<&str> = vec![q.from[0].alias.as_str()];
-    let mut remaining: Vec<&str> = q.from[1..].iter().map(|t| t.alias.as_str()).collect();
-    let mut pending = analysis.joins.clone();
-    while !remaining.is_empty() {
-        let next = pending.iter().position(|j| {
-            let (l, r) = (j.left.alias.as_str(), j.right.alias.as_str());
-            (bound.contains(&l) && remaining.contains(&r))
-                || (bound.contains(&r) && remaining.contains(&l))
-        });
-        match next {
-            Some(ji) => {
-                let j = pending.remove(ji);
-                let new = if bound.contains(&j.left.alias.as_str()) {
-                    j.right.alias.clone()
-                } else {
-                    j.left.alias.clone()
-                };
-                let _ = writeln!(
-                    out,
-                    "  equi-join on {}.{} = {}.{} (index probe into {new})",
-                    j.left.alias, j.left.attribute, j.right.alias, j.right.attribute,
-                );
-                remaining.retain(|t| !t.eq_ignore_ascii_case(&new));
-                let idx = q
-                    .from
-                    .iter()
-                    .position(|t| t.alias.eq_ignore_ascii_case(&new))
-                    .expect("alias known");
-                bound.push(q.from[idx].alias.as_str());
-            }
-            None => {
-                let t = remaining.remove(0);
-                let _ = writeln!(out, "  cartesian product with {t}");
-                bound.push(t);
-            }
-        }
-    }
-    for j in &pending {
+            "scan"
+        };
         let _ = writeln!(
             out,
-            "  residual join check {}.{} = {}.{}",
-            j.left.alias, j.left.attribute, j.right.alias, j.right.attribute
+            " where {} [{path}] -> {} rows",
+            conds.join(" and "),
+            plan.admitted_len(t)
         );
     }
-    for u in &analysis.unsupported {
-        let _ = writeln!(out, "  residual filter {u}");
+
+    for (i, step) in plan.steps.iter().enumerate() {
+        let _ = match *step {
+            Step::Scan(t) if i == 0 => {
+                writeln!(
+                    out,
+                    "  start with {} ({} rows)",
+                    alias(t),
+                    plan.admitted_len(t)
+                )
+            }
+            Step::Scan(t) => writeln!(
+                out,
+                "  cartesian product with {} ({} rows)",
+                alias(t),
+                plan.admitted_len(t)
+            ),
+            Step::Probe { edge, into, .. } => {
+                let j = &plan.joins[edge];
+                writeln!(
+                    out,
+                    "  equi-join on {} = {} (index probe into {})",
+                    plan.name(j.left),
+                    plan.name(j.right),
+                    alias(into.table)
+                )
+            }
+        };
+    }
+    for j in plan.unused_joins() {
+        let _ = writeln!(
+            out,
+            "  residual join check {} = {}",
+            plan.name(j.left),
+            plan.name(j.right)
+        );
+    }
+    for e in &plan.residual {
+        let _ = writeln!(out, "  residual filter {e}");
     }
 
-    if !q.group_by.is_empty()
-        || q.targets
-            .iter()
-            .any(|t| matches!(t, SelectItem::Aggregate { .. }))
-    {
+    if q.is_aggregate() {
         let keys: Vec<String> = q.group_by.iter().map(|a| a.to_string()).collect();
         if keys.is_empty() {
             let _ = writeln!(out, "  aggregate (single group)");
@@ -131,6 +108,7 @@ pub fn explain(db: &Database, q: &SelectQuery) -> Result<String, SqlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::plan;
     use crate::parser::parse;
     use intensio_storage::domain::Domain;
     use intensio_storage::relation::Relation;
@@ -175,6 +153,52 @@ mod tests {
         assert!(plan.contains("[index range scan]"));
         assert!(plan.contains("equi-join on SUBMARINE.Class = CLASS.Class"));
         assert!(plan.contains("sort by ID"));
+    }
+
+    #[test]
+    fn explain_shows_the_join_order_execute_runs() {
+        let mut d = db();
+        let sub = d.get_mut("SUBMARINE").unwrap();
+        for (id, class) in [("SSN582", "0215"), ("SSN671", "0203"), ("SSN592", "0215")] {
+            sub.insert(tuple![id, class]).unwrap();
+        }
+        let cls = d.get_mut("CLASS").unwrap();
+        cls.insert(tuple!["0215", 2145]).unwrap();
+        cls.insert(tuple!["0203", 4450]).unwrap();
+        let q = parse(
+            "SELECT SUBMARINE.ID FROM SUBMARINE, CLASS \
+             WHERE SUBMARINE.CLASS = CLASS.CLASS AND CLASS.DISPLACEMENT < 3000",
+        )
+        .unwrap();
+        let text = explain(&d, &q).unwrap();
+        // The entry each join-order line binds, in order.
+        let order: Vec<&str> = text
+            .lines()
+            .filter_map(|l| {
+                let l = l.trim();
+                let rest = l
+                    .strip_prefix("start with ")
+                    .or_else(|| l.strip_prefix("cartesian product with "));
+                match rest {
+                    Some(r) => r.split(' ').next(),
+                    None => l.split("(index probe into ").nth(1)?.strip_suffix(')'),
+                }
+            })
+            .collect();
+        let executed: Vec<&str> = plan(&d, &q)
+            .unwrap()
+            .steps
+            .iter()
+            .map(|s| match *s {
+                Step::Scan(t) => q.from[t].alias.as_str(),
+                Step::Probe { into, .. } => q.from[into.table].alias.as_str(),
+            })
+            .collect();
+        assert_eq!(order, executed, "{text}");
+        assert_eq!(order, ["CLASS", "SUBMARINE"], "{text}");
+        assert!(text.contains("start with CLASS (1 rows)"), "{text}");
+        let ids = crate::execute(&d, &q).unwrap();
+        assert_eq!(ids.len(), 2);
     }
 
     #[test]

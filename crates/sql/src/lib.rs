@@ -6,8 +6,14 @@
 //!
 //! * a parser for the `SELECT`/`FROM`/`WHERE [AND ...]`/`ORDER BY`
 //!   subset those examples use (plus `DISTINCT`, `OR`, `NOT`, aliases);
-//! * an executor with restriction push-down and hash equi-joins that
-//!   computes the *extensional* answer;
+//! * an executor that computes the *extensional* answer over row ids:
+//!   restrictions become sorted row-id sets (through a relation's
+//!   cached index when a conjunct allows), joins start from the entry
+//!   admitting the fewest rows and probe the other entries' cached
+//!   indexes, and values are copied only into the result, whose rows
+//!   follow base-row positions in FROM order unless `ORDER BY` says
+//!   otherwise (see [`exec`]);
+//! * [`explain`] — a rendering of the plan the executor runs;
 //! * [`analyze`] — extraction of the query's restrictions and join
 //!   structure, which the inference processor consumes to derive the
 //!   *intensional* answer.

@@ -9,6 +9,7 @@ use crate::error::{Result, StorageError};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -240,8 +241,8 @@ impl Expr {
             Expr::Const(v) => Ok(v.clone()),
             Expr::Attr(a) => env.lookup(a).cloned(),
             Expr::Cmp { op, left, right } => {
-                let l = left.eval(env)?;
-                let r = right.eval(env)?;
+                let l = left.operand(env)?;
+                let r = right.operand(env)?;
                 if l.is_null() || r.is_null() {
                     return Ok(Value::Null);
                 }
@@ -263,6 +264,16 @@ impl Expr {
                 let r = right.eval(env)?;
                 arith(*op, &l, &r)
             }
+        }
+    }
+
+    /// Evaluate a comparison operand: an attribute or a constant is
+    /// borrowed, anything else evaluated.
+    fn operand<'v>(&'v self, env: &'v Env<'_>) -> Result<Cow<'v, Value>> {
+        match self {
+            Expr::Const(v) => Ok(Cow::Borrowed(v)),
+            Expr::Attr(a) => env.lookup(a).map(Cow::Borrowed),
+            other => other.eval(env).map(Cow::Owned),
         }
     }
 
@@ -373,6 +384,12 @@ impl<'a> Env<'a> {
         });
     }
 
+    /// Bind frame `i` to another tuple of its relation, so a scan
+    /// reuses one environment.
+    pub fn rebind(&mut self, i: usize, tuple: &'a Tuple) {
+        self.frames[i].tuple = tuple;
+    }
+
     /// Resolve an attribute reference.
     ///
     /// A qualified reference looks up its alias (case-insensitive); a bare
@@ -463,6 +480,77 @@ mod tests {
         assert!(!e.eval_bool(&env).unwrap());
         let e2 = Expr::cmp_value(AttrRef::bare("X"), CmpOp::Lt, 100);
         assert!(!e2.eval_bool(&env).unwrap());
+    }
+
+    #[test]
+    fn borrowed_and_evaluated_operands_compare_alike() {
+        let schema = class_schema();
+        let t = tuple!["0101", "SSBN", 16600];
+        let env = Env::single("c", &schema, &t);
+        let attr = |n: &str| Box::new(Expr::Attr(AttrRef::qualified("c", n)));
+        let plus_zero = |n: &str| {
+            Box::new(Expr::Arith {
+                op: ArithOp::Add,
+                left: attr(n),
+                right: Box::new(Expr::Const(Value::Int(0))),
+            })
+        };
+        let cmp = |op, left, right: Value| Expr::Cmp {
+            op,
+            left,
+            right: Box::new(Expr::Const(right)),
+        };
+        // An attribute operand is borrowed; `d + 0` is evaluated.
+        for left in [attr("Displacement"), plus_zero("Displacement")] {
+            assert!(cmp(CmpOp::Gt, left.clone(), Value::Int(8000))
+                .eval_bool(&env)
+                .unwrap());
+            assert!(cmp(CmpOp::Eq, left.clone(), Value::Real(16600.0))
+                .eval_bool(&env)
+                .unwrap());
+            assert_eq!(
+                cmp(CmpOp::Eq, left.clone(), Value::Null)
+                    .eval(&env)
+                    .unwrap(),
+                Value::Null
+            );
+            assert!(matches!(
+                cmp(CmpOp::Eq, left, Value::str("x")).eval(&env),
+                Err(StorageError::Incomparable { .. })
+            ));
+        }
+        assert!(cmp(CmpOp::Lt, attr("Type"), Value::str("SSN"))
+            .eval_bool(&env)
+            .unwrap());
+        assert!(matches!(
+            cmp(CmpOp::Eq, attr("Type"), Value::Int(5)).eval(&env),
+            Err(StorageError::Incomparable { .. })
+        ));
+        // A null attribute and a constant-only comparison.
+        let null_schema =
+            Schema::new(vec![Attribute::new("X", Domain::basic(ValueType::Int))]).unwrap();
+        let null_row = Tuple::new(vec![Value::Null]);
+        let env = Env::single("r", &null_schema, &null_row);
+        let x = Box::new(Expr::Attr(AttrRef::bare("X")));
+        assert_eq!(
+            cmp(CmpOp::Ne, x, Value::Int(1)).eval(&env).unwrap(),
+            Value::Null
+        );
+        let one = Box::new(Expr::Const(Value::Int(1)));
+        assert!(cmp(CmpOp::Lt, one, Value::Real(1.5))
+            .eval_bool(&env)
+            .unwrap());
+    }
+
+    #[test]
+    fn rebind_moves_a_frame_to_another_tuple() {
+        let schema = class_schema();
+        let (a, b) = (tuple!["0101", "SSBN", 16600], tuple!["0215", "SSN", 2145]);
+        let mut env = Env::single("c", &schema, &a);
+        let e = Expr::cmp_value(AttrRef::bare("Type"), CmpOp::Eq, "SSN");
+        assert!(!e.eval_bool(&env).unwrap());
+        env.rebind(0, &b);
+        assert!(e.eval_bool(&env).unwrap());
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! lookups and range scans. Indexes are owned by the relation, built on
 //! demand, and invalidated by any mutation (inserts, deletes, updates,
 //! sorting) — the next lookup rebuilds them lazily. The SQL executor
-//! uses them for equality restriction push-down and as prebuilt join
-//! sides; the inference engine reads the distinct values inside a
-//! condition's range (data-grounded subsumption) and the rows holding
-//! one value (backward completeness) from them.
+//! reads restriction candidates from their ranges and probes them to
+//! attach join partners; the inference engine reads the distinct
+//! values inside a condition's range (data-grounded subsumption) and
+//! the rows holding one value (backward completeness) from them.
 
 use crate::date::Date;
 use crate::value::{Value, ValueKey};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -43,10 +44,11 @@ impl AttributeIndex {
         self.built_for
     }
 
-    /// Positions of tuples with the exact value.
+    /// Positions of tuples with the exact value, ascending. The probe is
+    /// borrowed, not copied into a key.
     pub fn lookup(&self, v: &Value) -> &[usize] {
         self.map
-            .get(&ValueKey(v.clone()))
+            .get(v as &dyn Probe)
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -101,6 +103,50 @@ impl AttributeIndex {
     /// Number of distinct indexed values.
     pub fn distinct(&self) -> usize {
         self.map.len()
+    }
+}
+
+/// A map key seen through a reference, so [`AttributeIndex::lookup`]
+/// can search the `ValueKey` map with a borrowed `&Value`.
+trait Probe {
+    fn value(&self) -> &Value;
+}
+
+impl Probe for Value {
+    fn value(&self) -> &Value {
+        self
+    }
+}
+
+impl Probe for ValueKey {
+    fn value(&self) -> &Value {
+        &self.0
+    }
+}
+
+impl PartialEq for dyn Probe + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn Probe + '_ {}
+
+impl PartialOrd for dyn Probe + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn Probe + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.value().total_cmp(other.value())
+    }
+}
+
+impl<'a> Borrow<dyn Probe + 'a> for ValueKey {
+    fn borrow(&self) -> &(dyn Probe + 'a) {
+        self
     }
 }
 
@@ -166,6 +212,24 @@ mod tests {
         assert!(idx.lookup(&Value::Int(4)).is_empty());
         assert_eq!(idx.built_for(), 5);
         assert_eq!(idx.distinct(), 3);
+    }
+
+    #[test]
+    fn lookup_probes_under_the_total_order() {
+        let column = [
+            Value::Int(2),
+            Value::Real(2.5),
+            Value::str("2"),
+            Value::Real(2.0),
+        ];
+        let idx = AttributeIndex::build(column.iter());
+        // Int(2) and Real(2.0) are one key, whichever spelling probes.
+        assert_eq!(idx.lookup(&Value::Int(2)), &[0, 3]);
+        assert_eq!(idx.lookup(&Value::Real(2.0)), &[0, 3]);
+        assert_eq!(idx.lookup(&Value::Real(2.5)), &[1]);
+        assert_eq!(idx.lookup(&Value::str("2")), &[2]);
+        assert!(idx.lookup(&Value::str("2.5")).is_empty());
+        assert!(idx.lookup(&Value::Null).is_empty());
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use crate::relation::Relation;
     pub use crate::schema::{Attribute, Schema, SchemaRef};
     pub use crate::tuple::Tuple;
-    pub use crate::value::{Value, ValueKey, ValueType};
+    pub use crate::value::{Value, ValueKey, ValueRef, ValueType};
 }
 
 pub use prelude::*;

@@ -17,14 +17,6 @@ use std::collections::{BTreeSet, HashMap};
 /// Selection: tuples of `rel` (bound to `alias`) satisfying `pred`.
 pub fn select(rel: &Relation, alias: &str, pred: &Expr) -> Result<Relation> {
     let span = scan_span(rel, "full");
-    let out = scan_filter(rel, alias, pred)?;
-    finish_scan(span, rel.len(), out.len());
-    Ok(out)
-}
-
-/// The unindexed scan loop shared by [`select`] and the fallback path
-/// of [`select_indexed`].
-fn scan_filter(rel: &Relation, alias: &str, pred: &Expr) -> Result<Relation> {
     intensio_fault::fire("storage.scan")?;
     let mut out = Relation::with_schema_ref(format!("σ({})", rel.name()), rel.schema_ref());
     for t in rel.iter() {
@@ -33,6 +25,7 @@ fn scan_filter(rel: &Relation, alias: &str, pred: &Expr) -> Result<Relation> {
             out.push_unchecked(t.clone());
         }
     }
+    finish_scan(span, rel.len(), out.len());
     Ok(out)
 }
 
@@ -186,69 +179,85 @@ pub fn equi_join(
     Ok(out)
 }
 
-/// Selection accelerated by a secondary index: when a conjunct of the
-/// predicate compares one attribute against a constant, the index
-/// narrows the candidate tuples before the full predicate is evaluated.
-/// Falls back to a plain scan otherwise. Result order follows the index
-/// (value order) on the fast path.
-pub fn select_indexed(rel: &Relation, alias: &str, pred: &Expr) -> Result<Relation> {
-    /// An index-scan bound: `(value, inclusive)`.
-    type ScanBound = Option<(Value, bool)>;
-    // Find an indexable conjunct: attr op const with op in {=,<,<=,>,>=}.
-    let mut plan: Option<(String, ScanBound, ScanBound)> = None;
-    for c in pred.conjuncts() {
-        let Expr::Cmp { op, left, right } = c else {
-            continue;
+/// An index-scan bound: `(value, inclusive)`.
+type ScanBound<'e> = Option<(&'e Value, bool)>;
+
+/// The index range scan that gives a restriction its candidates.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexScan<'e> {
+    attr: &'e str,
+    lo: ScanBound<'e>,
+    hi: ScanBound<'e>,
+}
+
+/// The index range scan [`select_positions`] uses for the conjunction
+/// of `conjuncts` over `rel` (bound to `alias`): that of the first
+/// conjunct comparing one of its attributes with a constant by anything
+/// but `!=`. `None` means every tuple is a candidate.
+pub fn index_scan<'e>(
+    rel: &Relation,
+    alias: &str,
+    conjuncts: impl IntoIterator<Item = &'e Expr>,
+) -> Option<IndexScan<'e>> {
+    conjuncts.into_iter().find_map(|conjunct| {
+        let Expr::Cmp { op, left, right } = conjunct else {
+            return None;
         };
         let (attr, op, value) = match (&**left, &**right) {
-            (Expr::Attr(a), Expr::Const(v)) => (a, *op, v.clone()),
-            (Expr::Const(v), Expr::Attr(a)) => (a, op.flip(), v.clone()),
-            _ => continue,
+            (Expr::Attr(a), Expr::Const(v)) => (a, *op, v),
+            (Expr::Const(v), Expr::Attr(a)) => (a, op.flip(), v),
+            _ => return None,
         };
-        if let Some(q) = &attr.qualifier {
-            if !q.eq_ignore_ascii_case(alias) {
-                continue;
-            }
+        let foreign = attr
+            .qualifier
+            .as_ref()
+            .is_some_and(|q| !q.eq_ignore_ascii_case(alias));
+        if foreign || rel.schema().index_of(&attr.name).is_none() {
+            return None;
         }
-        if rel.schema().index_of(&attr.name).is_none() {
-            continue;
-        }
-        let bounds = match op {
-            CmpOp::Eq => (Some((value.clone(), true)), Some((value, true))),
+        let (lo, hi) = match op {
+            CmpOp::Eq => (Some((value, true)), Some((value, true))),
             CmpOp::Lt => (None, Some((value, false))),
             CmpOp::Le => (None, Some((value, true))),
             CmpOp::Gt => (Some((value, false)), None),
             CmpOp::Ge => (Some((value, true)), None),
-            CmpOp::Ne => continue,
+            CmpOp::Ne => return None,
         };
-        plan = Some((attr.name.clone(), bounds.0, bounds.1));
-        break;
-    }
+        Some(IndexScan {
+            attr: &attr.name,
+            lo,
+            hi,
+        })
+    })
+}
 
-    let Some((attr, lo, hi)) = plan else {
-        let span = scan_span(rel, "full");
-        let out = scan_filter(rel, alias, pred)?;
-        finish_scan(span, rel.len(), out.len());
-        return Ok(out);
-    };
-    let span = scan_span(rel, "index");
+/// The positions of the tuples of `rel` (bound to `alias`) satisfying
+/// `pred`, ascending. When [`index_scan`] finds an index range, its
+/// candidates are evaluated against the whole predicate in value order;
+/// otherwise every tuple is a candidate, in physical order. An
+/// evaluation error is that of the first candidate that fails.
+pub fn select_positions(rel: &Relation, alias: &str, pred: &Expr) -> Result<Vec<usize>> {
+    let plan = index_scan(rel, alias, pred.conjuncts());
+    let span = scan_span(rel, if plan.is_some() { "index" } else { "full" });
     intensio_fault::fire("storage.scan")?;
-    let positions = rel.index_range(
-        &attr,
-        lo.as_ref().map(|(v, i)| (v, *i)),
-        hi.as_ref().map(|(v, i)| (v, *i)),
-    )?;
-    let mut out = Relation::with_schema_ref(format!("σ({})", rel.name()), rel.schema_ref());
-    let scanned = positions.len();
-    for p in positions {
-        let t = &rel.tuples()[p];
-        let env = Env::single(alias, rel.schema(), t);
-        if pred.eval_bool(&env)? {
-            out.push_unchecked(t.clone());
+    let candidates = match plan {
+        Some(scan) => rel.index_range(scan.attr, scan.lo, scan.hi)?,
+        None => (0..rel.len()).collect(),
+    };
+    let tuples = rel.tuples();
+    let mut kept = Vec::new();
+    if let Some(&first) = candidates.first() {
+        let mut env = Env::single(alias, rel.schema(), &tuples[first]);
+        for &p in &candidates {
+            env.rebind(0, &tuples[p]);
+            if pred.eval_bool(&env)? {
+                kept.push(p);
+            }
         }
     }
-    finish_scan(span, scanned, out.len());
-    Ok(out)
+    finish_scan(span, candidates.len(), kept.len());
+    kept.sort_unstable();
+    Ok(kept)
 }
 
 /// An aggregate function over a column.
@@ -267,10 +276,15 @@ pub enum Aggregate {
 }
 
 /// Apply an aggregate to a column of values.
-pub fn aggregate(agg: Aggregate, values: &[Value]) -> Result<Value> {
-    let present: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
+pub fn aggregate<'a>(agg: Aggregate, values: impl IntoIterator<Item = &'a Value>) -> Result<Value> {
+    let mut count = 0usize;
+    let present: Vec<&Value> = values
+        .into_iter()
+        .inspect(|_| count += 1)
+        .filter(|v| !v.is_null())
+        .collect();
     match agg {
-        Aggregate::Count => Ok(Value::Int(values.len() as i64)),
+        Aggregate::Count => Ok(Value::Int(count as i64)),
         Aggregate::Min => Ok(present
             .iter()
             .min_by(|a, b| a.total_cmp(b))
@@ -354,8 +368,7 @@ pub fn group_by(
         let members = &groups[key];
         let mut vals: Vec<Value> = key.iter().map(|k| k.0.clone()).collect();
         for ((_, agg, _), &ai) in aggs.iter().zip(&aidx) {
-            let col: Vec<Value> = members.iter().map(|t| t.get(ai).clone()).collect();
-            vals.push(aggregate(*agg, &col)?);
+            vals.push(aggregate(*agg, members.iter().map(|t| t.get(ai)))?);
         }
         rows.push(Tuple::new(vals));
     }
@@ -559,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn select_indexed_agrees_with_select() {
+    fn select_positions_agree_with_select() {
         let r = class_rel();
         for pred in [
             Expr::cmp_value(AttrRef::bare("Displacement"), CmpOp::Gt, 8000),
@@ -576,35 +589,50 @@ mod tests {
             Expr::cmp_value(AttrRef::bare("Type"), CmpOp::Ne, "SSN"),
         ] {
             let plain = select(&r, "c", &pred).unwrap();
-            let fast = select_indexed(&r, "c", &pred).unwrap();
-            assert_eq!(plain.len(), fast.len(), "pred {pred}");
-            // Same multiset of tuples (order may differ on the fast path).
-            let mut a: Vec<String> = plain.iter().map(|t| t.to_string()).collect();
-            let mut b: Vec<String> = fast.iter().map(|t| t.to_string()).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
+            let positions = select_positions(&r, "c", &pred).unwrap();
+            let fast: Vec<&Tuple> = positions.iter().map(|&p| &r.tuples()[p]).collect();
+            // Positions ascend, so the tuples come in physical order.
+            assert_eq!(plain.iter().collect::<Vec<_>>(), fast, "pred {pred}");
         }
+    }
+
+    #[test]
+    fn select_positions_are_ascending_and_fail_on_the_first_bad_candidate() {
+        let r = class_rel();
+        let d = |op, v: i64| Expr::cmp_value(AttrRef::bare("Displacement"), op, v);
+        // The index range yields 2, 1, 0, 4 in value order.
+        assert_eq!(
+            select_positions(&r, "c", &d(CmpOp::Gt, 2145)).unwrap(),
+            vec![0, 1, 2, 4]
+        );
+        // No indexable conjunct: every tuple is a candidate.
+        assert_eq!(
+            select_positions(&r, "c", &d(CmpOp::Ne, 6000)).unwrap(),
+            vec![0, 1, 3, 4]
+        );
+        // A type mismatch fails only when a candidate reaches it.
+        let mismatch = |lo| {
+            Expr::And(
+                Box::new(d(CmpOp::Gt, lo)),
+                Box::new(Expr::cmp_value(AttrRef::bare("Type"), CmpOp::Eq, 5)),
+            )
+        };
+        assert!(select_positions(&r, "c", &mismatch(40000))
+            .unwrap()
+            .is_empty());
+        assert!(matches!(
+            select_positions(&r, "c", &mismatch(0)),
+            Err(StorageError::Incomparable { .. })
+        ));
     }
 
     #[test]
     fn index_invalidated_by_mutation() {
         let mut r = class_rel();
-        let before = select_indexed(
-            &r,
-            "c",
-            &Expr::cmp_value(AttrRef::bare("Type"), CmpOp::Eq, "SSN"),
-        )
-        .unwrap()
-        .len();
+        let ssn = Expr::cmp_value(AttrRef::bare("Type"), CmpOp::Eq, "SSN");
+        let before = select_positions(&r, "c", &ssn).unwrap().len();
         r.insert(tuple!["0216", "SSN", 2500]).unwrap();
-        let after = select_indexed(
-            &r,
-            "c",
-            &Expr::cmp_value(AttrRef::bare("Type"), CmpOp::Eq, "SSN"),
-        )
-        .unwrap()
-        .len();
+        let after = select_positions(&r, "c", &ssn).unwrap().len();
         assert_eq!(after, before + 1, "stale index must be rebuilt");
     }
 

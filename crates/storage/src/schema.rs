@@ -3,7 +3,6 @@
 use crate::domain::Domain;
 use crate::error::{Result, StorageError};
 use crate::value::ValueType;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -63,7 +62,6 @@ impl Attribute {
 #[derive(Debug, Clone)]
 pub struct Schema {
     attrs: Vec<Attribute>,
-    by_name: HashMap<String, usize>,
 }
 
 /// A cheaply clonable shared schema handle.
@@ -73,16 +71,18 @@ impl Schema {
     /// Build a schema from attributes; names must be unique
     /// (case-insensitively).
     pub fn new(attrs: Vec<Attribute>) -> Result<Schema> {
-        let mut by_name = HashMap::with_capacity(attrs.len());
         for (i, a) in attrs.iter().enumerate() {
-            if by_name.insert(a.name.to_ascii_lowercase(), i).is_some() {
+            if attrs[..i]
+                .iter()
+                .any(|b| b.name.eq_ignore_ascii_case(&a.name))
+            {
                 return Err(StorageError::Invalid(format!(
                     "duplicate attribute name: {}",
                     a.name
                 )));
             }
         }
-        Ok(Schema { attrs, by_name })
+        Ok(Schema { attrs })
     }
 
     /// The attributes, in declaration order.
@@ -97,7 +97,11 @@ impl Schema {
 
     /// Position of an attribute by (case-insensitive) name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.by_name.get(&name.to_ascii_lowercase()).copied()
+        // A scan of a handful of names beats lowercasing the probe into
+        // a fresh string for a hash lookup, on every attribute read.
+        self.attrs
+            .iter()
+            .position(|a| a.name.eq_ignore_ascii_case(name))
     }
 
     /// Position of an attribute, or an error naming the relation.

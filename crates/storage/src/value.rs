@@ -324,6 +324,32 @@ impl std::hash::Hash for ValueKey {
     }
 }
 
+/// A borrowed [`ValueKey`]: orders and compares a `&Value` under the
+/// total order without copying it (grouping keys, `DISTINCT`, answer
+/// summaries).
+#[derive(Debug, Clone, Copy)]
+pub struct ValueRef<'a>(pub &'a Value);
+
+impl PartialEq for ValueRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.total_cmp(other.0) == Ordering::Equal
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl PartialOrd for ValueRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ValueRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(other.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
