@@ -30,7 +30,7 @@
 //! as the derivation chain.
 
 use crate::diag::{locate_word, Diagnostic, Report, Severity};
-use intensio_inference::absint::{saturate, AbstractState, AbstractValue};
+use intensio_inference::absint::{AbstractState, AbstractValue, Saturator};
 use intensio_ker::coerce_value;
 use intensio_rules::range::ValueRange;
 use intensio_rules::rule::RuleSet;
@@ -453,7 +453,7 @@ enum EmptyProof {
 /// Try to prove one disjunct's restrictions empty. `None` = no proof
 /// (the disjunct may well be satisfiable — the analysis is sound, not
 /// complete).
-fn prove_empty(db: &Database, rules: &RuleSet, conds: &[Cond]) -> Option<EmptyProof> {
+fn prove_empty(db: &Database, rules: &Saturator, conds: &[Cond]) -> Option<EmptyProof> {
     // (alias, attribute-lowercase) -> (relation, attribute, folded range)
     let mut folded: BTreeMap<(String, String), (String, String, ValueRange)> = BTreeMap::new();
     for c in conds {
@@ -525,7 +525,7 @@ fn prove_empty(db: &Database, rules: &RuleSet, conds: &[Cond]) -> Option<EmptyPr
             }
         }
         let seeded = state.clone();
-        let sat = saturate(rules, &mut state);
+        let sat = rules.saturate(&mut state);
         if sat.empty {
             let ((object, attr_lc), _) = state
                 .slots()
@@ -561,13 +561,14 @@ fn check_qual(
     report: &mut Report,
 ) {
     let disjuncts = dnf(qual);
+    let saturator = Saturator::new(rules);
     let mut proofs = Vec::with_capacity(disjuncts.len());
     for leaves in &disjuncts {
         let conds: Vec<Cond> = leaves
             .iter()
             .filter_map(|leaf| leaf_cond(text, db, tables, leaf, report))
             .collect();
-        proofs.push(prove_empty(db, rules, &conds));
+        proofs.push(prove_empty(db, &saturator, &conds));
     }
     if proofs.iter().any(|p| p.is_none()) {
         return; // at least one disjunct may be satisfiable

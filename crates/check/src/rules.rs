@@ -48,7 +48,7 @@
 //! list ([`prunable_rules`]) but serve only ever minimizes.
 
 use crate::diag::{locate, Diagnostic, Report, Severity};
-use intensio_inference::absint::{saturate_excluding, AbstractState, AbstractValue};
+use intensio_inference::absint::{AbstractState, AbstractValue, Saturator};
 use intensio_rules::range::ValueRange;
 use intensio_rules::rule::{Rule, RuleSet};
 use intensio_storage::catalog::Database;
@@ -85,16 +85,30 @@ fn rule_diag(
 pub fn check_rules(rules: &RuleSet, db: Option<&Database>, cfg: &RuleCheckConfig) -> Report {
     let mut report = Report::new();
     let all = rules.rules();
+    let groups = rules.conclusion_groups();
 
-    for (i, a) in all.iter().enumerate() {
-        for b in all.iter().skip(i + 1) {
-            if let Some(d) = conflict(a, b) {
-                report.push(d);
-            }
-            if let Some(d) = subsumption(a, b) {
-                report.push(d);
+    // Conflicts and subsumption need both conclusions on one attribute,
+    // so only rules of one group are compared. Both also need a premise
+    // attribute in common — unless one premise is empty, which subsumes
+    // any premise — so pairs whose premise masks are disjoint are skipped.
+    let masks: Vec<u64> = all.iter().map(premise_mask).collect();
+    for group in &groups {
+        for (k, &i) in group.iter().enumerate() {
+            for &j in &group[k + 1..] {
+                if masks[i] & masks[j] == 0 && masks[i] != 0 && masks[j] != 0 {
+                    continue;
+                }
+                let (a, b) = (&all[i], &all[j]);
+                if let Some(d) = conflict(a, b) {
+                    report.push(d);
+                }
+                if let Some(d) = subsumption(a, b) {
+                    report.push(d);
+                }
             }
         }
+    }
+    for a in all {
         if cfg.min_support > 0 && a.support < cfg.min_support {
             report.push(rule_diag(
                 "IC023",
@@ -132,16 +146,93 @@ pub fn check_rules(rules: &RuleSet, db: Option<&Database>, cfg: &RuleCheckConfig
         }
     }
 
-    gaps(all, &mut report);
-    saturation_lints(rules, db, &mut report);
+    gaps(all, &groups, &mut report);
+    saturation_lints(rules, &groups, db, &mut report);
     report.sort();
     report
 }
 
+/// One bit per premise attribute of `r` (a hash of its name, folded
+/// to 64 bits): two rules whose masks are disjoint share no premise
+/// attribute.
+fn premise_mask(r: &Rule) -> u64 {
+    r.lhs.iter().fold(0, |mask, c| {
+        let name = c
+            .attr
+            .object
+            .bytes()
+            .chain([b'.'])
+            .chain(c.attr.attribute.bytes());
+        let hash = name.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(0x0100_0000_01b3)
+        });
+        mask | 1 << (hash % 64)
+    })
+}
+
+/// The abstract state admitting exactly what `r`'s premise admits.
+fn premise_state(r: &Rule) -> AbstractState {
+    let mut st = AbstractState::new();
+    for c in &r.lhs {
+        st.constrain(
+            &c.attr.object,
+            &c.attr.attribute,
+            &AbstractValue::Range(c.range.clone()),
+        );
+    }
+    st
+}
+
+/// Whether another rule of `r`'s conclusion group directly subsumes it
+/// (IC021, what [`RuleSet::minimize`] removes).
+fn directly_subsumed(all: &[Rule], group: &[usize], r: &Rule) -> bool {
+    group
+        .iter()
+        .any(|&p| all[p].id != r.id && subsumes(&all[p], r))
+}
+
+/// IC025's test: saturating `premise` (a satisfiable premise of `r`)
+/// over the rest of the set derives `r`'s own conclusion — with its
+/// subtype label, when it has one. Returns the firing chain and the
+/// derived value of the conclusion attribute.
+fn derived_by_chaining(
+    sat: &Saturator,
+    r: &Rule,
+    premise: &AbstractState,
+) -> Option<(Vec<u32>, AbstractValue)> {
+    let mut st = premise.clone();
+    let chain = sat.saturate_excluding(&mut st, &[r.id]);
+    if chain.empty || chain.fired.is_empty() {
+        return None;
+    }
+    let derived = st.value_of(&r.rhs.attr.object, &r.rhs.attr.attribute);
+    let range_ok = !matches!(derived, AbstractValue::Top) && derived.within(&r.rhs.range);
+    // A subtype-labelled conclusion must be re-derived with the same
+    // label, not just a compatible range.
+    let label_ok = r.rhs_subtype.is_none()
+        || chain
+            .fired
+            .iter()
+            .filter_map(|id| sat.rules().get(*id))
+            .any(|s| {
+                s.rhs
+                    .attr
+                    .matches(&r.rhs.attr.object, &r.rhs.attr.attribute)
+                    && s.rhs_subtype == r.rhs_subtype
+            });
+    (range_ok && label_ok).then(|| (chain.fired, derived.clone()))
+}
+
 /// IC025/IC026/IC027 over the whole rule base.
-fn saturation_lints(rules: &RuleSet, db: Option<&Database>, report: &mut Report) {
+fn saturation_lints(
+    rules: &RuleSet,
+    groups: &[Vec<usize>],
+    db: Option<&Database>,
+    report: &mut Report,
+) {
     let all = rules.rules();
-    for r in all {
+    let saturator = Saturator::new(rules);
+    for (r, group) in all.iter().zip(group_of(groups, all.len())) {
         if r.lhs.is_empty() {
             continue;
         }
@@ -151,69 +242,44 @@ fn saturation_lints(rules: &RuleSet, db: Option<&Database>, report: &mut Report)
             report.push(d);
             continue; // the other lints assume a satisfiable premise
         }
-        let mut premise = AbstractState::new();
-        for c in &r.lhs {
-            premise.constrain(
-                &c.attr.object,
-                &c.attr.attribute,
-                &AbstractValue::Range(c.range.clone()),
-            );
-        }
+        let premise = premise_state(r);
         if premise.is_empty() {
             continue; // handled by dead_premise above
         }
 
         // IC025: is the conclusion derivable from the rest of the set?
         // (Direct one-rule subsumption is IC021's finding — skip it.)
-        let directly_subsumed = all.iter().any(|o| o.id != r.id && subsumes(o, r));
-        if !directly_subsumed {
-            let mut st = premise.clone();
-            let sat = saturate_excluding(rules, &mut st, &[r.id]);
-            if !sat.empty && !sat.fired.is_empty() {
-                let derived = st.value_of(&r.rhs.attr.object, &r.rhs.attr.attribute);
-                let range_ok =
-                    !matches!(derived, AbstractValue::Top) && derived.within(&r.rhs.range);
-                // A subtype-labelled conclusion must be re-derived with
-                // the same label, not just a compatible range.
-                let label_ok = r.rhs_subtype.is_none()
-                    || sat.fired.iter().filter_map(|id| rules.get(*id)).any(|s| {
-                        s.rhs
-                            .attr
-                            .matches(&r.rhs.attr.object, &r.rhs.attr.attribute)
-                            && s.rhs_subtype == r.rhs_subtype
-                    });
-                if range_ok && label_ok {
-                    let chain = sat
-                        .fired
-                        .iter()
-                        .map(|id| format!("R{id}"))
-                        .collect::<Vec<_>>()
-                        .join(" -> ");
-                    let mut d = rule_diag(
-                        "IC025",
-                        Severity::Warn,
-                        r,
-                        format!(
-                            "derivable by chaining {chain}: from this rule's premise the rest \
-                             of the set already concludes {} {derived}",
-                            r.rhs.attr
-                        ),
-                        &format!("R{}", r.id),
-                    )
-                    .with_note(format!("prune-candidate: R{}", r.id));
-                    for id in &sat.fired {
-                        if let Some(s) = rules.get(*id) {
-                            d = d.with_note(format!("via {s}"));
-                        }
+        if !directly_subsumed(all, &groups[group], r) {
+            if let Some((fired, derived)) = derived_by_chaining(&saturator, r, &premise) {
+                let chain = fired
+                    .iter()
+                    .map(|id| format!("R{id}"))
+                    .collect::<Vec<_>>()
+                    .join(" -> ");
+                let mut d = rule_diag(
+                    "IC025",
+                    Severity::Warn,
+                    r,
+                    format!(
+                        "derivable by chaining {chain}: from this rule's premise the rest \
+                         of the set already concludes {} {derived}",
+                        r.rhs.attr
+                    ),
+                    &format!("R{}", r.id),
+                )
+                .with_note(format!("prune-candidate: R{}", r.id));
+                for id in &fired {
+                    if let Some(s) = rules.get(*id) {
+                        d = d.with_note(format!("via {s}"));
                     }
-                    report.push(d);
                 }
+                report.push(d);
             }
         }
 
         // IC027: firing the rule, does the chained closure contradict
         // itself? (Pairwise direct conflicts stay IC020's finding.)
-        let mut st = premise.clone();
+        let mut st = premise;
         st.constrain(
             &r.rhs.attr.object,
             &r.rhs.attr.attribute,
@@ -222,7 +288,7 @@ fn saturation_lints(rules: &RuleSet, db: Option<&Database>, report: &mut Report)
         if st.is_empty() {
             continue; // conclusion contradicts own premise: dead_premise territory
         }
-        let sat = saturate_excluding(rules, &mut st, &[r.id]);
+        let sat = saturator.saturate_excluding(&mut st, &[r.id]);
         if !sat.empty || sat.fired.is_empty() {
             continue;
         }
@@ -317,41 +383,31 @@ fn dead_premise(r: &Rule, db: Option<&Database>) -> Option<Diagnostic> {
 /// Deterministic: ascending id order.
 pub fn prunable_rules(rules: &RuleSet) -> Vec<u32> {
     let all = rules.rules();
+    let groups = rules.conclusion_groups();
+    let sat = Saturator::new(rules);
     let mut out = Vec::new();
-    for r in all {
+    for (r, group) in all.iter().zip(group_of(&groups, all.len())) {
         if r.lhs.is_empty() {
             continue;
         }
-        if all.iter().any(|o| o.id != r.id && subsumes(o, r)) {
+        if directly_subsumed(all, &groups[group], r) {
             out.push(r.id);
             continue;
         }
-        let mut st = AbstractState::new();
-        for c in &r.lhs {
-            st.constrain(
-                &c.attr.object,
-                &c.attr.attribute,
-                &AbstractValue::Range(c.range.clone()),
-            );
-        }
-        if st.is_empty() {
-            continue;
-        }
-        let sat = saturate_excluding(rules, &mut st, &[r.id]);
-        if sat.empty || sat.fired.is_empty() {
-            continue;
-        }
-        let derived = st.value_of(&r.rhs.attr.object, &r.rhs.attr.attribute);
-        let range_ok = !matches!(derived, AbstractValue::Top) && derived.within(&r.rhs.range);
-        let label_ok = r.rhs_subtype.is_none()
-            || sat.fired.iter().filter_map(|id| rules.get(*id)).any(|s| {
-                s.rhs
-                    .attr
-                    .matches(&r.rhs.attr.object, &r.rhs.attr.attribute)
-                    && s.rhs_subtype == r.rhs_subtype
-            });
-        if range_ok && label_ok {
+        let premise = premise_state(r);
+        if !premise.is_empty() && derived_by_chaining(&sat, r, &premise).is_some() {
             out.push(r.id);
+        }
+    }
+    out
+}
+
+/// Per rule position, the index of its group in `groups`.
+fn group_of(groups: &[Vec<usize>], rules: usize) -> Vec<usize> {
+    let mut out = vec![0; rules];
+    for (g, group) in groups.iter().enumerate() {
+        for &pos in group {
+            out[pos] = g;
         }
     }
     out
@@ -455,55 +511,53 @@ fn subsumes(a: &Rule, b: &Rule) -> bool {
 
 /// IC022: within each family of single-premise rules over the same
 /// `(premise attribute, conclusion attribute)`, report the holes between
-/// consecutive premise ranges.
-fn gaps(all: &[Rule], report: &mut Report) {
-    let mut families: Vec<(&Rule, &ValueRange)> = Vec::new();
-    let mut seen: Vec<usize> = Vec::new();
-    for (i, r) in all.iter().enumerate() {
-        if seen.contains(&i) || r.lhs.len() != 1 {
-            continue;
-        }
-        families.clear();
-        families.push((r, &r.lhs[0].range));
-        for (j, s) in all.iter().enumerate().skip(i + 1) {
-            if s.lhs.len() == 1
-                && s.lhs[0]
-                    .attr
-                    .matches(&r.lhs[0].attr.object, &r.lhs[0].attr.attribute)
-                && s.rhs
-                    .attr
-                    .matches(&r.rhs.attr.object, &r.rhs.attr.attribute)
-            {
-                seen.push(j);
-                families.push((s, &s.lhs[0].range));
-            }
-        }
-        if families.len() < 2 {
-            continue;
-        }
-        families.sort_by(|(_, x), (_, y)| cmp_lo(x, y));
-        for w in families.windows(2) {
-            let ((ra, x), (rb, y)) = (w[0], w[1]);
-            if x.intersects(y) || x.merge(y).is_some() {
-                continue; // overlapping or adjacent: no hole
-            }
-            let (Some(hi), Some(lo)) = (&x.hi, &y.lo) else {
+/// consecutive premise ranges. Families never span conclusion groups.
+fn gaps(all: &[Rule], groups: &[Vec<usize>], report: &mut Report) {
+    for group in groups {
+        // Each family in id order, keyed by its first rule's premise.
+        let mut families: Vec<Vec<(&Rule, &ValueRange)>> = Vec::new();
+        for &pos in group {
+            let r = &all[pos];
+            let [premise] = r.lhs.as_slice() else {
                 continue;
             };
-            report.push(
-                rule_diag(
-                    "IC022",
-                    Severity::Info,
-                    ra,
-                    format!(
-                        "gap between R{} and R{} on {}: values in ({}, {}) match no rule, \
-                         so backward inference cannot characterize them",
-                        ra.id, rb.id, ra.lhs[0].attr, hi.value, lo.value
-                    ),
-                    &format!("R{}", ra.id),
-                )
-                .with_note(rb.to_string()),
-            );
+            let same_premise = |f: &&mut Vec<(&Rule, &ValueRange)>| {
+                let head = &f[0].0.lhs[0].attr;
+                head.matches(&premise.attr.object, &premise.attr.attribute)
+            };
+            match families.iter_mut().find(same_premise) {
+                Some(f) => f.push((r, &premise.range)),
+                None => families.push(vec![(r, &premise.range)]),
+            }
+        }
+        for mut family in families {
+            if family.len() < 2 {
+                continue;
+            }
+            family.sort_by(|(_, x), (_, y)| cmp_lo(x, y));
+            for w in family.windows(2) {
+                let ((ra, x), (rb, y)) = (w[0], w[1]);
+                if x.intersects(y) || x.merge(y).is_some() {
+                    continue; // overlapping or adjacent: no hole
+                }
+                let (Some(hi), Some(lo)) = (&x.hi, &y.lo) else {
+                    continue;
+                };
+                report.push(
+                    rule_diag(
+                        "IC022",
+                        Severity::Info,
+                        ra,
+                        format!(
+                            "gap between R{} and R{} on {}: values in ({}, {}) match no rule, \
+                             so backward inference cannot characterize them",
+                            ra.id, rb.id, ra.lhs[0].attr, hi.value, lo.value
+                        ),
+                        &format!("R{}", ra.id),
+                    )
+                    .with_note(rb.to_string()),
+                );
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //! by grouping on every classifying attribute present in the answer's
 //! schema.
 
-use intensio_ker::model::{subtype_label_among, Classifier, KerModel};
+use intensio_ker::model::{subtype_label_among, KerModel};
 use intensio_storage::relation::Relation;
 use intensio_storage::value::{Value, ValueRef};
 use std::collections::BTreeMap;
@@ -99,7 +99,7 @@ impl fmt::Display for AnswerSummary {
 /// SQL executor may be alias-prefixed (`c.Type`); the suffix after the
 /// last `.` is matched.
 pub fn summarize(rel: &Relation, model: &KerModel) -> AnswerSummary {
-    let classifiers: Vec<Classifier> = model.classifiers().into_iter().map(|(_, c)| c).collect();
+    let classifiers = model.classifier_list();
 
     let mut levels = Vec::new();
     for (idx, attr) in rel.schema().attributes().iter().enumerate() {

@@ -18,9 +18,9 @@
 
 use crate::config::InductionConfig;
 use crate::pairwise::{induce_pair_ids_with_stats, InducedRule};
-use intensio_ker::model::KerModel;
+use intensio_ker::model::{subtype_label_among, Classifier, KerModel};
 use intensio_rules::rule::AttrId as RuleAttrId;
-use intensio_rules::rule::{AttrId, RuleSet};
+use intensio_rules::rule::{AttrId, Rule, RuleSet};
 use intensio_storage::catalog::Database;
 use intensio_storage::error::{Result, StorageError};
 use intensio_storage::relation::Relation;
@@ -59,37 +59,12 @@ fn record_induction_metrics(stats: &IlsStats) {
     );
 }
 
-/// Post-induction lint hook: run the rule-set pass over freshly induced
-/// rules and surface Warn-or-worse findings. The driver never blocks on
-/// findings — enforcement belongs to the serve-layer install gate —
-/// but `induction.lint_warnings`/`lint_errors` make suspect rule sets
-/// visible in metrics, and at Verbose level each finding is printed.
-fn lint_fresh_rules(rules: &RuleSet, cfg: &InductionConfig) {
-    use intensio_check::Severity;
-    let report = intensio_check::check_rules(
-        rules,
-        None,
-        &intensio_check::RuleCheckConfig {
-            min_support: cfg.min_support,
-        },
-    );
-    let warns = report.count(Severity::Warn);
-    let errors = report.count(Severity::Error);
-    if warns > 0 {
-        intensio_obs::add("induction.lint_warnings", warns as u64);
-    }
-    if errors > 0 {
-        intensio_obs::add("induction.lint_errors", errors as u64);
-    }
-    if intensio_obs::level() >= intensio_obs::Level::Verbose {
-        for d in report
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity >= Severity::Warn)
-        {
-            eprintln!("[lint] {d}");
-        }
-    }
+/// An induced rule, labelled with the subtype its consequence selects.
+fn labelled_rule(r: InducedRule, classifiers: &[Classifier]) -> Rule {
+    let subtype = subtype_label_among(classifiers, &r.y.attribute, &r.y_value);
+    let mut rule = r.into_rule();
+    rule.rhs_subtype = subtype;
+    rule
 }
 
 /// The model-based inductive learning subsystem.
@@ -135,15 +110,12 @@ impl<'m> Ils<'m> {
         }
 
         stats.rules_kept = induced.len();
+        let classifiers = self.model.classifier_list();
         let mut rules = RuleSet::new();
         for r in induced {
-            let subtype = self.model.subtype_label_for(&r.y.attribute, &r.y_value);
-            let mut rule = r.into_rule();
-            rule.rhs_subtype = subtype;
-            rules.push(rule);
+            rules.push(labelled_rule(r, &classifiers));
         }
         record_induction_metrics(&stats);
-        lint_fresh_rules(&rules, &self.cfg);
         Ok(IlsOutput { rules, stats })
     }
 
@@ -292,20 +264,17 @@ impl<'m> Ils<'m> {
             return Err(e);
         }
 
+        let classifiers = self.model.classifier_list();
         let mut rules = RuleSet::new();
         for slot in results.into_iter().flatten() {
             let (pair_rules, constructed) = slot;
             stats.rules_constructed += constructed;
             for r in pair_rules {
                 stats.rules_kept += 1;
-                let subtype = self.model.subtype_label_for(&r.y.attribute, &r.y_value);
-                let mut rule = r.into_rule();
-                rule.rhs_subtype = subtype;
-                rules.push(rule);
+                rules.push(labelled_rule(r, &classifiers));
             }
         }
         record_induction_metrics(&stats);
-        lint_fresh_rules(&rules, &self.cfg);
         Ok(IlsOutput { rules, stats })
     }
 
@@ -322,6 +291,7 @@ impl<'m> Ils<'m> {
     /// closed-clause format).
     pub fn induce_with_trees(&self, db: &Database) -> Result<IlsOutput> {
         let mut out = self.induce(db)?;
+        let classifiers = self.model.classifier_list();
         let classifier_attrs = self.classifier_attr_names();
         for rel in db.relations() {
             if self.is_relationship(db, rel) {
@@ -355,10 +325,9 @@ impl<'m> Ils<'m> {
                     if rule.lhs.len() < 2 || rule.support < self.cfg.min_support {
                         continue;
                     }
-                    rule.rhs_subtype =
-                        rule.rhs.range.as_point().and_then(|v| {
-                            self.model.subtype_label_for(&rule.rhs.attr.attribute, v)
-                        });
+                    rule.rhs_subtype = rule.rhs.range.as_point().and_then(|v| {
+                        subtype_label_among(&classifiers, &rule.rhs.attr.attribute, v)
+                    });
                     out.rules.push(rule);
                     out.stats.rules_kept += 1;
                 }

@@ -14,7 +14,7 @@
 //!            ⊥  (provably empty)
 //! ```
 //!
-//! [`saturate`] applies a rule set *forward* (the paper's Modus Ponens
+//! A [`Saturator`] applies a rule set *forward* (the paper's Modus Ponens
 //! direction) to a state until fixpoint: a rule fires when every premise
 //! clause's range contains the state's abstract value for that
 //! attribute — then **every** concrete tuple the state admits satisfies
@@ -31,7 +31,8 @@ use intensio_rules::range::ValueRange;
 use intensio_rules::rule::RuleSet;
 use intensio_storage::domain::{Bound, Domain, DomainConstraint};
 use intensio_storage::value::Value;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// The abstract value of one attribute: an over-approximation of the
@@ -286,9 +287,27 @@ pub struct Saturation {
     pub empty: bool,
 }
 
-/// Apply `rules` forward over `state` until fixpoint (or until the
-/// state reaches ⊥). Deterministic: rules are tried in id order, and
-/// each pass applies every currently-enabled rule before re-testing.
+/// A rule set indexed for forward application over abstract states.
+/// Built once per [`RuleSet`], it saturates any number of states.
+///
+/// Every `(object, attribute)` a rule mentions is interned once as a
+/// slot number, and each slot lists the premise clauses that read it.
+/// A saturation keeps, per rule, how many premise clauses its state
+/// does not yet contain, and updates that count only for the clauses on
+/// a slot that just tightened; a pass then visits just the rules whose
+/// every clause holds. When a slot's clauses are all closed ranges over
+/// one kind of value, they are also kept sorted by lower bound, so a
+/// tightened slot re-tests only the clauses that can contain its new
+/// interval. The result is the plain fixpoint iteration's, step for
+/// step:
+///
+/// * rules are tried in id order, and each pass applies every enabled
+///   rule before re-testing;
+/// * a slot tightened mid-pass enables later rules in the same pass
+///   (earlier ones wait for the next pass);
+/// * a rule fires when every premise clause's range contains the
+///   state's non-⊤ value for its slot, and `fired` records each
+///   application that tightened the state.
 ///
 /// Termination: every productive application strictly tightens one
 /// slot by meeting it with a rule conclusion, and each slot can only
@@ -296,52 +315,298 @@ pub struct Saturation {
 /// whose endpoints come from the finite set of rule/seed endpoints), so
 /// the pass loop reaches a fixpoint; a generous pass cap guards the
 /// degenerate cases.
-pub fn saturate(rules: &RuleSet, state: &mut AbstractState) -> Saturation {
-    saturate_excluding(rules, state, &[])
+#[derive(Debug)]
+pub struct Saturator<'r> {
+    rules: &'r RuleSet,
+    /// Interned slot keys, lowercased like [`AbstractState`]'s.
+    keys: Vec<(String, String)>,
+    slot_of: HashMap<(String, String), usize>,
+    /// Every premise clause of every rule, rule by rule: `(rule
+    /// position, range)`.
+    clauses: Vec<(usize, &'r ValueRange)>,
+    /// Per rule position: its premise clause count.
+    premise_len: Vec<u32>,
+    /// Per rule position: its conclusion's slot and abstract value.
+    conclusions: Vec<(usize, AbstractValue)>,
+    /// Per slot: the clauses premised on it, in rule order.
+    readers: Vec<Vec<usize>>,
+    /// Per slot: its clauses sorted by range, when they admit it.
+    sorted: Vec<Option<SortedClauses<'r>>>,
 }
 
-/// [`saturate`] with some rules held out — the rule-base lints saturate
-/// a rule's premise over *the rest* of the set to test whether its own
-/// conclusion is derivable without it.
-pub fn saturate_excluding(rules: &RuleSet, state: &mut AbstractState, skip: &[u32]) -> Saturation {
-    let mut out = Saturation::default();
-    if state.is_empty() {
-        out.empty = true;
-        return out;
-    }
-    // Each productive pass fires at least one rule; a rule's conclusion
-    // can tighten a slot at most twice (once per endpoint) before the
-    // meet is idempotent, so 2·|rules| + 1 passes always suffice.
-    let max_passes = rules.len() * 2 + 1;
-    for _ in 0..max_passes {
-        let mut changed = false;
-        for rule in rules.iter() {
-            if rule.lhs.is_empty() || skip.contains(&rule.id) {
-                continue;
-            }
-            let applicable = rule.lhs.iter().all(|cl| {
-                let v = state.value_of(&cl.attr.object, &cl.attr.attribute);
-                !matches!(v, AbstractValue::Top) && v.within(&cl.range)
+/// A slot's premise clauses sorted by lower bound, for slots whose
+/// clauses are all closed ranges over values of one kind — where
+/// [`Value::compare`] is a total order on every endpoint.
+#[derive(Debug)]
+struct SortedClauses<'r> {
+    /// The kind of every endpoint.
+    kind: std::mem::Discriminant<Value>,
+    /// Clause numbers, by ascending lower bound.
+    by_lo: Vec<usize>,
+    /// `max_hi[i]`: the largest upper bound among `by_lo[..=i]`.
+    max_hi: Vec<&'r Value>,
+}
+
+impl<'r> SortedClauses<'r> {
+    fn new(clauses: &[(usize, &'r ValueRange)], readers: &[usize]) -> Option<Self> {
+        let mut bounds: Vec<(usize, &'r Value, &'r Value)> = Vec::with_capacity(readers.len());
+        for &c in readers {
+            let r = clauses[c].1;
+            bounds.push((c, &r.lo.as_ref()?.value, &r.hi.as_ref()?.value));
+        }
+        let kind = std::mem::discriminant(bounds.first()?.1);
+        let same = |v: &Value| std::mem::discriminant(v) == kind && !v.is_null();
+        if !bounds.iter().all(|(_, lo, hi)| same(lo) && same(hi)) {
+            return None;
+        }
+        let cmp = |a: &Value, b: &Value| a.compare(b).expect("values of one kind compare");
+        bounds.sort_by(|x, y| cmp(x.1, y.1));
+        let mut max_hi: Vec<&Value> = Vec::with_capacity(bounds.len());
+        for &(_, _, hi) in &bounds {
+            max_hi.push(match max_hi.last() {
+                Some(&top) if cmp(top, hi) == Ordering::Greater => top,
+                _ => hi,
             });
-            if !applicable {
-                continue;
+        }
+        Some(SortedClauses {
+            kind,
+            by_lo: bounds.iter().map(|&(c, _, _)| c).collect(),
+            max_hi,
+        })
+    }
+
+    /// The clauses whose range can contain the closed interval `[lo,
+    /// hi]` (a superset: the ones with a lower bound ≤ `lo` and an upper
+    /// bound ≥ `hi`), or `None` when an endpoint is of another kind.
+    fn containing(
+        &self,
+        clauses: &[(usize, &ValueRange)],
+        lo: &Value,
+        hi: &Value,
+    ) -> Option<&[usize]> {
+        if std::mem::discriminant(lo) != self.kind || std::mem::discriminant(hi) != self.kind {
+            return None;
+        }
+        let below = |a: &Value, b: &Value| a.compare(b).is_ok_and(Ordering::is_le);
+        let end = self.by_lo.partition_point(|&c| {
+            let r = clauses[c].1;
+            r.lo.as_ref().is_some_and(|e| below(&e.value, lo))
+        });
+        let start = self.max_hi.partition_point(|top| !below(hi, top));
+        Some(self.by_lo.get(start..end).unwrap_or(&[]))
+    }
+}
+
+impl<'r> Saturator<'r> {
+    /// Index `rules` for saturation.
+    pub fn new(rules: &'r RuleSet) -> Saturator<'r> {
+        let mut sat = Saturator {
+            rules,
+            keys: Vec::new(),
+            slot_of: HashMap::new(),
+            clauses: Vec::new(),
+            premise_len: Vec::with_capacity(rules.len()),
+            conclusions: Vec::with_capacity(rules.len()),
+            readers: Vec::new(),
+            sorted: Vec::new(),
+        };
+        for (pos, rule) in rules.iter().enumerate() {
+            for cl in &rule.lhs {
+                let slot = sat.intern(&cl.attr.object, &cl.attr.attribute);
+                sat.readers[slot].push(sat.clauses.len());
+                sat.clauses.push((pos, &cl.range));
             }
-            let conclusion = AbstractValue::Range(rule.rhs.range.clone());
-            if state.constrain(&rule.rhs.attr.object, &rule.rhs.attr.attribute, &conclusion) {
+            sat.premise_len.push(rule.lhs.len() as u32);
+            let slot = sat.intern(&rule.rhs.attr.object, &rule.rhs.attr.attribute);
+            sat.conclusions
+                .push((slot, AbstractValue::Range(rule.rhs.range.clone())));
+        }
+        sat.sorted = (sat.readers.iter())
+            .map(|readers| SortedClauses::new(&sat.clauses, readers))
+            .collect();
+        sat
+    }
+
+    /// The clauses on `slot` that can hold when it has `value`: the
+    /// sorted ones that can contain a closed interval, else all of them.
+    fn candidates(&self, slot: usize, value: &AbstractValue) -> &[usize] {
+        let sorted = self.sorted[slot].as_ref();
+        let interval = match value {
+            AbstractValue::Range(ValueRange {
+                lo: Some(lo),
+                hi: Some(hi),
+            }) => Some((&lo.value, &hi.value)),
+            _ => None,
+        };
+        match (sorted, interval) {
+            (Some(sorted), Some((lo, hi))) => sorted
+                .containing(&self.clauses, lo, hi)
+                .unwrap_or(&self.readers[slot]),
+            _ => &self.readers[slot],
+        }
+    }
+
+    fn intern(&mut self, object: &str, attribute: &str) -> usize {
+        let k = key(object, attribute);
+        if let Some(&slot) = self.slot_of.get(&k) {
+            return slot;
+        }
+        let slot = self.keys.len();
+        self.keys.push(k.clone());
+        self.slot_of.insert(k, slot);
+        self.readers.push(Vec::new());
+        slot
+    }
+
+    /// The indexed rule set.
+    pub fn rules(&self) -> &'r RuleSet {
+        self.rules
+    }
+
+    /// Apply the rules forward over `state` until fixpoint (or until the
+    /// state reaches ⊥).
+    pub fn saturate(&self, state: &mut AbstractState) -> Saturation {
+        self.saturate_excluding(state, &[])
+    }
+
+    /// [`Saturator::saturate`] with some rules held out — the rule-base
+    /// lints saturate a rule's premise over *the rest* of the set to
+    /// test whether its own conclusion is derivable without it.
+    pub fn saturate_excluding(&self, state: &mut AbstractState, skip: &[u32]) -> Saturation {
+        let mut out = Saturation::default();
+        if state.is_empty() {
+            out.empty = true;
+            return out;
+        }
+        let mut run = Run {
+            sat: self,
+            values: vec![AbstractValue::Top; self.keys.len()],
+            touched: vec![false; self.keys.len()],
+            held: vec![Vec::new(); self.keys.len()],
+            open: self.premise_len.clone(),
+            ready: vec![0; self.rules.len().div_ceil(64)],
+        };
+        let mut seeded = Vec::new();
+        for (k, v) in state.slots() {
+            if let Some(&slot) = self.slot_of.get(k) {
+                run.values[slot] = v.clone();
+                seeded.push(slot);
+            }
+        }
+        for slot in seeded {
+            run.refresh(slot);
+        }
+        let all = self.rules.rules();
+        // Each productive pass fires at least one rule; a rule's conclusion
+        // can tighten a slot at most twice (once per endpoint) before the
+        // meet is idempotent, so 2·|rules| + 1 passes always suffice.
+        let max_passes = self.rules.len() * 2 + 1;
+        'passes: for _ in 0..max_passes {
+            let mut changed = false;
+            let mut from = 0;
+            while let Some(pos) = run.next_ready(from) {
+                from = pos + 1;
+                let rule = &all[pos];
+                if skip.contains(&rule.id) {
+                    continue;
+                }
+                let (slot, conclusion) = &self.conclusions[pos];
+                let met = run.values[*slot].meet(conclusion);
+                if met == run.values[*slot] {
+                    continue;
+                }
                 out.fired.push(rule.id);
                 changed = true;
-                if state.is_empty() {
+                let bottom = met.is_bottom();
+                run.values[*slot] = met;
+                run.touched[*slot] = true;
+                if bottom {
                     out.empty = true;
-                    return out;
+                    break 'passes;
                 }
+                run.refresh(*slot);
+            }
+            if !changed {
+                break;
             }
         }
-        if !changed {
-            break;
+        for (slot, value) in run.values.into_iter().enumerate() {
+            if run.touched[slot] {
+                state.slots.insert(self.keys[slot].clone(), value);
+            }
+        }
+        if out.empty {
+            state.empty = true;
+        }
+        out
+    }
+}
+
+/// One saturation's working state over a [`Saturator`]'s slots.
+struct Run<'s, 'r> {
+    sat: &'s Saturator<'r>,
+    /// Per slot: its current abstract value.
+    values: Vec<AbstractValue>,
+    /// Per slot: whether a rule tightened it.
+    touched: Vec<bool>,
+    /// Per slot: the clauses on it the state satisfies (the slot is
+    /// non-⊤ and lies within the clause's range).
+    held: Vec<Vec<usize>>,
+    /// Per rule: how many of its premise clauses do not hold.
+    open: Vec<u32>,
+    /// Bit per rule: every premise clause holds (and there is one).
+    ready: Vec<u64>,
+}
+
+impl Run<'_, '_> {
+    /// Re-test the clauses premised on `slot` after it changed.
+    fn refresh(&mut self, slot: usize) {
+        let mut held = std::mem::take(&mut self.held[slot]);
+        for &c in &held {
+            self.mark(c, false);
+        }
+        held.clear();
+        let sat = self.sat;
+        let value = &self.values[slot];
+        if !matches!(value, AbstractValue::Top) {
+            let holds = sat.candidates(slot, value).iter();
+            held.extend(holds.filter(|&&c| value.within(sat.clauses[c].1)));
+        }
+        for &c in &held {
+            self.mark(c, true);
+        }
+        self.held[slot] = held;
+    }
+
+    /// Record that clause `c` now holds, or no longer does.
+    fn mark(&mut self, c: usize, holds: bool) {
+        let pos = self.sat.clauses[c].0;
+        let bit = 1 << (pos % 64);
+        if holds {
+            self.open[pos] -= 1;
+            if self.open[pos] == 0 {
+                self.ready[pos / 64] |= bit;
+            }
+        } else {
+            if self.open[pos] == 0 {
+                self.ready[pos / 64] &= !bit;
+            }
+            self.open[pos] += 1;
         }
     }
-    out.empty = state.is_empty();
-    out
+
+    /// The first ready rule position at or after `from`.
+    fn next_ready(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = *self.ready.get(word)? & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(word * 64 + bits.trailing_zeros() as usize);
+            }
+            word += 1;
+            bits = *self.ready.get(word)?;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -419,7 +684,7 @@ mod tests {
         ]);
         let mut state = AbstractState::new();
         state.constrain("R", "A", &AbstractValue::Range(ValueRange::point(3)));
-        let sat = saturate(&rules, &mut state);
+        let sat = Saturator::new(&rules).saturate(&mut state);
         assert_eq!(sat.fired, vec![1, 2], "the chain fires in order");
         assert!(!sat.empty);
         assert_eq!(
@@ -430,7 +695,7 @@ mod tests {
         let mut state = AbstractState::new();
         state.constrain("R", "A", &AbstractValue::Range(ValueRange::point(3)));
         state.constrain("R", "C", &AbstractValue::Range(ValueRange::point(9)));
-        let sat = saturate(&rules, &mut state);
+        let sat = Saturator::new(&rules).saturate(&mut state);
         assert!(sat.empty);
         assert!(state.is_empty());
     }
@@ -440,7 +705,7 @@ mod tests {
         let rules = RuleSet::from_rules([rule(0, "A", 0, 10, "B", 5, 5)]);
         let mut state = AbstractState::new();
         state.constrain("R", "C", &AbstractValue::Range(ValueRange::point(1)));
-        let sat = saturate(&rules, &mut state);
+        let sat = Saturator::new(&rules).saturate(&mut state);
         assert!(
             sat.fired.is_empty(),
             "A is ⊤ — not every tuple satisfies the premise"
@@ -452,7 +717,7 @@ mod tests {
         let rules = RuleSet::from_rules([rule(0, "A", 0, 10, "B", 5, 5)]);
         let mut state = AbstractState::new();
         state.constrain("R", "A", &AbstractValue::Range(ValueRange::closed(5, 20)));
-        let sat = saturate(&rules, &mut state);
+        let sat = Saturator::new(&rules).saturate(&mut state);
         assert!(sat.fired.is_empty());
     }
 
@@ -465,9 +730,79 @@ mod tests {
         ]);
         let mut state = AbstractState::new();
         state.constrain("R", "A", &AbstractValue::Range(ValueRange::closed(2, 4)));
-        let sat = saturate(&rules, &mut state);
+        let sat = Saturator::new(&rules).saturate(&mut state);
         assert!(!sat.empty);
         assert!(sat.fired.len() <= 2);
+    }
+
+    /// The plain fixpoint iteration the saturator must reproduce: every
+    /// pass tests every rule, in id order, against the current state.
+    fn linear(rules: &RuleSet, state: &mut AbstractState, skip: &[u32]) -> Saturation {
+        let mut out = Saturation::default();
+        if state.is_empty() {
+            out.empty = true;
+            return out;
+        }
+        for _ in 0..rules.len() * 2 + 1 {
+            let mut changed = false;
+            for rule in rules.iter() {
+                if rule.lhs.is_empty() || skip.contains(&rule.id) {
+                    continue;
+                }
+                let applicable = rule.lhs.iter().all(|cl| {
+                    let v = state.value_of(&cl.attr.object, &cl.attr.attribute);
+                    !matches!(v, AbstractValue::Top) && v.within(&cl.range)
+                });
+                let conclusion = AbstractValue::Range(rule.rhs.range.clone());
+                if applicable
+                    && state.constrain(&rule.rhs.attr.object, &rule.rhs.attr.attribute, &conclusion)
+                {
+                    out.fired.push(rule.id);
+                    changed = true;
+                    if state.is_empty() {
+                        out.empty = true;
+                        return out;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn later_rules_fire_in_the_pass_that_enables_them() {
+        // R1: B in [0,9] -> C = 1 sits before R2: A in [0,9] -> B = 5,
+        // and R3: C in [0,9] -> D = 2 after it. From A = 3 the first pass
+        // fires R2 (enabling R1 for the next pass); the second pass fires
+        // R1 then R3, which R1 enabled within that pass.
+        let rules = RuleSet::from_rules([
+            rule(0, "B", 0, 9, "C", 1, 1),
+            rule(0, "A", 0, 9, "B", 5, 5),
+            rule(0, "C", 0, 9, "D", 2, 2),
+        ]);
+        let seed = |st: &mut AbstractState| {
+            st.constrain("r", "a", &AbstractValue::Range(ValueRange::point(3)));
+        };
+        let sat = Saturator::new(&rules);
+        for skip in [&[][..], &[1], &[2], &[3]] {
+            let (mut a, mut b) = (AbstractState::new(), AbstractState::new());
+            seed(&mut a);
+            seed(&mut b);
+            assert_eq!(
+                sat.saturate_excluding(&mut a, skip),
+                linear(&rules, &mut b, skip)
+            );
+            assert_eq!(a, b, "skipping {skip:?}");
+        }
+        let mut st = AbstractState::new();
+        seed(&mut st);
+        assert_eq!(sat.saturate(&mut st).fired, vec![2, 1, 3]);
+        let mut st = AbstractState::new();
+        seed(&mut st);
+        assert_eq!(sat.saturate_excluding(&mut st, &[1]).fired, vec![2]);
     }
 
     #[test]
@@ -483,10 +818,10 @@ mod tests {
         let rules = RuleSet::from_rules([two]);
         let mut state = AbstractState::new();
         state.constrain("R", "A", &AbstractValue::Range(ValueRange::point(5)));
-        let sat = saturate(&rules, &mut state);
+        let sat = Saturator::new(&rules).saturate(&mut state);
         assert!(sat.fired.is_empty(), "B is unconstrained");
         state.constrain("R", "B", &AbstractValue::Range(ValueRange::point(5)));
-        let sat = saturate(&rules, &mut state);
+        let sat = Saturator::new(&rules).saturate(&mut state);
         assert_eq!(sat.fired, vec![1]);
     }
 }

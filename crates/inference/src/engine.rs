@@ -25,7 +25,7 @@
 //! relation caches until it next mutates.
 
 use crate::answer::{BackwardCharacterization, Direction, ForwardFact, IntensionalAnswer, RuleUse};
-use intensio_ker::model::KerModel;
+use intensio_ker::model::{subtype_label_among, Classifier, KerModel};
 use intensio_rules::range::{Endpoint, ValueRange};
 use intensio_rules::rule::{AttrId, Clause, Rule, RuleSet};
 use intensio_sql::QueryAnalysis;
@@ -33,6 +33,7 @@ use intensio_storage::catalog::Database;
 use intensio_storage::error::Result;
 use intensio_storage::index::AttributeIndex;
 use intensio_storage::value::Value;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How premise subsumption is decided.
@@ -78,6 +79,9 @@ pub struct InferenceEngine<'a> {
     /// completeness checks, through each relation's secondary indexes.
     db: &'a Database,
     cfg: InferenceConfig,
+    /// The model's classifiers, built on the first subtype label a
+    /// conclusion needs.
+    classifiers: OnceCell<Vec<Classifier>>,
 }
 
 impl<'a> InferenceEngine<'a> {
@@ -94,7 +98,16 @@ impl<'a> InferenceEngine<'a> {
             rules,
             db,
             cfg,
+            classifiers: OnceCell::new(),
         })
+    }
+
+    /// The subtype `attribute = value` selects, if any.
+    fn subtype_label(&self, attribute: &str, value: &Value) -> Option<String> {
+        let classifiers = self
+            .classifiers
+            .get_or_init(|| self.model.classifier_list());
+        subtype_label_among(classifiers, attribute, value)
     }
 
     /// Derive the intensional answer for an analyzed query.
@@ -156,10 +169,10 @@ impl<'a> InferenceEngine<'a> {
                         conclusion: format!("{} = {}", rule.rhs.attr, rhs_value),
                     });
                     intensio_obs::inc("inference.forward_fired");
-                    let subtype = rule.rhs_subtype.clone().or_else(|| {
-                        self.model
-                            .subtype_label_for(&rule.rhs.attr.attribute, &rhs_value)
-                    });
+                    let subtype = rule
+                        .rhs_subtype
+                        .clone()
+                        .or_else(|| self.subtype_label(&rule.rhs.attr.attribute, &rhs_value));
                     answer.certain.push(ForwardFact {
                         attr: rule.rhs.attr.clone(),
                         value: rhs_value.clone(),
@@ -229,10 +242,10 @@ impl<'a> InferenceEngine<'a> {
                         range: lhs.range.clone(),
                         y: rule.rhs.attr.clone(),
                         value: value.clone(),
-                        subtype: rule.rhs_subtype.clone().or_else(|| {
-                            self.model
-                                .subtype_label_for(&rule.rhs.attr.attribute, value)
-                        }),
+                        subtype: rule
+                            .rhs_subtype
+                            .clone()
+                            .or_else(|| self.subtype_label(&rule.rhs.attr.attribute, value)),
                         rule_id: rule.id,
                         complete,
                     });

@@ -26,7 +26,7 @@ pub mod optimizer;
 pub mod quality;
 pub mod schema_rules;
 
-pub use absint::{saturate, saturate_excluding, AbstractState, AbstractValue, Saturation};
+pub use absint::{AbstractState, AbstractValue, Saturation, Saturator};
 pub use answer::{BackwardCharacterization, Direction, ForwardFact, IntensionalAnswer, RuleUse};
 pub use engine::{InferenceConfig, InferenceEngine, SubsumptionMode};
 pub use fingerprint::condition_fingerprint;

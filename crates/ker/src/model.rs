@@ -533,17 +533,24 @@ impl KerModel {
             .collect()
     }
 
+    /// The classifiers of [`KerModel::classifiers`], in the same order,
+    /// without their parent names: build it once and label any number
+    /// of values with [`subtype_label_among`].
+    pub fn classifier_list(&self) -> Vec<Classifier> {
+        self.classifiers().into_iter().map(|(_, c)| c).collect()
+    }
+
     /// The subtype selected by `attribute = value` in *any* hierarchy
     /// whose classifier uses that attribute name. Classifying attribute
     /// names are assumed unique across the schema (true of the paper's
     /// test bed: `Type`, `Class`, `SonarType`); when several hierarchies
     /// share the attribute name, the first declared match wins.
     ///
-    /// A caller labelling many values can build [`KerModel::classifiers`]
-    /// once and call [`subtype_label_among`] instead.
+    /// A caller labelling many values can build
+    /// [`KerModel::classifier_list`] once and call
+    /// [`subtype_label_among`] instead.
     pub fn subtype_label_for(&self, attribute: &str, value: &Value) -> Option<String> {
-        let classifiers = self.classifiers();
-        subtype_label_among(classifiers.iter().map(|(_, c)| c), attribute, value)
+        subtype_label_among(&self.classifier_list(), attribute, value)
     }
 
     /// The derivation clause(s) characterizing a subtype, if any.

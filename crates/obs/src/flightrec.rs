@@ -99,14 +99,24 @@ fn sanitize(reason: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Both tests set the process-wide dump directory; holding this
+    /// keeps one from disarming the recorder while the other dumps.
+    static DIR_OWNER: Mutex<()> = Mutex::new(());
+
+    fn own_dir() -> std::sync::MutexGuard<'static, ()> {
+        DIR_OWNER.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn disarmed_recorder_writes_nothing() {
+        let _owner = own_dir();
         set_dir(None);
         assert_eq!(flight_record("test_disarmed"), None);
     }
 
     #[test]
     fn armed_recorder_dumps_valid_json_and_rate_limits() {
+        let _owner = own_dir();
         let dir = std::env::temp_dir().join(format!("intensio-flightrec-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         set_dir(Some(&dir));

@@ -8,6 +8,7 @@
 
 use crate::range::ValueRange;
 use intensio_storage::value::Value;
+use std::collections::HashMap;
 use std::fmt;
 
 /// An attribute identified by its owning object type (or relation) and
@@ -203,7 +204,30 @@ impl RuleSet {
 
     /// Look up by id.
     pub fn get(&self, id: u32) -> Option<&Rule> {
-        self.rules.iter().find(|r| r.id == id)
+        // Ids are positions + 1 (see [`RuleSet::push`]).
+        let pos = (id as usize).checked_sub(1)?;
+        self.rules.get(pos).filter(|r| r.id == id)
+    }
+
+    /// Rule positions grouped by conclusion attribute (compared ASCII
+    /// case-insensitively, like [`AttrId::matches`]), each group in id
+    /// order, groups in order of their first rule. Two rules can only
+    /// conflict or subsume each other within one group.
+    pub fn conclusion_groups(&self) -> Vec<Vec<usize>> {
+        let mut group_of: HashMap<(String, String), usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (pos, r) in self.rules.iter().enumerate() {
+            let key = (
+                r.rhs.attr.object.to_ascii_lowercase(),
+                r.rhs.attr.attribute.to_ascii_lowercase(),
+            );
+            let g = *group_of.entry(key).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(pos);
+        }
+        groups
     }
 
     /// Rules whose consequence constrains `object.attribute`.
@@ -257,35 +281,40 @@ impl RuleSet {
     /// (§5.2.1 step 4): it trades no applicability at all, since every
     /// query the dropped rule would answer is answered by its subsumer.
     pub fn minimize(&mut self) -> usize {
+        let groups = self.conclusion_groups();
         let rules = std::mem::take(&mut self.rules);
         let mut keep: Vec<bool> = vec![true; rules.len()];
-        for i in 0..rules.len() {
-            if !keep[i] {
-                continue;
-            }
-            for j in 0..rules.len() {
-                if i == j || !keep[j] {
+        // Only a rule with the same consequence can subsume another, and
+        // no rule is in two groups, so each group is minimized alone.
+        for group in &groups {
+            for &i in group {
+                if !keep[i] {
                     continue;
                 }
-                let (a, b) = (&rules[j], &rules[i]); // does a subsume b?
-                let same_consequence = a.rhs.attr == b.rhs.attr
-                    && a.rhs.range == b.rhs.range
-                    && a.rhs_subtype == b.rhs_subtype;
-                if !same_consequence {
-                    continue;
-                }
-                // Every clause of a must subsume b's clause on the same
-                // attribute (and a must not constrain attributes b does
-                // not — that would make a narrower).
-                let a_subsumes_b = a.lhs.iter().all(|ca| {
-                    b.lhs_clause(&ca.attr.object, &ca.attr.attribute)
-                        .map(|cb| ca.range.subsumes(&cb.range))
-                        .unwrap_or(false)
-                });
-                let strictly_wider = a_subsumes_b && (a.lhs != b.lhs || a.id < b.id);
-                if strictly_wider {
-                    keep[i] = false;
-                    break;
+                for &j in group {
+                    if i == j || !keep[j] {
+                        continue;
+                    }
+                    let (a, b) = (&rules[j], &rules[i]); // does a subsume b?
+                    let same_consequence = a.rhs.attr == b.rhs.attr
+                        && a.rhs.range == b.rhs.range
+                        && a.rhs_subtype == b.rhs_subtype;
+                    if !same_consequence {
+                        continue;
+                    }
+                    // Every clause of a must subsume b's clause on the same
+                    // attribute (and a must not constrain attributes b does
+                    // not — that would make a narrower).
+                    let a_subsumes_b = a.lhs.iter().all(|ca| {
+                        b.lhs_clause(&ca.attr.object, &ca.attr.attribute)
+                            .map(|cb| ca.range.subsumes(&cb.range))
+                            .unwrap_or(false)
+                    });
+                    let strictly_wider = a_subsumes_b && (a.lhs != b.lhs || a.id < b.id);
+                    if strictly_wider {
+                        keep[i] = false;
+                        break;
+                    }
                 }
             }
         }

@@ -52,7 +52,7 @@
 
 use crate::cache::AnswerCache;
 use crate::snapshot::Snapshot;
-use intensio_check::{check_rules, Report, RuleCheckConfig};
+use intensio_check::{check_rules, Report, RuleCheckConfig, Severity};
 use intensio_core::DataDictionary;
 use intensio_induction::{Ils, InductionConfig};
 use intensio_inference::{
@@ -998,6 +998,9 @@ impl Shared {
 /// Lint a candidate rule set against the data it was induced from,
 /// using the induction threshold as the support floor. Error-level
 /// findings (e.g. IC020 conflicting rules) make the set uninstallable.
+/// This is the one check a rule set gets: its Warn and Error counts
+/// feed `induction.lint_warnings` / `induction.lint_errors`, and at
+/// Verbose level each such finding is printed.
 fn lint_rule_set(
     cfg: &ServiceConfig,
     rules: &intensio_rules::rule::RuleSet,
@@ -1008,6 +1011,23 @@ fn lint_rule_set(
     };
     let mut report = check_rules(rules, Some(db), &check_cfg);
     report.sort();
+    let warns = report.count(Severity::Warn);
+    let errors = report.count(Severity::Error);
+    if warns > 0 {
+        intensio_obs::add("induction.lint_warnings", warns as u64);
+    }
+    if errors > 0 {
+        intensio_obs::add("induction.lint_errors", errors as u64);
+    }
+    if intensio_obs::level() >= intensio_obs::Level::Verbose {
+        for d in report
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity >= Severity::Warn)
+        {
+            eprintln!("[lint] {d}");
+        }
+    }
     report
 }
 

@@ -64,6 +64,14 @@ fn conflicting_rules_are_rejected_at_open_and_service_stays_up() {
     let stats = service.stats();
     assert_eq!(stats.rulesets_rejected, 1, "open-time induction rejected");
     assert!(!stats.rules_fresh, "rejected rules must not read as fresh");
+    // The gate is the one check an induced set gets; its findings feed
+    // the lint counters STATS exports.
+    let lint_errors = stats.metrics.counters.get("induction.lint_errors");
+    assert!(
+        lint_errors.is_some_and(|&n| n >= 1),
+        "{:?}",
+        stats.metrics.counters
+    );
 
     // Extensional service is unaffected by the missing knowledge.
     match service.submit(Request::Sql("SELECT Gid FROM G".to_string())) {
