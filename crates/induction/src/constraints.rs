@@ -13,12 +13,11 @@
 //! strongest comparison (`<`, `<=`, `=`, `>=`, `>`) that every joined
 //! instance satisfies.
 
-use crate::driver::Ils;
+use crate::driver::{Ils, RoleJoin};
 use intensio_rules::rule::AttrId;
 use intensio_storage::catalog::Database;
 use intensio_storage::error::Result;
 use intensio_storage::expr::CmpOp;
-use intensio_storage::relation::Relation;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -59,61 +58,42 @@ impl Ils<'_> {
     ) -> Result<Vec<InterObjectConstraint>> {
         let mut out = Vec::new();
         for rel in db.relations() {
-            if !self.is_relationship(db, rel) {
+            let roles = self.role_attrs(db, rel);
+            if roles.len() < 2 {
                 continue;
             }
-            let roles = self.role_attrs(db, rel);
             let joined = self.join_roles(db, rel, &roles)?;
-            let mut role_cols = Vec::new();
-            for (_, entity) in &roles {
-                let mut cols = Vec::new();
-                crate::driver::collect_entity_columns(self.model(), db, entity, &mut cols, 1);
-                role_cols.push(cols);
-            }
-            discover_in_joined(
-                rel.name(),
-                &joined,
-                &role_cols,
-                self.config().min_support,
-                &mut out,
-            )?;
+            discover_in_joined(rel.name(), &joined, self.config().min_support, &mut out);
         }
         Ok(out)
     }
 }
 
-/// Scan a joined relation for universally-held comparisons between
-/// columns of *different* roles.
-pub(crate) fn discover_in_joined(
+/// Scan a role join for universally-held comparisons between columns
+/// of *different* roles.
+fn discover_in_joined(
     relationship: &str,
-    joined: &Relation,
-    role_cols: &[Vec<(String, String, String, bool)>],
+    joined: &RoleJoin<'_>,
     min_support: usize,
     out: &mut Vec<InterObjectConstraint>,
-) -> Result<()> {
-    for (ai, a_cols) in role_cols.iter().enumerate() {
-        for (bi, b_cols) in role_cols.iter().enumerate() {
+) {
+    for (ai, a_cols) in joined.roles.iter().enumerate() {
+        for (bi, b_cols) in joined.roles.iter().enumerate() {
             if ai >= bi {
                 continue; // each unordered pair once; op orientation covers both
             }
-            for (a_col, a_entity, a_attr, a_key) in a_cols {
-                for (b_col, b_entity, b_attr, b_key) in b_cols {
+            for a in a_cols.clone() {
+                for b in b_cols.clone() {
+                    let (ac, bc) = (&joined.columns[a], &joined.columns[b]);
                     // Key attributes are surrogate identifiers; any
                     // ordering between them is lexicographic noise.
-                    if *a_key || *b_key {
+                    if ac.is_key || bc.is_key {
                         continue;
                     }
-                    let Some(xi) = joined.schema().index_of(a_col) else {
-                        continue;
-                    };
-                    let Some(yi) = joined.schema().index_of(b_col) else {
-                        continue;
-                    };
                     // Track which orderings occur.
                     let (mut lt, mut eq, mut gt, mut n) = (false, false, false, 0usize);
                     let mut comparable = true;
-                    for t in joined.iter() {
-                        let (l, r) = (t.get(xi), t.get(yi));
+                    for (l, r) in joined.values(a).zip(joined.values(b)) {
                         if l.is_null() || r.is_null() {
                             continue;
                         }
@@ -140,14 +120,11 @@ pub(crate) fn discover_in_joined(
                         _ => None, // both < and > occur: no constraint
                     };
                     if let Some(op) = op {
-                        // Equality between a role key and its own foreign
-                        // key column is referential noise; skip identical
-                        // attributes with Eq on string ids.
                         out.push(InterObjectConstraint {
                             relationship: relationship.to_string(),
-                            left: AttrId::new(a_entity.clone(), a_attr.clone()),
+                            left: ac.attr_id(),
                             op,
-                            right: AttrId::new(b_entity.clone(), b_attr.clone()),
+                            right: bc.attr_id(),
                             support: n,
                         });
                     }
@@ -155,5 +132,4 @@ pub(crate) fn discover_in_joined(
             }
         }
     }
-    Ok(())
 }

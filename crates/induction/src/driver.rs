@@ -17,16 +17,16 @@
 //!   from another.
 
 use crate::config::InductionConfig;
-use crate::pairwise::{induce_pair_ids_with_stats, InducedRule};
+use crate::pairwise::{induce_values, InducedRule};
 use intensio_ker::model::{subtype_label_among, Classifier, KerModel};
-use intensio_rules::rule::AttrId as RuleAttrId;
 use intensio_rules::rule::{AttrId, Rule, RuleSet};
 use intensio_storage::catalog::Database;
 use intensio_storage::error::{Result, StorageError};
 use intensio_storage::relation::Relation;
-use intensio_storage::schema::{Attribute, Schema};
-use intensio_storage::value::ValueKey;
+use intensio_storage::tuple::Tuple;
+use intensio_storage::value::{Value, ValueRef};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
 /// Statistics from one ILS run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -95,28 +95,9 @@ impl<'m> Ils<'m> {
         let _span = intensio_obs::Span::stage("induction.run", intensio_obs::Stage::Induction)
             .with_field("mode", "sequential");
         intensio_fault::fire("induction.run")?;
-        let mut stats = IlsStats::default();
-        let mut induced: Vec<InducedRule> = Vec::new();
-        let classifier_attrs = self.classifier_attr_names();
-
-        for rel in db.relations() {
-            if self.is_relationship(db, rel) {
-                let mut rules = self.induce_inter(db, rel, &classifier_attrs, &mut stats)?;
-                induced.append(&mut rules);
-            } else {
-                let mut rules = self.induce_intra(rel, &classifier_attrs, &mut stats)?;
-                induced.append(&mut rules);
-            }
-        }
-
-        stats.rules_kept = induced.len();
-        let classifiers = self.model.classifier_list();
-        let mut rules = RuleSet::new();
-        for r in induced {
-            rules.push(labelled_rule(r, &classifiers));
-        }
-        record_induction_metrics(&stats);
-        Ok(IlsOutput { rules, stats })
+        let plan = self.plan(db)?;
+        let results = plan.jobs.iter().map(|job| plan.run(job, &self.cfg));
+        Ok(self.assemble(plan.jobs.len(), results))
     }
 
     /// Run schema-guided induction with pair-level parallelism.
@@ -125,157 +106,125 @@ impl<'m> Ils<'m> {
     /// pairs: each pair's induction touches only its own columns. Jobs
     /// are partitioned across `threads` scoped worker threads and the
     /// results reassembled in job order, so the output is identical to
-    /// [`Ils::induce`] (tested). Relationship joins are materialized
-    /// once, up front, on the calling thread.
+    /// [`Ils::induce`] (tested). Relationship joins are resolved to row
+    /// ids once, up front, on the calling thread.
     pub fn induce_parallel(&self, db: &Database, threads: usize) -> Result<IlsOutput> {
         let _span = intensio_obs::Span::stage("induction.run", intensio_obs::Stage::Induction)
             .with_field("mode", "parallel")
             .with_field("threads", threads.max(1));
         intensio_fault::fire("induction.run")?;
-        let threads = threads.max(1);
-        let classifier_attrs = self.classifier_attr_names();
+        let plan = self.plan(db)?;
+        let chunk = plan.jobs.len().div_ceil(threads.max(1)).max(1);
+        let mut results: Vec<(Vec<InducedRule>, usize)> = Vec::with_capacity(plan.jobs.len());
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = plan
+                .jobs
+                .chunks(chunk)
+                .map(|jobs| {
+                    let plan = &plan;
+                    let cfg = &self.cfg;
+                    scope.spawn(move || {
+                        jobs.iter()
+                            .map(|job| plan.run(job, cfg))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for worker in workers {
+                results.extend(worker.join().expect("induction worker panicked"));
+            }
+        });
+        Ok(self.assemble(plan.jobs.len(), results))
+    }
 
-        /// Column descriptor: (column, source entity, attribute, is key).
-        type ColSpec = (String, String, String, bool);
-        // Materialize relationship joins first (sequential).
-        let mut joined: Vec<Relation> = Vec::new();
-        let mut joined_roles: Vec<Vec<Vec<ColSpec>>> = Vec::new();
-        for rel in db.relations() {
-            if self.is_relationship(db, rel) {
-                let roles = self.role_attrs(db, rel);
-                joined.push(self.join_roles(db, rel, &roles)?);
-                let mut per_role = Vec::new();
-                for (_, entity) in &roles {
-                    let mut cols = Vec::new();
-                    collect_entity_columns(self.model, db, entity, &mut cols, 1);
-                    per_role.push(cols);
-                }
-                joined_roles.push(per_role);
+    /// Number and label the rules of every job, in job order, and
+    /// record the run's statistics.
+    fn assemble(
+        &self,
+        pairs_examined: usize,
+        results: impl IntoIterator<Item = (Vec<InducedRule>, usize)>,
+    ) -> IlsOutput {
+        let mut stats = IlsStats {
+            pairs_examined,
+            ..IlsStats::default()
+        };
+        let classifiers = self.model.classifier_list();
+        let mut rules = RuleSet::new();
+        for (pair_rules, constructed) in results {
+            stats.rules_constructed += constructed;
+            stats.rules_kept += pair_rules.len();
+            for r in pair_rules {
+                rules.push(labelled_rule(r, &classifiers));
             }
         }
+        record_induction_metrics(&stats);
+        IlsOutput { rules, stats }
+    }
 
-        // Job list: (relation ref, x_col, x_id, y_col, y_id), in the same
-        // order the sequential driver visits pairs.
-        struct Job<'r> {
-            rel: &'r Relation,
-            x_col: String,
-            x_id: AttrId,
-            y_col: String,
-            y_id: AttrId,
-        }
-        let mut jobs: Vec<Job<'_>> = Vec::new();
-        let mut join_idx = 0usize;
+    /// The induction jobs of a database, in the order their rules are
+    /// numbered: relations in catalog order; within a stored relation,
+    /// every non-key classifying attribute `Y` paired with every other
+    /// attribute `X` (intra-object, §3.1); within a relationship, every
+    /// column of one role paired with every non-key classifying column
+    /// of another (inter-object).
+    fn plan<'d>(&self, db: &'d Database) -> Result<Plan<'d>> {
+        let classifier_attrs = self.classifier_attr_names();
+        let is_classifier = |name: &str| classifier_attrs.contains(&name.to_ascii_lowercase());
+        let mut plan = Plan {
+            sources: Vec::new(),
+            jobs: Vec::new(),
+        };
         for rel in db.relations() {
-            if self.is_relationship(db, rel) {
-                let jrel = &joined[join_idx];
-                let role_cols = &joined_roles[join_idx];
-                join_idx += 1;
-                for (ai, a_cols) in role_cols.iter().enumerate() {
-                    for (bi, b_cols) in role_cols.iter().enumerate() {
+            let source = plan.sources.len();
+            let roles = self.role_attrs(db, rel);
+            if roles.len() >= 2 {
+                let join = self.join_roles(db, rel, &roles)?;
+                for (ai, a) in join.roles.iter().enumerate() {
+                    for (bi, b) in join.roles.iter().enumerate() {
                         if ai == bi {
                             continue;
                         }
-                        for (x_col, x_entity, x_attr, _) in a_cols {
-                            for (y_col, y_entity, y_attr, y_key) in b_cols {
-                                if *y_key
-                                    || !classifier_attrs.contains(&y_attr.to_ascii_lowercase())
-                                {
+                        for x in a.clone() {
+                            for y in b.clone() {
+                                let yc = &join.columns[y];
+                                if yc.is_key || !is_classifier(&yc.attribute) {
                                     continue;
                                 }
-                                jobs.push(Job {
-                                    rel: jrel,
-                                    x_col: x_col.clone(),
-                                    x_id: AttrId::new(x_entity.clone(), x_attr.clone()),
-                                    y_col: y_col.clone(),
-                                    y_id: AttrId::new(y_entity.clone(), y_attr.clone()),
+                                plan.jobs.push(Job {
+                                    source,
+                                    x,
+                                    x_id: join.columns[x].attr_id(),
+                                    y,
+                                    y_id: yc.attr_id(),
                                 });
                             }
                         }
                     }
                 }
+                plan.sources.push(Source::Joined(join));
             } else {
-                for y_attr in rel.schema().attributes() {
-                    if y_attr.is_key()
-                        || !classifier_attrs.contains(&y_attr.name().to_ascii_lowercase())
-                    {
+                let attrs = rel.schema().attributes();
+                for (y, y_attr) in attrs.iter().enumerate() {
+                    if y_attr.is_key() || !is_classifier(y_attr.name()) {
                         continue;
                     }
-                    for x_attr in rel.schema().attributes() {
+                    for (x, x_attr) in attrs.iter().enumerate() {
                         if x_attr.name().eq_ignore_ascii_case(y_attr.name()) {
                             continue;
                         }
-                        jobs.push(Job {
-                            rel,
-                            x_col: x_attr.name().to_string(),
+                        plan.jobs.push(Job {
+                            source,
+                            x,
                             x_id: AttrId::new(rel.name(), x_attr.name()),
-                            y_col: y_attr.name().to_string(),
+                            y,
                             y_id: AttrId::new(rel.name(), y_attr.name()),
                         });
                     }
                 }
+                plan.sources.push(Source::Stored(rel));
             }
         }
-
-        let mut stats = IlsStats {
-            pairs_examined: jobs.len(),
-            ..IlsStats::default()
-        };
-
-        // Fan jobs out over scoped threads, keeping job order in the
-        // reassembled result.
-        let cfg = self.cfg;
-        let n = jobs.len();
-        let chunk = n.div_ceil(threads).max(1);
-        let mut results: Vec<Option<(Vec<InducedRule>, usize)>> = Vec::new();
-        results.resize_with(n, || None);
-        let errors = std::sync::Mutex::new(Vec::new());
-        {
-            let mut slots: &mut [Option<(Vec<InducedRule>, usize)>] = &mut results;
-            let mut job_slices: &[Job<'_>] = &jobs;
-            std::thread::scope(|scope| {
-                while !job_slices.is_empty() {
-                    let take = chunk.min(job_slices.len());
-                    let (job_chunk, rest_jobs) = job_slices.split_at(take);
-                    let (slot_chunk, rest_slots) = slots.split_at_mut(take);
-                    job_slices = rest_jobs;
-                    slots = rest_slots;
-                    let errors = &errors;
-                    scope.spawn(move || {
-                        for (job, slot) in job_chunk.iter().zip(slot_chunk) {
-                            match induce_pair_ids_with_stats(
-                                job.rel,
-                                &job.x_col,
-                                job.x_id.clone(),
-                                &job.y_col,
-                                job.y_id.clone(),
-                                &cfg,
-                            ) {
-                                Ok(pair) => *slot = Some(pair),
-                                Err(e) => {
-                                    errors.lock().expect("mutex").push(e);
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        if let Some(e) = errors.into_inner().expect("mutex").into_iter().next() {
-            return Err(e);
-        }
-
-        let classifiers = self.model.classifier_list();
-        let mut rules = RuleSet::new();
-        for slot in results.into_iter().flatten() {
-            let (pair_rules, constructed) = slot;
-            stats.rules_constructed += constructed;
-            for r in pair_rules {
-                stats.rules_kept += 1;
-                rules.push(labelled_rule(r, &classifiers));
-            }
-        }
-        record_induction_metrics(&stats);
-        Ok(IlsOutput { rules, stats })
+        Ok(plan)
     }
 
     /// Extension beyond the paper's §5.2.1: learn *multi-clause* rules
@@ -349,7 +298,7 @@ impl<'m> Ils<'m> {
     /// A relation is a relationship when at least two of its attributes
     /// are object-valued (their KER domain names another object type
     /// stored in the database).
-    pub(crate) fn is_relationship(&self, db: &Database, rel: &Relation) -> bool {
+    fn is_relationship(&self, db: &Database, rel: &Relation) -> bool {
         self.role_attrs(db, rel).len() >= 2
     }
 
@@ -375,129 +324,46 @@ impl<'m> Ils<'m> {
             .collect()
     }
 
-    /// Intra-object induction: for every non-key classifying attribute Y
-    /// of the relation, pair it with every other attribute X.
-    fn induce_intra(
+    /// Join a relationship relation with its role entities (and one
+    /// more hop of object-valued attributes), as row ids: no value is
+    /// copied. `roles` is [`Ils::role_attrs`] of the relation.
+    ///
+    /// A relationship row whose role reference dangles is skipped (an
+    /// inner join); a hop whose target is missing reads as NULL. Where
+    /// an entity repeats a key, its last row is the one joined.
+    pub(crate) fn join_roles<'d>(
         &self,
-        rel: &Relation,
-        classifier_attrs: &BTreeSet<String>,
-        stats: &mut IlsStats,
-    ) -> Result<Vec<InducedRule>> {
-        let mut out = Vec::new();
-        let object = rel.name();
-        for y_attr in rel.schema().attributes() {
-            if y_attr.is_key() {
-                continue;
-            }
-            if !classifier_attrs.contains(&y_attr.name().to_ascii_lowercase()) {
-                continue;
-            }
-            for x_attr in rel.schema().attributes() {
-                if x_attr.name().eq_ignore_ascii_case(y_attr.name()) {
-                    continue;
-                }
-                stats.pairs_examined += 1;
-                let (rules, constructed) = induce_pair_ids_with_stats(
-                    rel,
-                    x_attr.name(),
-                    RuleAttrId::new(object, x_attr.name()),
-                    y_attr.name(),
-                    RuleAttrId::new(object, y_attr.name()),
-                    &self.cfg,
-                )?;
-                stats.rules_constructed += constructed;
-                out.extend(rules);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Inter-object induction over a relationship relation.
-    fn induce_inter(
-        &self,
-        db: &Database,
-        rel: &Relation,
-        classifier_attrs: &BTreeSet<String>,
-        stats: &mut IlsStats,
-    ) -> Result<Vec<InducedRule>> {
-        let roles = self.role_attrs(db, rel);
-        let joined = self.join_roles(db, rel, &roles)?;
-
-        // Columns per role: (column name in `joined`, entity name, attr
-        // name, is_key_of_entity).
+        db: &'d Database,
+        rel: &'d Relation,
+        roles: &[(String, String)],
+    ) -> Result<RoleJoin<'d>> {
+        // The columns each role contributes. Their `ENTITY.Attr` names
+        // must be distinct, as the columns of one relation.
         let mut role_cols: Vec<Vec<(String, String, String, bool)>> = Vec::new();
-        for (_, entity) in &roles {
+        let mut names: Vec<String> = Vec::new();
+        for (_, entity) in roles {
             let mut cols = Vec::new();
             collect_entity_columns(self.model, db, entity, &mut cols, 1);
+            for (col, ..) in &cols {
+                if names.iter().any(|n| n.eq_ignore_ascii_case(col)) {
+                    return Err(StorageError::Invalid(format!(
+                        "duplicate attribute name: {col}"
+                    )));
+                }
+                names.push(col.clone());
+            }
             role_cols.push(cols);
         }
 
-        let mut out = Vec::new();
-        for (ai, a_cols) in role_cols.iter().enumerate() {
-            for (bi, b_cols) in role_cols.iter().enumerate() {
-                if ai == bi {
-                    continue;
-                }
-                for (x_col, x_entity, x_attr, _) in a_cols {
-                    for (y_col, y_entity, y_attr, y_key) in b_cols {
-                        if *y_key || !classifier_attrs.contains(&y_attr.to_ascii_lowercase()) {
-                            continue;
-                        }
-                        stats.pairs_examined += 1;
-                        let (rules, constructed) = induce_pair_ids_with_stats(
-                            &joined,
-                            x_col,
-                            AttrId::new(x_entity.clone(), x_attr.clone()),
-                            y_col,
-                            AttrId::new(y_entity.clone(), y_attr.clone()),
-                            &self.cfg,
-                        )?;
-                        stats.rules_constructed += constructed;
-                        out.extend(rules);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Join a relationship relation with its role entities (and one more
-    /// hop of object-valued attributes). Columns are named
-    /// `ENTITY.Attr`.
-    pub(crate) fn join_roles(
-        &self,
-        db: &Database,
-        rel: &Relation,
-        roles: &[(String, String)],
-    ) -> Result<Relation> {
-        // Plan the joined schema.
-        let mut attrs: Vec<Attribute> = Vec::new();
-        for (_role_attr, entity) in roles {
-            let mut cols: Vec<(String, String, String, bool)> = Vec::new();
-            collect_entity_columns(self.model, db, entity, &mut cols, 1);
-            for (col, src_entity, attr, _) in &cols {
-                let src_rel = db.get(src_entity)?;
-                let idx = src_rel.schema().require(src_entity, attr)?;
-                attrs.push(Attribute::new(
-                    col.clone(),
-                    src_rel.schema().attr(idx).domain().clone(),
-                ));
-            }
-        }
-        let schema = Schema::new(attrs)?;
-        let mut joined = Relation::new(format!("{}⋈roles", rel.name()), schema);
-
-        // Key-indexed lookup per entity (including hop-2 targets).
-        let mut lookups: HashMap<String, HashMap<ValueKey, &intensio_storage::tuple::Tuple>> =
-            HashMap::new();
+        // Key -> row maps per entity (including hop-2 targets).
         let mut entities_needed: BTreeSet<String> = BTreeSet::new();
         for (_, entity) in roles {
             entities_needed.insert(entity.clone());
-            for (hop_attr, hop_entity) in self.entity_hops(db, entity) {
-                let _ = hop_attr;
+            for (_, hop_entity) in self.entity_hops(db, entity) {
                 entities_needed.insert(hop_entity);
             }
         }
+        let mut rows_by_key: HashMap<String, HashMap<ValueRef<'d>, u32>> = HashMap::new();
         for entity in &entities_needed {
             let erel = db.get(entity)?;
             let keys = erel.schema().key_indices();
@@ -506,81 +372,93 @@ impl<'m> Ils<'m> {
                     "entity {entity} needs a single-attribute key for role joins"
                 )));
             };
-            let mut map = HashMap::with_capacity(erel.len());
-            for t in erel.iter() {
-                map.insert(ValueKey(t.get(*kidx).clone()), t);
-            }
-            lookups.insert(entity.to_ascii_lowercase(), map);
+            let map = key_rows(erel.iter().map(|t| t.get(*kidx)));
+            rows_by_key.insert(entity.to_ascii_lowercase(), map);
         }
 
-        // Per-role column plans, resolved to source relation + index.
-        // (source entity lowercase, attribute index, hop via-attribute
-        // index in the role entity or None for the entity's own column).
-        struct ColPlan {
-            src_entity: String,
-            attr_idx: usize,
-            via_idx: Option<usize>,
-        }
-        let mut role_plans: Vec<(usize, String, Vec<ColPlan>)> = Vec::new(); // (rel attr idx, entity, cols)
-        for (role_attr, entity) in roles {
-            let ri = rel.schema().require(rel.name(), role_attr)?;
+        // Slots of a joined row: per role, one for the role entity's
+        // row, then one per hop its columns read through.
+        let mut join = RoleJoin {
+            columns: Vec::new(),
+            roles: Vec::new(),
+            width: 0,
+            rows: Vec::new(),
+        };
+        let mut plans: Vec<RolePlan<'_, 'd>> = Vec::new();
+        for ((role_attr, entity), cols) in roles.iter().zip(&role_cols) {
             let erel = db.get(entity)?;
-            let mut cols: Vec<(String, String, String, bool)> = Vec::new();
-            collect_entity_columns(self.model, db, entity, &mut cols, 1);
+            let mut role = RolePlan {
+                attr: rel.schema().require(rel.name(), role_attr)?,
+                rows: &rows_by_key[&entity.to_ascii_lowercase()],
+                tuples: erel.tuples(),
+                slot: join.width,
+                hops: Vec::new(),
+            };
+            join.width += 1;
             let hops = self.entity_hops(db, entity);
-            let mut plans = Vec::with_capacity(cols.len());
-            for (_, src_entity, attr, _) in &cols {
-                if src_entity.eq_ignore_ascii_case(entity) {
-                    plans.push(ColPlan {
-                        src_entity: src_entity.to_ascii_lowercase(),
-                        attr_idx: erel.schema().require(entity, attr)?,
-                        via_idx: None,
-                    });
+            let first = join.columns.len();
+            for (_, src_entity, attr, is_key) in cols {
+                let (src, slot) = if src_entity.eq_ignore_ascii_case(entity) {
+                    (erel, role.slot)
                 } else {
                     let via = hops
                         .iter()
                         .find(|(_, e)| e.eq_ignore_ascii_case(src_entity))
-                        .map(|(via, _)| via.clone())
+                        .map(|(via, _)| via.as_str())
                         .ok_or_else(|| {
                             StorageError::Invalid(format!(
                                 "no reference from {entity} to {src_entity}"
                             ))
                         })?;
                     let srel = db.get(src_entity)?;
-                    plans.push(ColPlan {
-                        src_entity: src_entity.to_ascii_lowercase(),
-                        attr_idx: srel.schema().require(src_entity, attr)?,
-                        via_idx: Some(erel.schema().require(entity, &via)?),
-                    });
-                }
+                    let via = erel.schema().require(entity, via)?;
+                    // One hop attribute names one target entity.
+                    let slot = match role.hops.iter().find(|h| h.via == via) {
+                        Some(hop) => hop.slot,
+                        None => {
+                            role.hops.push(HopPlan {
+                                via,
+                                rows: &rows_by_key[&src_entity.to_ascii_lowercase()],
+                                slot: join.width,
+                            });
+                            join.width += 1;
+                            join.width - 1
+                        }
+                    };
+                    (srel, slot)
+                };
+                join.columns.push(JoinColumn {
+                    entity: src_entity.clone(),
+                    attribute: attr.clone(),
+                    is_key: *is_key,
+                    tuples: src.tuples(),
+                    attr: src.schema().require(src_entity, attr)?,
+                    slot,
+                });
             }
-            role_plans.push((ri, entity.clone(), plans));
+            join.roles.push(first..join.columns.len());
+            plans.push(role);
         }
 
-        // Produce joined tuples (inner join: dangling references skip).
+        // Resolve every relationship row (inner join: a dangling role
+        // reference skips the row).
+        let mut row = vec![NO_ROW; join.width];
+        join.rows.reserve(rel.len() * join.width);
         'tuples: for t in rel.iter() {
-            let mut values = Vec::new();
-            for (ri, entity, plans) in &role_plans {
-                let key = ValueKey(t.get(*ri).clone());
-                let Some(entity_tuple) = lookups[&entity.to_ascii_lowercase()].get(&key) else {
+            for role in &plans {
+                let Some(&rid) = role.rows.get(&ValueRef(t.get(role.attr))) else {
                     continue 'tuples;
                 };
-                for plan in plans {
-                    match plan.via_idx {
-                        None => values.push(entity_tuple.get(plan.attr_idx).clone()),
-                        Some(vi) => {
-                            let k = ValueKey(entity_tuple.get(vi).clone());
-                            match lookups[&plan.src_entity].get(&k) {
-                                Some(ht) => values.push(ht.get(plan.attr_idx).clone()),
-                                None => values.push(intensio_storage::value::Value::Null),
-                            }
-                        }
-                    }
+                row[role.slot] = rid;
+                let entity_row = &role.tuples[rid as usize];
+                for hop in &role.hops {
+                    let key = ValueRef(entity_row.get(hop.via));
+                    row[hop.slot] = hop.rows.get(&key).copied().unwrap_or(NO_ROW);
                 }
             }
-            joined.insert(intensio_storage::tuple::Tuple::new(values))?;
+            join.rows.extend_from_slice(&row);
         }
-        Ok(joined)
+        Ok(join)
     }
 
     /// Object-valued attributes of an entity: `(attr, target entity)`.
@@ -608,7 +486,7 @@ impl<'m> Ils<'m> {
 /// Columns contributed by an entity to a role join: its own attributes
 /// plus (at `depth` ≥ 1) the attributes of entities it references.
 /// Each entry is `(column name, source entity, attribute, is key)`.
-pub(crate) fn collect_entity_columns(
+fn collect_entity_columns(
     model: &KerModel,
     db: &Database,
     entity: &str,
@@ -659,5 +537,160 @@ pub(crate) fn collect_entity_columns(
                 ));
             }
         }
+    }
+}
+
+/// Slot value for a hop whose target row is missing: the columns read
+/// through it are NULL.
+const NO_ROW: u32 = u32::MAX;
+
+/// What a missing hop target's columns read as.
+static NULL: Value = Value::Null;
+
+/// Row ids by key value, over an entity's key column in row order. A
+/// repeated key keeps its last row.
+fn key_rows<'d>(keys: impl Iterator<Item = &'d Value>) -> HashMap<ValueRef<'d>, u32> {
+    let mut map = HashMap::new();
+    for (row, key) in keys.enumerate() {
+        let row = u32::try_from(row)
+            .ok()
+            .filter(|&r| r != NO_ROW)
+            .expect("an entity holds fewer than u32::MAX rows");
+        map.insert(ValueRef(key), row);
+    }
+    map
+}
+
+/// How [`Ils::join_roles`] resolves one role of a relationship row.
+struct RolePlan<'m, 'd> {
+    /// The role attribute's position in the relationship relation.
+    attr: usize,
+    /// The role entity's rows by key.
+    rows: &'m HashMap<ValueRef<'d>, u32>,
+    /// The role entity's tuples.
+    tuples: &'d [Tuple],
+    /// The slot holding the role entity's row id.
+    slot: usize,
+    /// The hops the role's columns read through.
+    hops: Vec<HopPlan<'m, 'd>>,
+}
+
+/// One hop of a role: the entity's attribute that references another
+/// entity, whose row id goes to `slot`.
+struct HopPlan<'m, 'd> {
+    via: usize,
+    rows: &'m HashMap<ValueRef<'d>, u32>,
+    slot: usize,
+}
+
+/// A column of a [`RoleJoin`]: attribute `attr` of the `tuples` row
+/// that slot `slot` of a joined row names.
+pub(crate) struct JoinColumn<'d> {
+    /// The entity the column's values come from.
+    pub(crate) entity: String,
+    /// The attribute's name.
+    pub(crate) attribute: String,
+    /// Whether the attribute is its entity's key.
+    pub(crate) is_key: bool,
+    tuples: &'d [Tuple],
+    attr: usize,
+    slot: usize,
+}
+
+impl JoinColumn<'_> {
+    /// The attribute a rule over this column speaks of.
+    pub(crate) fn attr_id(&self) -> AttrId {
+        AttrId::new(self.entity.clone(), self.attribute.clone())
+    }
+}
+
+/// A relationship relation joined with its role entities (one hop
+/// further for the entities those reference), held as row ids into the
+/// stored relations: every joined row is `width` slots of `rows`.
+pub(crate) struct RoleJoin<'d> {
+    /// Every column, role by role, each role's in
+    /// [`collect_entity_columns`] order.
+    pub(crate) columns: Vec<JoinColumn<'d>>,
+    /// The positions in `columns` of each role's columns.
+    pub(crate) roles: Vec<Range<usize>>,
+    width: usize,
+    rows: Vec<u32>,
+}
+
+impl<'d> RoleJoin<'d> {
+    /// Column `col`'s values, one per joined row, borrowed from the
+    /// stored relations.
+    pub(crate) fn values(&self, col: usize) -> impl Iterator<Item = &'d Value> + '_ {
+        let c = &self.columns[col];
+        self.rows
+            .chunks_exact(self.width)
+            .map(move |row| match row[c.slot] {
+                NO_ROW => &NULL,
+                id => c.tuples[id as usize].get(c.attr),
+            })
+    }
+}
+
+/// Where an induction job reads its rows.
+enum Source<'d> {
+    /// A stored relation, read in place; columns are attribute positions.
+    Stored(&'d Relation),
+    /// A relationship joined with its role entities; columns index
+    /// [`RoleJoin::columns`].
+    Joined(RoleJoin<'d>),
+}
+
+/// One attribute pair to induce over.
+struct Job {
+    /// Index into [`Plan::sources`].
+    source: usize,
+    x: usize,
+    x_id: AttrId,
+    y: usize,
+    y_id: AttrId,
+}
+
+/// The sources and jobs of one ILS run.
+struct Plan<'d> {
+    sources: Vec<Source<'d>>,
+    jobs: Vec<Job>,
+}
+
+impl Plan<'_> {
+    /// Induce one job's pair: its kept rules and the number constructed.
+    fn run(&self, job: &Job, cfg: &InductionConfig) -> (Vec<InducedRule>, usize) {
+        match &self.sources[job.source] {
+            Source::Stored(rel) => {
+                let pairs = rel.iter().map(|t| (t.get(job.x), t.get(job.y)));
+                induce_values(pairs, &job.x_id, &job.y_id, cfg)
+            }
+            Source::Joined(join) => {
+                let pairs = join.values(job.x).zip(join.values(job.y));
+                induce_values(pairs, &job.x_id, &job.y_id, cfg)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_repeated_key_joins_its_last_row() {
+        let keys = [
+            Value::str("a"),
+            Value::Int(3),
+            Value::str("a"),
+            Value::Real(3.0),
+            Value::Null,
+        ];
+        let rows = key_rows(keys.iter());
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[&ValueRef(&Value::str("a"))], 2);
+        // Int and Real keys that compare equal are one key.
+        assert_eq!(rows[&ValueRef(&Value::Int(3))], 3);
+        assert_eq!(rows[&ValueRef(&Value::Real(3.0))], 3);
+        assert_eq!(rows[&ValueRef(&Value::Null)], 4);
     }
 }

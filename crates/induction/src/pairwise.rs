@@ -2,7 +2,7 @@
 //!
 //! For an attribute pair `(X, Y)` of a relation:
 //!
-//! 1. collect the distinct `(Y, X)` value pairs;
+//! 1. collect the distinct `(Y, X)` value pairs, sorted by X;
 //! 2. remove inconsistent pairs (an X with more than one Y);
 //! 3. for each distinct `y`, build rules `if x1 <= X <= x2 then Y = y`
 //!    over maximal runs of consecutive observed X values;
@@ -12,8 +12,8 @@ use crate::config::{InconsistencyPolicy, InductionConfig, RunScope, SupportMetri
 use intensio_rules::rule::{AttrId, Clause, Rule};
 use intensio_storage::error::Result;
 use intensio_storage::relation::Relation;
-use intensio_storage::value::{Value, ValueKey};
-use std::collections::BTreeMap;
+use intensio_storage::value::Value;
+use std::ops::Range;
 
 /// A rule produced by pairwise induction, before numbering.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,126 +101,205 @@ pub fn induce_pair_ids_with_stats(
 ) -> Result<(Vec<InducedRule>, usize)> {
     let xi = rel.schema().require(rel.name(), x_col)?;
     let yi = rel.schema().require(rel.name(), y_col)?;
+    let pairs = rel.iter().map(|t| (t.get(xi), t.get(yi)));
+    Ok(induce_values(pairs, &x_id, &y_id, cfg))
+}
 
-    // Step 1: distinct (X, Y) pairs with instance counts, X sorted.
-    // pair_counts[x][y] = number of instances.
-    let mut pair_counts: BTreeMap<ValueKey, BTreeMap<ValueKey, usize>> = BTreeMap::new();
-    for t in rel.iter() {
-        let xv = t.get(xi);
-        let yv = t.get(yi);
-        if xv.is_null() || yv.is_null() {
-            continue; // missing values carry no classification evidence
-        }
-        *pair_counts
-            .entry(ValueKey(xv.clone()))
-            .or_default()
-            .entry(ValueKey(yv.clone()))
-            .or_insert(0) += 1;
-    }
+/// One observed `(X, Y)` pair: both values non-null, and the position
+/// of its row in scan order.
+#[derive(Clone, Copy)]
+struct Obs<'v> {
+    x: &'v Value,
+    y: &'v Value,
+    row: usize,
+}
 
-    // Step 2: resolve inconsistent X values.
-    // observed: every distinct X in sorted order; assigned: X -> Some(y)
-    // if consistent (or majority-voted), None if removed.
-    let observed: Vec<ValueKey> = pair_counts.keys().cloned().collect();
-    let mut assigned: BTreeMap<ValueKey, Option<(ValueKey, usize, usize)>> = BTreeMap::new();
-    for (xv, ys) in &pair_counts {
-        let total: usize = ys.values().sum();
-        let (best_y, best_n) = ys
-            .iter()
-            .max_by_key(|(_, n)| **n)
-            .map(|(y, n)| (y.clone(), *n))
-            .expect("non-empty");
-        let value = if ys.len() == 1 {
-            Some((best_y, best_n, 0))
-        } else {
-            match cfg.inconsistency {
-                InconsistencyPolicy::Remove => None,
-                InconsistencyPolicy::MajorityVote => {
-                    if best_n * 2 > total {
-                        Some((best_y, best_n, total - best_n))
-                    } else {
-                        None
-                    }
-                }
-            }
-        };
-        assigned.insert(xv.clone(), value);
-    }
+/// The rule a run of X groups is building: its first and last X, its Y,
+/// and the span of sorted observations it covers.
+struct Run<'v> {
+    lo: &'v Value,
+    hi: &'v Value,
+    y: &'v Value,
+    support: usize,
+    violations: usize,
+    distinct_x: usize,
+    span: Range<usize>,
+}
 
-    // Step 3: maximal runs of consecutive X values sharing a Y.
-    let run_values: Vec<&ValueKey> = match cfg.run_scope {
-        RunScope::FullObservedOrder => observed.iter().collect(),
-        RunScope::RemainingOrder => observed.iter().filter(|x| assigned[*x].is_some()).collect(),
-    };
+/// §5.2.1 over one attribute pair, given its `(X, Y)` values in row
+/// order: `retrieve unique (X, Y) sort by X`, then one scan.
+///
+/// The non-null pairs are sorted stably by `(X, Y)` under
+/// [`Value::total_cmp`], so equal X values form one group and, inside
+/// it, equal Y values one sub-run. Where equal values differ in
+/// representation (`Int(3)` and `Real(3.0)`), the one whose row comes
+/// first stands for them, as a `BTreeMap` keyed by the first insertion
+/// would have it. Values are borrowed throughout; only those of a rule
+/// that survives step 4 are copied. Returns the kept rules and the
+/// number constructed before pruning.
+pub(crate) fn induce_values<'v>(
+    pairs: impl Iterator<Item = (&'v Value, &'v Value)>,
+    x_id: &AttrId,
+    y_id: &AttrId,
+    cfg: &InductionConfig,
+) -> (Vec<InducedRule>, usize) {
+    // Step 1: the non-null pairs, sorted by (X, Y); missing values
+    // carry no classification evidence.
+    let mut obs: Vec<Obs<'v>> = pairs
+        .enumerate()
+        .filter(|(_, (x, y))| !x.is_null() && !y.is_null())
+        .map(|(row, (x, y))| Obs { x, y, row })
+        .collect();
+    obs.sort_by(|a, b| a.x.total_cmp(b.x).then_with(|| a.y.total_cmp(b.y)));
 
-    let mut rules: Vec<InducedRule> = Vec::new();
-    let mut current: Option<(ValueKey, Vec<&ValueKey>)> = None; // (y, xs)
-    let flush = |current: &mut Option<(ValueKey, Vec<&ValueKey>)>, rules: &mut Vec<InducedRule>| {
-        if let Some((yv, xs)) = current.take() {
-            let mut support = 0usize;
-            let mut violations = 0usize;
-            for xv in &xs {
-                if let Some((ay, n, v)) = &assigned[*xv] {
-                    debug_assert_eq!(ay, &yv);
-                    support += n;
-                    violations += v;
-                }
-            }
-            rules.push(InducedRule {
-                x: x_id.clone(),
-                lo: xs.first().expect("non-empty run").0.clone(),
-                hi: xs.last().expect("non-empty run").0.clone(),
-                y: y_id.clone(),
-                y_value: yv.0.clone(),
-                support,
-                violations,
-                distinct_x: xs.len(),
-            });
-        }
-    };
-
-    for xv in run_values {
-        match (&assigned[xv], &mut current) {
-            (None, cur) => flush(cur, &mut rules),
-            (Some((yv, _, _)), Some((cy, xs))) if yv == cy => xs.push(xv),
-            (Some((yv, _, _)), cur) => {
-                flush(cur, &mut rules);
-                *cur = Some((yv.clone(), vec![xv]));
-            }
-        }
-    }
-    flush(&mut current, &mut rules);
-
-    // Under RemainingOrder, a rule's range may span removed X values:
-    // recount violations from the raw pair counts.
-    if cfg.run_scope == RunScope::RemainingOrder {
-        for r in &mut rules {
-            let mut violations = 0usize;
-            for (xv, ys) in &pair_counts {
-                let in_range = xv.0.compare(&r.lo).map(|o| o.is_ge()).unwrap_or(false)
-                    && xv.0.compare(&r.hi).map(|o| o.is_le()).unwrap_or(false);
-                if in_range {
-                    for (yv, n) in ys {
-                        if yv.0 != r.y_value {
-                            violations += n;
-                        }
-                    }
-                }
-            }
-            r.violations = violations;
-        }
-    }
-
-    // Step 4: prune by support.
-    let constructed = rules.len();
-    rules.retain(|r| {
+    let mut rules = Vec::new();
+    let mut constructed = 0usize;
+    let mut flush = |run: Option<Run<'v>>| {
+        let Some(run) = run else { return };
+        constructed += 1;
+        // Step 4: prune by support.
         let measure = match cfg.support_metric {
-            SupportMetric::Instances => r.support,
-            SupportMetric::DistinctValues => r.distinct_x,
+            SupportMetric::Instances => run.support,
+            SupportMetric::DistinctValues => run.distinct_x,
         };
-        measure >= cfg.min_support
-    });
-    Ok((rules, constructed))
+        if measure < cfg.min_support {
+            return;
+        }
+        // Under RemainingOrder, a rule's range may span removed X
+        // values: recount violations from the raw pairs.
+        let violations = match cfg.run_scope {
+            RunScope::FullObservedOrder => run.violations,
+            RunScope::RemainingOrder => recount_violations(&obs[run.span], run.lo, run.hi, run.y),
+        };
+        rules.push(InducedRule {
+            x: x_id.clone(),
+            lo: run.lo.clone(),
+            hi: run.hi.clone(),
+            y: y_id.clone(),
+            y_value: run.y.clone(),
+            support: run.support,
+            violations,
+            distinct_x: run.distinct_x,
+        });
+    };
+
+    let mut run: Option<Run<'v>> = None;
+    let mut start = 0;
+    while start < obs.len() {
+        let end = group_end(&obs, start, |o| o.x);
+        let (x, assigned) = resolve_group(&obs[start..end], cfg.inconsistency);
+        match assigned {
+            // Step 2 removed this X: under the full observed order it
+            // breaks the run; among the remaining values it is skipped.
+            None => {
+                if cfg.run_scope == RunScope::FullObservedOrder {
+                    flush(run.take());
+                }
+            }
+            // Step 3: maximal runs of consecutive X values sharing a Y.
+            Some((y, n, v)) => match &mut run {
+                Some(r) if r.y.total_cmp(y).is_eq() => {
+                    r.hi = x;
+                    r.support += n;
+                    r.violations += v;
+                    r.distinct_x += 1;
+                    r.span.end = end;
+                }
+                _ => {
+                    flush(run.take());
+                    run = Some(Run {
+                        lo: x,
+                        hi: x,
+                        y,
+                        support: n,
+                        violations: v,
+                        distinct_x: 1,
+                        span: start..end,
+                    });
+                }
+            },
+        }
+        start = end;
+    }
+    flush(run);
+    (rules, constructed)
+}
+
+/// The end of the group of sorted observations starting at `start`:
+/// those whose `key` equals the first one's under the total order.
+fn group_end<'v>(obs: &[Obs<'v>], start: usize, key: impl Fn(&Obs<'v>) -> &'v Value) -> usize {
+    let first = key(&obs[start]);
+    start
+        + obs[start..]
+            .iter()
+            .take_while(|o| key(o).total_cmp(first).is_eq())
+            .count()
+}
+
+/// Step 2 for one X group (sorted by Y): the X value standing for the
+/// group, and its `(Y, instances, contradicting instances)` if it is
+/// consistent or majority-voted, `None` if it is removed.
+fn resolve_group<'v>(
+    group: &[Obs<'v>],
+    policy: InconsistencyPolicy,
+) -> (&'v Value, Option<(&'v Value, usize, usize)>) {
+    let mut first = group[0];
+    let (mut best_y, mut best_n) = (group[0].y, 0);
+    let mut distinct_y = 0;
+    let mut start = 0;
+    while start < group.len() {
+        let end = group_end(group, start, |o| o.y);
+        // A stable sort leaves each sub-run's earliest row first.
+        if group[start].row < first.row {
+            first = group[start];
+        }
+        // Ties go to the last maximal Y, as `max_by_key` breaks them;
+        // no output shows it, as a Y is kept only when it is the
+        // group's one Y or holds a strict majority.
+        if end - start >= best_n {
+            (best_y, best_n) = (group[start].y, end - start);
+        }
+        distinct_y += 1;
+        start = end;
+    }
+    let total = group.len();
+    let assigned = if distinct_y == 1 {
+        Some((best_y, best_n, 0))
+    } else {
+        match policy {
+            InconsistencyPolicy::Remove => None,
+            InconsistencyPolicy::MajorityVote => {
+                (best_n * 2 > total).then_some((best_y, best_n, total - best_n))
+            }
+        }
+    };
+    (first.x, assigned)
+}
+
+/// Instances in `obs` (sorted by X, then Y) whose X lies in `[lo, hi]`
+/// and whose Y is not `y`. Each sub-run's Y is compared as its earliest
+/// row's value, under `Value`'s own equality.
+fn recount_violations(obs: &[Obs<'_>], lo: &Value, hi: &Value, y: &Value) -> usize {
+    let in_range = |x: &Value| {
+        x.compare(lo).map(|o| o.is_ge()).unwrap_or(false)
+            && x.compare(hi).map(|o| o.is_le()).unwrap_or(false)
+    };
+    let mut violations = 0;
+    let mut start = 0;
+    while start < obs.len() {
+        let x_end = group_end(obs, start, |o| o.x);
+        if in_range(obs[start].x) {
+            while start < x_end {
+                let end = group_end(&obs[..x_end], start, |o| o.y);
+                if obs[start].y != y {
+                    violations += end - start;
+                }
+                start = end;
+            }
+        }
+        start = x_end;
+    }
+    violations
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use intensio_storage::error::{Result, StorageError};
 use intensio_storage::relation::Relation;
 use intensio_storage::schema::{Attribute, Schema};
 use intensio_storage::tuple::Tuple;
-use intensio_storage::value::{Value, ValueKey, ValueType};
+use intensio_storage::value::{Value, ValueKey, ValueRef, ValueType};
 use std::collections::BTreeMap;
 
 /// The four relations a rule set is stored as.
@@ -107,40 +107,37 @@ pub fn encode(rules: &RuleSet) -> Result<RuleRelations> {
     // Assign attribute numbers in sorted order for determinism.
     let mut attrs: BTreeMap<AttrId, i64> = BTreeMap::new();
     let mut attr_types: BTreeMap<AttrId, ValueType> = BTreeMap::new();
-    let mut boundary_values: BTreeMap<AttrId, Vec<ValueKey>> = BTreeMap::new();
+    // Per attribute, its distinct boundary values (each standing for
+    // those equal to it under the total order, the first seen) mapped
+    // to their code.
+    let mut boundary_values: BTreeMap<AttrId, BTreeMap<ValueRef<'_>, usize>> = BTreeMap::new();
 
-    let mut visit = |clause: &Clause| -> Result<()> {
+    for clause in rules.iter().flat_map(|r| r.lhs.iter().chain([&r.rhs])) {
         let (lo, hi) = closed_bounds(clause)?;
-        let next = attrs.len() as i64;
-        attrs.entry(clause.attr.clone()).or_insert(next);
+        if !attrs.contains_key(&clause.attr) {
+            attrs.insert(clause.attr.clone(), attrs.len() as i64);
+            boundary_values.insert(clause.attr.clone(), BTreeMap::new());
+        }
+        if !attr_types.contains_key(&clause.attr) {
+            if let Some(t) = lo.value_type().or_else(|| hi.value_type()) {
+                attr_types.insert(clause.attr.clone(), t);
+            }
+        }
+        let list = boundary_values
+            .get_mut(&clause.attr)
+            .expect("inserted above");
         for v in [lo, hi] {
-            if let Some(t) = v.value_type() {
-                attr_types.entry(clause.attr.clone()).or_insert(t);
-            }
-            let list = boundary_values.entry(clause.attr.clone()).or_default();
-            let k = ValueKey(v.clone());
-            if !list.contains(&k) {
-                list.push(k);
-            }
+            list.entry(ValueRef(v)).or_insert(0);
         }
-        Ok(())
-    };
-    for rule in rules.iter() {
-        for c in &rule.lhs {
-            visit(c)?;
-        }
-        visit(&rule.rhs)?;
-    }
-    for list in boundary_values.values_mut() {
-        list.sort();
     }
 
     // Code assignment: 1.00, 2.00, ... per attribute, in value order.
-    let code_of = |attr: &AttrId, v: &Value| -> f64 {
-        let list = &boundary_values[attr];
-        let k = ValueKey(v.clone());
-        (list.iter().position(|x| *x == k).expect("visited above") + 1) as f64
-    };
+    for list in boundary_values.values_mut() {
+        for (rank, code) in list.values_mut().enumerate() {
+            *code = rank + 1;
+        }
+    }
+    let code_of = |attr: &AttrId, v: &Value| -> f64 { boundary_values[attr][&ValueRef(v)] as f64 };
 
     let mut rules_rel = Relation::new("RULES", rules_schema());
     let mut meta_rel = Relation::new("RULEMETA", meta_schema());
@@ -179,10 +176,10 @@ pub fn encode(rules: &RuleSet) -> Result<RuleRelations> {
             Value::str(attr.attribute.clone()),
             Value::str(ty.keyword()),
         ]))?;
-        for (i, v) in boundary_values[attr].iter().enumerate() {
+        for (v, code) in &boundary_values[attr] {
             map_rel.insert(Tuple::new(vec![
                 Value::Int(*no),
-                Value::Real((i + 1) as f64),
+                Value::Real(*code as f64),
                 Value::str(v.0.render_bare()),
             ]))?;
         }

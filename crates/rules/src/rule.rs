@@ -10,6 +10,7 @@ use crate::range::ValueRange;
 use intensio_storage::value::Value;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// An attribute identified by its owning object type (or relation) and
 /// name, e.g. `CLASS.Displacement`.
@@ -230,6 +231,32 @@ impl RuleSet {
         groups
     }
 
+    /// Rule positions grouped by whole consequence: attribute, range and
+    /// subtype label, all compared with `==`. Each group is in id order,
+    /// groups in order of their first rule. A rule whose consequence is
+    /// not equal to itself (a NaN bound) is a group of its own.
+    fn consequence_groups(&self) -> Vec<Vec<usize>> {
+        // Buckets of groups whose consequences hash alike; a rule joins
+        // the bucket's group whose first rule it equals.
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (pos, r) in self.rules.iter().enumerate() {
+            let bucket = buckets.entry(consequence_hash(r)).or_default();
+            let same = |&&g: &&usize| {
+                let first = &self.rules[groups[g][0]];
+                first.rhs == r.rhs && first.rhs_subtype == r.rhs_subtype
+            };
+            match bucket.iter().find(same) {
+                Some(&g) => groups[g].push(pos),
+                None => {
+                    bucket.push(groups.len());
+                    groups.push(vec![pos]);
+                }
+            }
+        }
+        groups
+    }
+
     /// Rules whose consequence constrains `object.attribute`.
     pub fn rules_concluding(&self, object: &str, attribute: &str) -> Vec<&Rule> {
         self.rules
@@ -281,7 +308,7 @@ impl RuleSet {
     /// (§5.2.1 step 4): it trades no applicability at all, since every
     /// query the dropped rule would answer is answered by its subsumer.
     pub fn minimize(&mut self) -> usize {
-        let groups = self.conclusion_groups();
+        let groups = self.consequence_groups();
         let rules = std::mem::take(&mut self.rules);
         let mut keep: Vec<bool> = vec![true; rules.len()];
         // Only a rule with the same consequence can subsume another, and
@@ -295,16 +322,11 @@ impl RuleSet {
                     if i == j || !keep[j] {
                         continue;
                     }
-                    let (a, b) = (&rules[j], &rules[i]); // does a subsume b?
-                    let same_consequence = a.rhs.attr == b.rhs.attr
-                        && a.rhs.range == b.rhs.range
-                        && a.rhs_subtype == b.rhs_subtype;
-                    if !same_consequence {
-                        continue;
-                    }
-                    // Every clause of a must subsume b's clause on the same
-                    // attribute (and a must not constrain attributes b does
-                    // not — that would make a narrower).
+                    // Does a subsume b? Every clause of a must subsume b's
+                    // clause on the same attribute (and a must not
+                    // constrain attributes b does not — that would make a
+                    // narrower).
+                    let (a, b) = (&rules[j], &rules[i]);
                     let a_subsumes_b = a.lhs.iter().all(|ca| {
                         b.lhs_clause(&ca.attr.object, &ca.attr.attribute)
                             .map(|cb| ca.range.subsumes(&cb.range))
@@ -342,6 +364,34 @@ impl RuleSet {
     pub fn iter(&self) -> impl Iterator<Item = &Rule> {
         self.rules.iter()
     }
+}
+
+/// A hash of a rule's consequence (clause and subtype label) that agrees
+/// with `==` on them: equal consequences hash alike.
+fn consequence_hash(r: &Rule) -> u64 {
+    fn value(v: &Value, h: &mut DefaultHasher) {
+        match v {
+            Value::Null => 0u8.hash(h),
+            Value::Int(i) => (1u8, i).hash(h),
+            // 0.0 == -0.0; a NaN equals nothing, so any hash serves.
+            Value::Real(f) => (2u8, if *f == 0.0 { 0 } else { f.to_bits() }).hash(h),
+            Value::Str(s) => (3u8, s).hash(h),
+            Value::Date(d) => (4u8, d).hash(h),
+        }
+    }
+    let mut h = DefaultHasher::new();
+    r.rhs.attr.hash(&mut h);
+    r.rhs_subtype.hash(&mut h);
+    for end in [&r.rhs.range.lo, &r.rhs.range.hi] {
+        match end {
+            None => 0u8.hash(&mut h),
+            Some(e) => {
+                (1u8, e.inclusive).hash(&mut h);
+                value(&e.value, &mut h);
+            }
+        }
+    }
+    h.finish()
 }
 
 impl fmt::Display for RuleSet {

@@ -300,33 +300,13 @@ impl Ord for ValueKey {
 
 impl std::hash::Hash for ValueKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match &self.0 {
-            Value::Null => 0u8.hash(state),
-            // Int and Real hash identically when numerically equal so that
-            // hashing is consistent with total_cmp equality.
-            Value::Int(v) => {
-                1u8.hash(state);
-                (*v as f64).to_bits().hash(state);
-            }
-            Value::Real(v) => {
-                1u8.hash(state);
-                v.to_bits().hash(state);
-            }
-            Value::Str(s) => {
-                2u8.hash(state);
-                s.hash(state);
-            }
-            Value::Date(d) => {
-                3u8.hash(state);
-                d.days_from_epoch().hash(state);
-            }
-        }
+        ValueRef(&self.0).hash(state);
     }
 }
 
-/// A borrowed [`ValueKey`]: orders and compares a `&Value` under the
-/// total order without copying it (grouping keys, `DISTINCT`, answer
-/// summaries).
+/// A borrowed [`ValueKey`]: orders, compares and hashes a `&Value`
+/// under the total order without copying it (grouping keys,
+/// `DISTINCT`, answer summaries, key lookups).
 #[derive(Debug, Clone, Copy)]
 pub struct ValueRef<'a>(pub &'a Value);
 
@@ -347,6 +327,32 @@ impl PartialOrd for ValueRef<'_> {
 impl Ord for ValueRef<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(other.0)
+    }
+}
+
+impl std::hash::Hash for ValueRef<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match self.0 {
+            Value::Null => 0u8.hash(state),
+            // Int and Real hash identically when numerically equal so that
+            // hashing is consistent with total_cmp equality.
+            Value::Int(v) => {
+                1u8.hash(state);
+                (*v as f64).to_bits().hash(state);
+            }
+            Value::Real(v) => {
+                1u8.hash(state);
+                v.to_bits().hash(state);
+            }
+            Value::Str(s) => {
+                2u8.hash(state);
+                s.hash(state);
+            }
+            Value::Date(d) => {
+                3u8.hash(state);
+                d.days_from_epoch().hash(state);
+            }
+        }
     }
 }
 
