@@ -9,22 +9,27 @@ use intensio_ker::render;
 use intensio_rules::encode::{decode, encode, RuleRelations};
 use intensio_rules::rule::RuleSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// The knowledge base behind the inference processor.
+///
+/// Both halves are shared: a clone (every snapshot a write or a rule
+/// install derives) copies two pointers, and a rule set installed with
+/// [`DataDictionary::set_shared_rules`] is the caller's allocation.
 #[derive(Debug, Clone)]
 pub struct DataDictionary {
     /// Frame-based knowledge: the KER schema.
-    model: KerModel,
+    model: Arc<KerModel>,
     /// Rule-based knowledge: induced semantic rules.
-    rules: RuleSet,
+    rules: Arc<RuleSet>,
 }
 
 impl DataDictionary {
     /// A dictionary with schema knowledge only (no rules learned yet).
     pub fn new(model: KerModel) -> DataDictionary {
         DataDictionary {
-            model,
-            rules: RuleSet::new(),
+            model: Arc::new(model),
+            rules: Arc::new(RuleSet::new()),
         }
     }
 
@@ -38,8 +43,18 @@ impl DataDictionary {
         &self.rules
     }
 
+    /// The current rule set's shared handle.
+    pub fn shared_rules(&self) -> &Arc<RuleSet> {
+        &self.rules
+    }
+
     /// Replace the rule set (after a learning run).
     pub fn set_rules(&mut self, rules: RuleSet) {
+        self.rules = Arc::new(rules);
+    }
+
+    /// Replace the rule set with a shared one, without copying it.
+    pub fn set_shared_rules(&mut self, rules: Arc<RuleSet>) {
         self.rules = rules;
     }
 
@@ -56,7 +71,7 @@ impl DataDictionary {
 
     /// Load rules from rule relations (the other end of relocation).
     pub fn import_rule_relations(&mut self, rels: &RuleRelations) -> Result<(), IqpError> {
-        self.rules = decode(rels)?;
+        self.rules = Arc::new(decode(rels)?);
         Ok(())
     }
 }
@@ -106,6 +121,19 @@ mod tests {
             other.rules().rules()[0].rhs_subtype.as_deref(),
             Some("SSBN")
         );
+    }
+
+    #[test]
+    fn clones_share_both_halves() {
+        let model = intensio_shipdb::ship_model().unwrap();
+        let mut dict = DataDictionary::new(model);
+        let rules = Arc::new(sample_rules());
+        dict.set_shared_rules(Arc::clone(&rules));
+        let copy = dict.clone();
+        assert!(Arc::ptr_eq(copy.shared_rules(), &rules));
+        assert!(std::ptr::eq(copy.model(), dict.model()));
+        dict.set_rules(RuleSet::new());
+        assert_eq!(copy.rules().len(), 1, "a replaced set leaves clones alone");
     }
 
     #[test]

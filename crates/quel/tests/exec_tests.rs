@@ -240,3 +240,35 @@ fn replace_violating_domain_rolls_back() {
     assert_eq!(after.len(), before.len());
     assert!(after.find_by_key(&[Value::str("0201")]).is_some());
 }
+
+#[test]
+fn replace_on_a_new_snapshot_leaves_the_pinned_one_unchanged() {
+    let pinned = class_db();
+    let before = pinned.get("CLASS").unwrap().tuples().to_vec();
+    let mut next = pinned.clone();
+    let mut s = Session::new();
+    s.execute(&mut next, "range of c is CLASS").unwrap();
+    let out = s
+        .execute(
+            &mut next,
+            r#"replace c (Displacement = 2000) where c.Class = "0215""#,
+        )
+        .unwrap();
+    assert!(matches!(out, Output::Affected(1)));
+
+    let old = pinned.get("CLASS").unwrap();
+    assert_eq!(
+        old.tuples(),
+        &before[..],
+        "the pinned snapshot never sees the write"
+    );
+    let new = next.get("CLASS").unwrap();
+    let row = new.find_by_key(&[Value::str("0215")]).unwrap();
+    assert_eq!(row.get(2), &Value::Int(2000));
+    // Rows the write did not touch share their values with the pinned
+    // snapshot; the replaced row has its own.
+    for (a, b) in old.tuples().iter().zip(new.tuples()) {
+        let shared = std::ptr::eq(a.values().as_ptr(), b.values().as_ptr());
+        assert_eq!(shared, a.get(0) != &Value::str("0215"), "{a} / {b}");
+    }
+}

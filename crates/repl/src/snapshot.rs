@@ -22,7 +22,7 @@
 //! widths are, because they affect value validation on the follower.
 
 use crate::ReplError;
-use intensio_storage::csv::{from_csv, to_csv};
+use intensio_storage::csv::{from_csv, write_csv};
 use intensio_storage::{
     Attribute, Database, Domain, DomainConstraint, Relation, Schema, Tuple, Value, ValueType,
 };
@@ -75,12 +75,12 @@ pub fn db_to_bytes(db: &Database) -> Result<Vec<u8>, ReplError> {
     out.push_str(SECTION);
     out.push_str(MANIFEST);
     out.push('\n');
-    out.push_str(&to_csv(&manifest));
+    write_csv(&manifest, &mut out);
     for rel in db.relations() {
         out.push_str(SECTION);
         out.push_str(rel.name());
         out.push('\n');
-        out.push_str(&to_csv(rel));
+        write_csv(rel, &mut out);
     }
     Ok(out.into_bytes())
 }

@@ -37,6 +37,11 @@ impl Endpoint {
             inclusive: false,
         }
     }
+
+    /// `==` with the value compared by [`Value::identical`].
+    pub fn identical(&self, other: &Endpoint) -> bool {
+        self.inclusive == other.inclusive && self.value.identical(&other.value)
+    }
 }
 
 /// A (possibly unbounded) interval of values of one comparable type.
@@ -49,6 +54,15 @@ pub struct ValueRange {
 }
 
 impl ValueRange {
+    /// `==` with endpoint values compared by [`Value::identical`].
+    pub fn identical(&self, other: &ValueRange) -> bool {
+        let same = |a: &Option<Endpoint>, b: &Option<Endpoint>| match (a, b) {
+            (Some(a), Some(b)) => a.identical(b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        same(&self.lo, &other.lo) && same(&self.hi, &other.hi)
+    }
+
     /// The full range (no constraint).
     pub fn full() -> ValueRange {
         ValueRange { lo: None, hi: None }

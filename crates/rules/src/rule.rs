@@ -55,6 +55,11 @@ pub struct Clause {
 }
 
 impl Clause {
+    /// `==` with range endpoints compared by [`Value::identical`].
+    pub fn identical(&self, other: &Clause) -> bool {
+        self.attr == other.attr && self.range.identical(&other.range)
+    }
+
     /// `lvalue <= attr <= uvalue`.
     pub fn between(attr: AttrId, lo: impl Into<Value>, hi: impl Into<Value>) -> Clause {
         Clause {
@@ -109,6 +114,16 @@ pub struct Rule {
 }
 
 impl Rule {
+    /// `==` with every clause compared by [`Clause::identical`].
+    pub fn identical(&self, other: &Rule) -> bool {
+        self.id == other.id
+            && self.support == other.support
+            && self.rhs_subtype == other.rhs_subtype
+            && self.rhs.identical(&other.rhs)
+            && self.lhs.len() == other.lhs.len()
+            && self.lhs.iter().zip(&other.lhs).all(|(a, b)| a.identical(b))
+    }
+
     /// Build a rule; id and support can be adjusted afterwards.
     pub fn new(id: u32, lhs: Vec<Clause>, rhs: Clause) -> Rule {
         Rule {
@@ -186,6 +201,20 @@ impl RuleSet {
         rule.id = id;
         self.rules.push(rule);
         id
+    }
+
+    /// Whether `other` holds the same rules, compared by
+    /// [`Rule::identical`]: ids, premises, conclusions, labels and
+    /// support all agree, and reals agree bit for bit. Unlike `==`
+    /// (under which `-0.0 == 0.0`), two identical sets encode to the
+    /// same bytes and check to the same report.
+    pub fn identical(&self, other: &RuleSet) -> bool {
+        self.rules.len() == other.rules.len()
+            && self
+                .rules
+                .iter()
+                .zip(&other.rules)
+                .all(|(a, b)| a.identical(b))
     }
 
     /// The rules, in id order.
@@ -429,6 +458,27 @@ mod tests {
         )
         .with_subtype("SSBN")
         .with_support(4)
+    }
+
+    #[test]
+    fn identical_tells_signed_zeros_apart() {
+        let with = |v: f64| {
+            RuleSet::from_rules([Rule::new(
+                0,
+                vec![Clause::between(AttrId::new("CLASS", "Draft"), v, 9.5)],
+                Clause::equals(AttrId::new("CLASS", "Type"), "SSN"),
+            )])
+        };
+        assert!(with(0.0).identical(&with(0.0)));
+        assert_eq!(with(-0.0), with(0.0), "`==` equates the signed zeros");
+        assert!(!with(-0.0).identical(&with(0.0)));
+        assert!(with(f64::NAN).identical(&with(f64::NAN)));
+        let mut more = with(0.0);
+        more.push(r9());
+        assert!(!more.identical(&with(0.0)));
+        let mut relabelled = with(0.0);
+        relabelled.rules[0].support = 3;
+        assert!(!relabelled.identical(&with(0.0)));
     }
 
     #[test]

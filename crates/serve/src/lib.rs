@@ -19,10 +19,11 @@
 //!   the intensional side (stale cache → extensional-only, always
 //!   flagged `degraded`), supervised worker restarts, and self-healing
 //!   background induction with capped, jittered retry backoff.
-//! * **A static-analysis gate** ([`service`] + [`intensio_check`]):
+//! * **A static-analysis gate** ([`gate`] + [`intensio_check`]):
 //!   every induced rule set is linted before install; Error-level
 //!   findings (conflicting rules, IC020) reject the set
-//!   (`rulesets_rejected` in `STATS`). The `CHECK` protocol verb lints
+//!   (`rulesets_rejected` in `STATS`). A re-induction that reproduces
+//!   the last checked set reuses its verdict, prune and WAL encoding. The `CHECK` protocol verb lints
 //!   the live rule set — retroactively purging cached answers inferred
 //!   from rejected knowledge — or lints a query without executing it.
 //!
@@ -53,6 +54,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
+pub mod gate;
 pub mod json;
 pub mod protocol;
 pub mod server;
@@ -60,6 +62,7 @@ pub mod service;
 pub mod snapshot;
 
 pub use cache::AnswerCache;
+pub use gate::{InstallGate, Verdict};
 pub use protocol::{
     encode_reply, encode_reply_with_trace, escape_script, format_trace_prefix, parse_request,
     parse_traced, WireRequest,

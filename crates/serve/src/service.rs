@@ -51,8 +51,9 @@
 //! all of these paths; see the chaos integration test.
 
 use crate::cache::AnswerCache;
+use crate::gate::{self, InstallGate, Verdict};
 use crate::snapshot::Snapshot;
-use intensio_check::{check_rules, Report, RuleCheckConfig, Severity};
+use intensio_check::Report;
 use intensio_core::DataDictionary;
 use intensio_induction::{Ils, InductionConfig};
 use intensio_inference::{
@@ -61,6 +62,7 @@ use intensio_inference::{
 use intensio_ker::model::KerModel;
 use intensio_quel::{AccessKind, Output, Session};
 use intensio_repl::{snapshot as repl_codec, ReplHub, StreamMsg};
+use intensio_rules::rule::RuleSet;
 use intensio_sql::{analyze, parse};
 use intensio_storage::catalog::Database;
 use intensio_storage::relation::Relation;
@@ -742,6 +744,8 @@ struct Shared {
     cache: Mutex<AnswerCache>,
     cfg: ServiceConfig,
     counters: Counters,
+    /// The install gate every rule set passes before it is served.
+    gate: InstallGate,
     induce: Mutex<WakeFlags>,
     induce_wake: Condvar,
     /// Signals the background checkpointer (durable mode only).
@@ -948,6 +952,18 @@ impl Shared {
         intensio_obs::inc("serve.rulesets_rejected");
     }
 
+    /// Pass `candidate`, induced from or shipped for `db`, through the
+    /// install gate, counting a rejection or the rules pruned. Returns
+    /// the set to install, `None` when the gate rejected it.
+    fn admit(&self, candidate: RuleSet, db: &Database) -> Option<Arc<RuleSet>> {
+        let verdict = self.gate.admit(candidate, db);
+        if verdict.rules.is_none() {
+            self.note_ruleset_rejected();
+        }
+        self.note_rules_pruned(verdict.pruned);
+        verdict.rules
+    }
+
     /// This node's current replication role.
     fn role(&self) -> Role {
         Role::from_usize(self.role.load(Ordering::SeqCst))
@@ -995,75 +1011,18 @@ impl Shared {
     }
 }
 
-/// Lint a candidate rule set against the data it was induced from,
-/// using the induction threshold as the support floor. Error-level
-/// findings (e.g. IC020 conflicting rules) make the set uninstallable.
-/// This is the one check a rule set gets: its Warn and Error counts
-/// feed `induction.lint_warnings` / `induction.lint_errors`, and at
-/// Verbose level each such finding is printed.
-fn lint_rule_set(
-    cfg: &ServiceConfig,
-    rules: &intensio_rules::rule::RuleSet,
-    db: &Database,
-) -> Report {
-    let check_cfg = RuleCheckConfig {
-        min_support: cfg.induction.min_support,
-    };
-    let mut report = check_rules(rules, Some(db), &check_cfg);
-    report.sort();
-    let warns = report.count(Severity::Warn);
-    let errors = report.count(Severity::Error);
-    if warns > 0 {
-        intensio_obs::add("induction.lint_warnings", warns as u64);
-    }
-    if errors > 0 {
-        intensio_obs::add("induction.lint_errors", errors as u64);
-    }
-    if intensio_obs::level() >= intensio_obs::Level::Verbose {
-        for d in report
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity >= Severity::Warn)
-        {
-            eprintln!("[lint] {d}");
-        }
-    }
-    report
-}
-
-/// Drop directly-subsumed rules from a gated set before install. The
-/// engine applies rules one at a time, so a rule whose premise lies
-/// inside a wider rule with the same conclusion can never contribute a
-/// fact the wider rule does not — removing it is answer-preserving.
-/// Chain-redundant rules (IC025) are only ever *reported* by the
-/// checker, never auto-pruned: deriving their conclusion takes more
-/// than one step. Returns how many rules were dropped.
-fn prune_rule_set(rules: &mut intensio_rules::rule::RuleSet) -> u64 {
-    let pruned = rules.minimize() as u64;
-    if pruned > 0 {
-        intensio_obs::add("serve.rules_pruned", pruned);
-    }
-    pruned
-}
-
-/// Synchronous boot induction. Returns the induced rule set when it
-/// passes the static-analysis gate, `None` when the gate rejects it.
+/// Synchronous boot induction, through the install gate.
 fn boot_induce(
     cfg: &ServiceConfig,
+    gate: &InstallGate,
     dictionary: &DataDictionary,
     db: &Database,
-) -> Result<(Option<intensio_rules::rule::RuleSet>, u64), ServeError> {
+) -> Result<Verdict, ServeError> {
     let ils = Ils::new(dictionary.model(), cfg.induction);
     let out = ils
         .induce_parallel(db, cfg.induction_threads)
         .map_err(|e| ServeError(format!("initial induction failed: {e}")))?;
-    if cfg.check_rulesets && lint_rule_set(cfg, &out.rules, db).has_errors() {
-        Ok((None, 0))
-    } else {
-        let mut rules = out.rules;
-        let pruned = prune_rule_set(&mut rules);
-        Ok((Some(rules), pruned))
-    }
+    Ok(gate.admit(out.rules, db))
 }
 
 /// Checkpoint a snapshot through the *exclusive* [`Wal::checkpoint`]
@@ -1098,6 +1057,7 @@ fn checkpoint_snapshot(
 /// optionally re-induce, and pin the result with a boot checkpoint.
 fn boot_durable(
     cfg: &ServiceConfig,
+    gate: &InstallGate,
     dir: &Path,
     seed_db: Database,
     model: KerModel,
@@ -1167,26 +1127,31 @@ fn boot_durable(
     }
 
     let mut dictionary = DataDictionary::new(model);
-    if let Some(mut rules) = pending_rules {
+    if let Some(rules) = pending_rules {
         // Recovered knowledge passes the same gate a fresh induction
         // would: replay must not reinstall a rule set the checker
         // rejects today.
-        if cfg.check_rulesets && lint_rule_set(cfg, &rules, &db).has_errors() {
-            rejected = true;
-            rules_fresh = false;
-        } else {
-            pruned_on_open += prune_rule_set(&mut rules);
-            dictionary.set_rules(rules);
+        let verdict = gate.admit(rules, &db);
+        match verdict.rules {
+            Some(rules) => {
+                pruned_on_open += verdict.pruned;
+                dictionary.set_shared_rules(rules);
+            }
+            None => {
+                rejected = true;
+                rules_fresh = false;
+            }
         }
     }
     if !rules_fresh && cfg.learn_on_open {
-        match boot_induce(cfg, &dictionary, &db)? {
-            (Some(rules), pruned) => {
-                pruned_on_open += pruned;
-                dictionary.set_rules(rules);
+        let verdict = boot_induce(cfg, gate, &dictionary, &db)?;
+        match verdict.rules {
+            Some(rules) => {
+                pruned_on_open += verdict.pruned;
+                dictionary.set_shared_rules(rules);
                 rules_fresh = true;
             }
-            (None, _) => rejected = true,
+            None => rejected = true,
         }
     }
 
@@ -1281,9 +1246,10 @@ impl Service {
         }
         let mut rejected_on_open = false;
         let mut pruned_on_open = 0u64;
+        let gate = InstallGate::new(cfg.check_rulesets, cfg.induction.min_support);
         let (snapshot, durability) = match cfg.data_dir.clone() {
             Some(dir) => {
-                let (snap, dur, rejected, pruned) = boot_durable(&cfg, &dir, db, model)?;
+                let (snap, dur, rejected, pruned) = boot_durable(&cfg, &gate, &dir, db, model)?;
                 rejected_on_open = rejected;
                 pruned_on_open = pruned;
                 (snap, Some(dur))
@@ -1292,17 +1258,18 @@ impl Service {
                 let mut dictionary = DataDictionary::new(model);
                 let mut rules_fresh = false;
                 if cfg.learn_on_open {
-                    match boot_induce(&cfg, &dictionary, &db)? {
-                        (Some(rules), pruned) => {
-                            pruned_on_open = pruned;
-                            dictionary.set_rules(rules);
+                    let verdict = boot_induce(&cfg, &gate, &dictionary, &db)?;
+                    match verdict.rules {
+                        Some(rules) => {
+                            pruned_on_open = verdict.pruned;
+                            dictionary.set_shared_rules(rules);
                             rules_fresh = true;
                         }
                         // Serve without intensional rules rather than
                         // with provably unsound ones; the dictionary
                         // keeps its empty rule set and the background
                         // inducer stays quiet until the data changes.
-                        (None, _) => rejected_on_open = true,
+                        None => rejected_on_open = true,
                     }
                 }
                 (Snapshot::initial(db, dictionary, rules_fresh), None)
@@ -1337,6 +1304,7 @@ impl Service {
             cache: Mutex::new(AnswerCache::new(cfg.cache_capacity)),
             cfg,
             counters: Counters::default(),
+            gate,
             induce: Mutex::new(WakeFlags::default()),
             induce_wake: Condvar::new(),
             ckpt: Mutex::new(WakeFlags::default()),
@@ -1520,6 +1488,11 @@ impl Service {
         self.shared.snapshot().epoch
     }
 
+    /// The rule set the current snapshot serves.
+    pub fn rules(&self) -> Arc<RuleSet> {
+        Arc::clone(self.shared.snapshot().dictionary.shared_rules())
+    }
+
     /// Block until the current snapshot's rules match its data version
     /// (i.e. any triggered background induction has landed), up to
     /// `timeout`. Returns whether freshness was reached. Queries keep
@@ -1656,9 +1629,9 @@ impl Service {
                     Ok(db) => db,
                     Err(e) => return send(&StreamMsg::Error(format!("encoding snapshot: {e}"))),
                 };
-                let rules = snap.dictionary.rules();
+                let rules = snap.dictionary.shared_rules();
                 let rules = (snap.rules_fresh && !rules.is_empty())
-                    .then(|| rules_codec::rules_to_bytes(rules).ok())
+                    .then(|| shared.gate.encode(rules).ok())
                     .flatten();
                 last_sent = snap.epoch;
                 send(&StreamMsg::Snapshot {
@@ -1968,7 +1941,11 @@ fn exec_check(shared: &Shared, arg: &str) -> Reply {
     let arg = arg.trim();
     let mut rejected = false;
     let report = if arg.is_empty() {
-        let report = lint_rule_set(&shared.cfg, snap.dictionary.rules(), &snap.db);
+        let report = gate::lint(
+            snap.dictionary.rules(),
+            &snap.db,
+            shared.cfg.induction.min_support,
+        );
         if report.has_errors() {
             shared
                 .cache
@@ -2854,17 +2831,15 @@ fn induce_once(shared: &Shared) -> Induce {
         return Induce::Idle;
     }
     let ils = Ils::new(snap.dictionary.model(), shared.cfg.induction);
-    let mut rules = match ils.induce_parallel(&snap.db, shared.cfg.induction_threads) {
+    let candidate = match ils.induce_parallel(&snap.db, shared.cfg.induction_threads) {
         Ok(out) => out.rules,
         Err(_) => return Induce::Failed,
     };
-    if shared.cfg.check_rulesets && lint_rule_set(&shared.cfg, &rules, &snap.db).has_errors() {
-        shared.note_ruleset_rejected();
+    // The gate prunes before the durable encode below: the WAL record
+    // and the bytes shipped to followers carry the set actually served.
+    let Some(rules) = shared.admit(candidate, &snap.db) else {
         return Induce::Rejected;
-    }
-    // Prune before the durable encode below: the WAL record and the
-    // bytes shipped to followers must carry the set actually served.
-    shared.note_rules_pruned(prune_rule_set(&mut rules));
+    };
 
     let _writer = shared.write_lock.lock().unwrap_or_else(|e| e.into_inner());
     let current = shared.snapshot();
@@ -2875,7 +2850,7 @@ fn induce_once(shared: &Shared) -> Induce {
     // it. An install may not advance the epoch without a WAL record —
     // a silent gap would make every later record unreplayable.
     let rules_body = if shared.durability.is_some() {
-        match rules_codec::rules_to_bytes(&rules) {
+        match shared.gate.encode(&rules) {
             Ok(body) => Some(body),
             Err(_) => {
                 intensio_obs::inc("wal.unloggable_rulesets");
@@ -2886,7 +2861,7 @@ fn induce_once(shared: &Shared) -> Induce {
         None
     };
     let mut dictionary = current.dictionary.clone();
-    dictionary.set_rules(rules);
+    dictionary.set_shared_rules(rules);
     let next = current.after_induction(dictionary);
     let mut committed = None;
     if let (Some(dur), Some(body)) = (&shared.durability, rules_body) {
@@ -3399,20 +3374,17 @@ fn apply_wire_snapshot(
         shared.update_lag();
         return Ok(()); // already caught up (reconnect overlap)
     }
-    let mut dictionary = DataDictionary::new(current.dictionary.model().clone());
+    let mut dictionary = current.dictionary.clone();
+    dictionary.set_rules(RuleSet::new());
     let mut rules_fresh = false;
     if let Some(bytes) = rules_bytes {
         match rules_codec::rules_from_bytes(bytes) {
             // Shipped rules pass the same static-analysis gate a local
             // install would: a primary/follower checker version skew
             // must not smuggle rejected rules into service.
-            Ok(mut rules) => {
-                if shared.cfg.check_rulesets && lint_rule_set(&shared.cfg, &rules, &db).has_errors()
-                {
-                    shared.note_ruleset_rejected();
-                } else {
-                    shared.note_rules_pruned(prune_rule_set(&mut rules));
-                    dictionary.set_rules(rules);
+            Ok(rules) => {
+                if let Some(rules) = shared.admit(rules, &db) {
+                    dictionary.set_shared_rules(rules);
                     rules_fresh = true;
                 }
             }
@@ -3522,17 +3494,12 @@ fn apply_record(
             let mut dictionary = current.dictionary.clone();
             let mut rules_fresh = false;
             match rules_codec::rules_from_bytes(&rec.body) {
-                Ok(mut rules) => {
-                    // Re-gated like a local install; the epoch advances
-                    // either way (contiguity with the primary), but
-                    // rejected rules are never served.
-                    if shared.cfg.check_rulesets
-                        && lint_rule_set(&shared.cfg, &rules, &current.db).has_errors()
-                    {
-                        shared.note_ruleset_rejected();
-                    } else {
-                        shared.note_rules_pruned(prune_rule_set(&mut rules));
-                        dictionary.set_rules(rules);
+                // Re-gated like a local install; the epoch advances
+                // either way (contiguity with the primary), but
+                // rejected rules are never served.
+                Ok(rules) => {
+                    if let Some(rules) = shared.admit(rules, &current.db) {
+                        dictionary.set_shared_rules(rules);
                         rules_fresh = true;
                     }
                 }

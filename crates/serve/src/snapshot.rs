@@ -5,7 +5,8 @@
 //! **epoch** number. Readers clone an `Arc<Snapshot>` and compute
 //! against it without any further locking; writers build a *new*
 //! snapshot (cheap, thanks to the storage layer's copy-on-write
-//! catalog) and install it atomically. Two answers computed at the same
+//! catalog, whose tuples share their values across versions, and the
+//! dictionary's shared model and rule set) and install it atomically. Two answers computed at the same
 //! epoch are answers to the same knowledge state, which is what makes
 //! `(condition fingerprint, epoch)` a sound cache key.
 //!

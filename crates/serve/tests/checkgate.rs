@@ -111,6 +111,44 @@ fn background_reinduction_is_gated_after_a_write() {
 }
 
 #[test]
+fn an_unchanged_rejected_set_is_rejected_again_not_installed() {
+    let _gate = fault_gate();
+    let service = conflict_service(|_| {});
+    let reused = |s: &Service| {
+        s.stats()
+            .metrics
+            .counters
+            .get("induction.gate_reused")
+            .copied()
+            .unwrap_or(0)
+    };
+    assert_eq!(service.stats().rulesets_rejected, 1, "rejected at open");
+    let reused_before = reused(&service);
+    let epoch = service.epoch();
+
+    // E009 has no R1/R2 row, so re-induction reproduces the set the
+    // gate rejected at open: its remembered verdict applies again.
+    let reply = service.submit(Request::Quel(
+        "append to E (Eid = \"E009\", V = 9)".to_string(),
+    ));
+    assert!(reply.query().is_some(), "the write itself succeeds");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while service.stats().rulesets_rejected < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stats = service.stats();
+    assert_eq!(stats.rulesets_rejected, 2, "re-rejected");
+    assert!(!stats.rules_fresh, "a rejected set must not install");
+    assert!(service.rules().is_empty());
+    assert_eq!(service.epoch(), epoch + 1, "only the write took an epoch");
+    assert_eq!(
+        reused(&service),
+        reused_before + 1,
+        "the verdict was reused"
+    );
+}
+
+#[test]
 fn check_verb_purges_stale_cached_answers_from_rejected_rules() {
     let _gate = fault_gate();
     // Gate off: the conflicting rules *install*, poisoning answers.

@@ -387,7 +387,7 @@ pub fn execute(db: &Database, q: &SelectQuery) -> Result<Relation, SqlError> {
         if q.distinct && !seen.insert(values().map(ValueRef).collect::<Vec<_>>()) {
             continue;
         }
-        result.insert(Tuple::new(values().cloned().collect()))?;
+        result.insert(values().cloned().collect::<Tuple>())?;
     }
     order_result(&mut result, q, Some(&plan))?;
     Ok(result)

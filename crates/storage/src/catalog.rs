@@ -3,7 +3,8 @@
 //! Relations are held behind [`Arc`] so that cloning a `Database` is a
 //! **copy-on-write snapshot**: the clone shares every relation's tuple
 //! storage with the original, and only a relation that is subsequently
-//! mutated (through [`Database::get_mut`]) is deep-copied. Long-lived
+//! mutated (through [`Database::get_mut`]) is copied; even then its rows
+//! keep sharing their values ([`crate::tuple::Tuple`]). Long-lived
 //! services lean on this — each query epoch pins an immutable snapshot
 //! while the write path builds the next one, paying only for the
 //! relations it actually touches.
@@ -69,8 +70,9 @@ impl Database {
     }
 
     /// Look up a relation mutably. If the relation is shared with a
-    /// snapshot (a cloned `Database`), it is deep-copied first
-    /// (copy-on-write), so snapshots never observe the mutation.
+    /// snapshot (a cloned `Database`), it is copied first (copy-on-write;
+    /// rows are copied only when written), so snapshots never observe
+    /// the mutation.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Relation> {
         self.relations
             .get_mut(&Self::key(name))

@@ -14,27 +14,36 @@ use crate::value::Value;
 /// Serialize a relation to CSV with a header row.
 pub fn to_csv(rel: &Relation) -> String {
     let mut out = String::new();
-    let header: Vec<String> = rel
-        .schema()
-        .attributes()
-        .iter()
-        .map(|a| escape(a.name()))
-        .collect();
-    out.push_str(&header.join(","));
+    write_csv(rel, &mut out);
+    out
+}
+
+/// Append [`to_csv`]'s text for `rel` to `out`, writing each cell
+/// straight into the buffer. Callers that serialize several relations
+/// (checkpoints, the rule-relation codec) share one buffer.
+pub fn write_csv(rel: &Relation, out: &mut String) {
+    for (i, a) in rel.schema().attributes().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_escaped(out, a.name());
+    }
     out.push('\n');
     for t in rel.iter() {
-        let row: Vec<String> = t
-            .values()
-            .iter()
-            .map(|v| match v {
-                Value::Null => String::new(),
-                other => escape(&other.render_bare()),
-            })
-            .collect();
-        out.push_str(&row.join(","));
+        for (i, v) in t.values().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match v {
+                Value::Null => {}
+                Value::Str(s) => push_escaped(out, s),
+                // Numbers and dates never render a comma, a quote or a
+                // newline, so they need no quoting.
+                other => other.write_bare(out),
+            }
+        }
         out.push('\n');
     }
-    out
 }
 
 /// Parse CSV text (with header) into a relation under the given schema.
@@ -84,11 +93,20 @@ pub fn from_csv(name: &str, schema: Schema, text: &str) -> Result<Relation> {
     Ok(rel)
 }
 
-fn escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
+/// Append `s` as one CSV cell: quoted, with quotes doubled, when it
+/// holds a comma, a quote or a newline.
+fn push_escaped(out: &mut String, s: &str) {
+    if s.contains([',', '"', '\n']) {
+        out.push('"');
+        for part in s.split_inclusive('"') {
+            out.push_str(part);
+            if part.ends_with('"') {
+                out.push('"');
+            }
+        }
+        out.push('"');
     } else {
-        s.to_string()
+        out.push_str(s);
     }
 }
 
@@ -192,6 +210,113 @@ mod tests {
             .unwrap();
         let back = from_csv("T", s, &to_csv(&r)).unwrap();
         assert!(back.tuples()[0].get(1).is_null());
+    }
+
+    /// The per-cell serializer `write_csv` replaced: a `String` per
+    /// cell, joined per row.
+    fn reference_to_csv(rel: &Relation) -> String {
+        fn escape(s: &str) -> String {
+            if s.contains(',') || s.contains('"') || s.contains('\n') {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.to_string()
+            }
+        }
+        let mut out = String::new();
+        let header: Vec<String> = rel
+            .schema()
+            .attributes()
+            .iter()
+            .map(|a| escape(a.name()))
+            .collect();
+        out.push_str(&header.join(","));
+        out.push('\n');
+        for t in rel.iter() {
+            let row: Vec<String> = t
+                .values()
+                .iter()
+                .map(|v| match v {
+                    Value::Null => String::new(),
+                    other => escape(&other.render_bare()),
+                })
+                .collect();
+            out.push_str(&row.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn write_csv_matches_the_per_cell_serializer() {
+        let s = Schema::new(vec![
+            Attribute::new("Note, \"quoted\"", Domain::basic(ValueType::Str)),
+            Attribute::new("N", Domain::basic(ValueType::Int)),
+            Attribute::new("R", Domain::basic(ValueType::Real)),
+            Attribute::new("D", Domain::basic(ValueType::Date)),
+        ])
+        .unwrap();
+        let notes = [
+            "plain",
+            "",
+            "has, comma",
+            "\"\"",
+            "a \"quote\" inside",
+            "multi\nline",
+            "trailing\"",
+            "carriage\rreturn",
+        ];
+        let reals = [
+            0.0,
+            -0.0,
+            3.0,
+            -2.5,
+            0.1,
+            1e15,
+            1e20,
+            -1e-7,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut r = Relation::new("MIXED", s);
+        for (i, &real) in reals.iter().enumerate() {
+            let note = notes[i % notes.len()];
+            let null = |k: usize| (i + k) % 4 == 3;
+            r.insert(Tuple::new(vec![
+                if null(1) {
+                    Value::Null
+                } else {
+                    Value::str(note)
+                },
+                if null(2) {
+                    Value::Null
+                } else {
+                    Value::Int(i as i64 * 7 - 30)
+                },
+                if null(3) {
+                    Value::Null
+                } else {
+                    Value::Real(real)
+                },
+                if null(0) {
+                    Value::Null
+                } else {
+                    Value::Date(format!("1991-04-{:02}", i + 1).parse().unwrap())
+                },
+            ]))
+            .unwrap();
+        }
+        r.insert(Tuple::new(vec![Value::Null; 4])).unwrap();
+        let expected = reference_to_csv(&r);
+        assert_eq!(to_csv(&r), expected);
+        let mut shared = String::from("prefix\n");
+        write_csv(&r, &mut shared);
+        assert_eq!(shared, format!("prefix\n{expected}"));
+        assert!(
+            expected.contains("\"a \"\"quote\"\" inside\""),
+            "{expected}"
+        );
+        assert!(expected.contains("-0.0"), "{expected}");
     }
 
     #[test]

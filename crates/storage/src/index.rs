@@ -10,16 +10,28 @@
 //! the rows holding one value (backward completeness) from them.
 
 use crate::date::Date;
+use crate::tuple::Tuple;
 use crate::value::{Value, ValueKey};
-use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 
 /// A sorted index from attribute values to tuple positions.
+///
+/// The non-null positions are sorted by value (stably, so ascending
+/// within one value) and cut into one group per distinct value under
+/// the total order. A group names its value by a row that holds it —
+/// for an index over a relation, a shared handle to the value's first
+/// row — so building copies no value.
 #[derive(Debug, Clone, Default)]
 pub struct AttributeIndex {
-    map: BTreeMap<ValueKey, Vec<usize>>,
+    /// One `(row, start)` per distinct value, ascending: a row whose
+    /// `col`-th value is the group's value (its first occurrence), and
+    /// where the group's positions start in `positions`.
+    groups: Vec<(Tuple, usize)>,
+    /// Which value of a group's row is the indexed one.
+    col: usize,
+    /// Every non-null position, grouped by value.
+    positions: Vec<usize>,
     /// Tuple count the index was built against (staleness check).
     built_for: usize,
 }
@@ -27,16 +39,42 @@ pub struct AttributeIndex {
 impl AttributeIndex {
     /// Build an index over a column of values.
     pub fn build<'a, I: Iterator<Item = &'a Value>>(column: I) -> AttributeIndex {
-        let mut map: BTreeMap<ValueKey, Vec<usize>> = BTreeMap::new();
-        let mut n = 0usize;
-        for (i, v) in column.enumerate() {
-            n += 1;
-            if v.is_null() {
-                continue; // nulls never satisfy predicates
+        let column: Vec<&Value> = column.collect();
+        AttributeIndex::grouped(
+            column.len(),
+            0,
+            |i| column[i],
+            |i| Tuple::new(vec![column[i].clone()]),
+        )
+    }
+
+    /// Index value `col` of each of `rows`. Groups share the rows'
+    /// values instead of copying them.
+    pub fn over_rows(rows: &[Tuple], col: usize) -> AttributeIndex {
+        AttributeIndex::grouped(rows.len(), col, |i| rows[i].get(col), |i| rows[i].clone())
+    }
+
+    fn grouped<'a>(
+        n: usize,
+        col: usize,
+        value: impl Fn(usize) -> &'a Value,
+        row: impl Fn(usize) -> Tuple,
+    ) -> AttributeIndex {
+        // Nulls never satisfy predicates, so they are not indexed.
+        let mut positions: Vec<usize> = (0..n).filter(|&i| !value(i).is_null()).collect();
+        positions.sort_by(|&a, &b| value(a).total_cmp(value(b)));
+        let mut groups: Vec<(Tuple, usize)> = Vec::new();
+        for (k, &p) in positions.iter().enumerate() {
+            if k == 0 || value(positions[k - 1]).total_cmp(value(p)) != Ordering::Equal {
+                groups.push((row(p), k));
             }
-            map.entry(ValueKey(v.clone())).or_default().push(i);
         }
-        AttributeIndex { map, built_for: n }
+        AttributeIndex {
+            groups,
+            col,
+            positions,
+            built_for: n,
+        }
     }
 
     /// Tuple count the index was built against.
@@ -44,13 +82,52 @@ impl AttributeIndex {
         self.built_for
     }
 
+    /// The value of group `g`.
+    fn value(&self, g: usize) -> &Value {
+        self.groups[g].0.get(self.col)
+    }
+
+    /// The positions of groups `first..end`.
+    fn positions_of(&self, groups: Range<usize>) -> &[usize] {
+        let at = |g: usize| self.groups.get(g).map_or(self.positions.len(), |e| e.1);
+        &self.positions[at(groups.start)..at(groups.end)]
+    }
+
+    /// The groups whose values lie within `bounds`.
+    fn span(&self, (lo, hi): (Bound<ValueKey>, Bound<ValueKey>)) -> Range<usize> {
+        let below = |v: &ValueKey, or_equal: bool| {
+            self.groups
+                .partition_point(|(row, _)| match row.get(self.col).total_cmp(&v.0) {
+                    Ordering::Less => true,
+                    Ordering::Equal => or_equal,
+                    Ordering::Greater => false,
+                })
+        };
+        let start = match &lo {
+            Bound::Unbounded => 0,
+            Bound::Included(v) => below(v, false),
+            Bound::Excluded(v) => below(v, true),
+        };
+        let end = match &hi {
+            Bound::Unbounded => self.groups.len(),
+            Bound::Included(v) => below(v, true),
+            Bound::Excluded(v) => below(v, false),
+        };
+        start..end.max(start)
+    }
+
     /// Positions of tuples with the exact value, ascending. The probe is
     /// borrowed, not copied into a key.
     pub fn lookup(&self, v: &Value) -> &[usize] {
-        self.map
-            .get(v as &dyn Probe)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let g = self
+            .groups
+            .partition_point(|(row, _)| row.get(self.col).total_cmp(v) == Ordering::Less);
+        match self.groups.get(g) {
+            Some((row, _)) if row.get(self.col).total_cmp(v) == Ordering::Equal => {
+                self.positions_of(g..g + 1)
+            }
+            _ => &[],
+        }
     }
 
     /// Positions of tuples whose value lies in `[lo, hi]`-style bounds,
@@ -58,13 +135,10 @@ impl AttributeIndex {
     /// side runs on into the other value types (contrast
     /// [`AttributeIndex::values_in`]).
     pub fn range(&self, lo: Option<(&Value, bool)>, hi: Option<(&Value, bool)>) -> Vec<usize> {
-        let Some(bounds) = key_bounds(lo, hi) else {
-            return Vec::new();
-        };
-        self.map
-            .range(bounds)
-            .flat_map(|(_, positions)| positions.iter().copied())
-            .collect()
+        match key_bounds(lo, hi) {
+            Some(bounds) => self.positions_of(self.span(bounds)).to_vec(),
+            None => Vec::new(),
+        }
     }
 
     /// The distinct values inside the bounds, ascending, with a range
@@ -82,7 +156,7 @@ impl AttributeIndex {
             (Some((v, _)), None) | (None, Some((v, _))) => !v.is_null(),
             (None, None) => true,
         };
-        let bounds = key_bounds(lo, hi)
+        let groups = key_bounds(lo, hi)
             .filter(|_| satisfiable)
             .map(|(l, h)| match lo.or(hi) {
                 None => (l, h),
@@ -93,66 +167,20 @@ impl AttributeIndex {
                         if hi.is_some() { h } else { ceiling },
                     )
                 }
-            });
-        bounds
-            .into_iter()
-            .flat_map(|b| self.map.range(b))
-            .map(|(k, _)| &k.0)
+            })
+            .map_or(0..0, |bounds| self.span(bounds));
+        groups.map(move |g| self.value(g))
     }
 
     /// Number of distinct indexed values.
     pub fn distinct(&self) -> usize {
-        self.map.len()
+        self.groups.len()
     }
 }
 
-/// A map key seen through a reference, so [`AttributeIndex::lookup`]
-/// can search the `ValueKey` map with a borrowed `&Value`.
-trait Probe {
-    fn value(&self) -> &Value;
-}
-
-impl Probe for Value {
-    fn value(&self) -> &Value {
-        self
-    }
-}
-
-impl Probe for ValueKey {
-    fn value(&self) -> &Value {
-        &self.0
-    }
-}
-
-impl PartialEq for dyn Probe + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for dyn Probe + '_ {}
-
-impl PartialOrd for dyn Probe + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for dyn Probe + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.value().total_cmp(other.value())
-    }
-}
-
-impl<'a> Borrow<dyn Probe + 'a> for ValueKey {
-    fn borrow(&self) -> &(dyn Probe + 'a) {
-        self
-    }
-}
-
-/// The `BTreeMap` bounds for `(value, inclusive)` endpoints, or `None`
-/// when they are provably empty: lo > hi, or a shared endpoint excluded
-/// on either side. `BTreeMap::range` would panic on those.
+/// The bounds for `(value, inclusive)` endpoints, or `None` when they
+/// are provably empty: lo > hi, or a shared endpoint excluded on either
+/// side.
 fn key_bounds(
     lo: Option<(&Value, bool)>,
     hi: Option<(&Value, bool)>,
@@ -202,6 +230,32 @@ mod tests {
             Value::Int(9),
         ];
         AttributeIndex::build(values.iter())
+    }
+
+    #[test]
+    fn an_index_over_rows_shares_them_and_answers_like_a_column_index() {
+        let rows: Vec<Tuple> = [(1, "b"), (2, "a"), (3, "b"), (4, "c")]
+            .into_iter()
+            .map(|(n, s)| Tuple::new(vec![Value::Int(n), Value::str(s)]))
+            .collect();
+        let idx = AttributeIndex::over_rows(&rows, 1);
+        let column: Vec<Value> = rows.iter().map(|t| t.get(1).clone()).collect();
+        let reference = AttributeIndex::build(column.iter());
+        let b = Value::str("b");
+        assert_eq!(idx.lookup(&b), &[0, 2]);
+        assert_eq!(idx.lookup(&b), reference.lookup(&b));
+        assert_eq!(idx.range(None, None), reference.range(None, None));
+        assert_eq!(
+            idx.values_in(Some((&b, true)), None).collect::<Vec<_>>(),
+            reference
+                .values_in(Some((&b, true)), None)
+                .collect::<Vec<_>>()
+        );
+        // Each group names its value through the first row holding it.
+        let shared = |v: &Value, row: &Tuple| std::ptr::eq(v, row.get(1));
+        let firsts: Vec<&Value> = idx.values_in(None, None).collect();
+        assert!(shared(firsts[0], &rows[1]) && shared(firsts[1], &rows[0]));
+        assert!(shared(firsts[2], &rows[3]));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! they affect value validation on load.
 
 use crate::catalog::Database;
-use crate::csv::{from_csv, to_csv};
+use crate::csv::{from_csv, write_csv};
 use crate::domain::Domain;
 use crate::error::{Result, StorageError};
 use crate::relation::Relation;
@@ -129,9 +129,14 @@ pub fn save_database(db: &Database, dir: &Path) -> Result<()> {
     fs::create_dir_all(&staging).map_err(io_err)?;
 
     let staged = (|| -> Result<()> {
-        write_sync(&staging.join("_schema.csv"), &to_csv(&manifest))?;
+        // One buffer serves every file.
+        let mut text = String::new();
+        write_csv(&manifest, &mut text);
+        write_sync(&staging.join("_schema.csv"), &text)?;
         for rel in db.relations() {
-            write_sync(&staging.join(format!("{}.csv", rel.name())), &to_csv(rel))?;
+            text.clear();
+            write_csv(rel, &mut text);
+            write_sync(&staging.join(format!("{}.csv", rel.name())), &text)?;
         }
         Ok(())
     })();

@@ -4,9 +4,12 @@ use crate::error::{Result, StorageError};
 use crate::index::AttributeIndex;
 use crate::schema::{Schema, SchemaRef};
 use crate::tuple::Tuple;
-use crate::value::{Value, ValueKey};
+use crate::value::{Value, ValueKey, ValueRef};
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 /// An in-memory relation (table).
@@ -20,7 +23,12 @@ pub struct Relation {
     schema: SchemaRef,
     tuples: Vec<Tuple>,
     key_indices: Vec<usize>,
-    key_set: BTreeSet<Vec<ValueKey>>,
+    /// Key uniqueness, by row position: the hash of each distinct key
+    /// maps to the first row holding it, and `key_spill` lists the rows
+    /// whose key shares its hash with a different key. Positions, not
+    /// key values, so copying a relation copies no key string.
+    key_rows: HashMap<u64, usize>,
+    key_spill: Vec<(u64, usize)>,
     /// Lazily built secondary indexes: attr (lowercase) -> index.
     /// Interior mutability lets read-only scans build and reuse
     /// indexes; the lock is uncontended in single-threaded use. Every
@@ -36,7 +44,8 @@ impl Clone for Relation {
             schema: Arc::clone(&self.schema),
             tuples: self.tuples.clone(),
             key_indices: self.key_indices.clone(),
-            key_set: self.key_set.clone(),
+            key_rows: self.key_rows.clone(),
+            key_spill: self.key_spill.clone(),
             indexes: RwLock::new(
                 self.indexes
                     .read()
@@ -61,7 +70,8 @@ impl Relation {
             schema,
             tuples: Vec::new(),
             key_indices,
-            key_set: BTreeSet::new(),
+            key_rows: HashMap::new(),
+            key_spill: Vec::new(),
             indexes: RwLock::new(HashMap::new()),
         }
     }
@@ -119,13 +129,14 @@ impl Relation {
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
         tuple.check(&self.schema)?;
         if !self.key_indices.is_empty() {
-            let key = tuple.key(&self.key_indices);
-            if !self.key_set.insert(key.clone()) {
+            let hash = self.key_hash(|i| tuple.get(i));
+            if self.holds_key(hash, |i| tuple.get(i)) {
                 return Err(StorageError::DuplicateKey {
                     relation: self.name.clone(),
                     key: format!("{}", tuple.project(&self.key_indices)),
                 });
             }
+            self.register_key(hash, self.tuples.len());
         }
         self.tuples.push(tuple);
         self.touch();
@@ -153,9 +164,7 @@ impl Relation {
         self.tuples.retain(|t| !pred(t));
         let removed = before - self.tuples.len();
         if removed > 0 {
-            if !self.key_indices.is_empty() {
-                self.rebuild_key_set();
-            }
+            self.rebuild_keys();
             self.touch();
         }
         removed
@@ -164,7 +173,8 @@ impl Relation {
     /// Remove every tuple.
     pub fn clear(&mut self) {
         self.tuples.clear();
-        self.key_set.clear();
+        self.key_rows.clear();
+        self.key_spill.clear();
         self.touch();
     }
 
@@ -177,21 +187,77 @@ impl Relation {
         self.insert_all(tuples)
     }
 
-    fn rebuild_key_set(&mut self) {
-        self.key_set = self
-            .tuples
+    /// The hash of a key whose `i`-th key attribute (a schema
+    /// position) reads `value(i)`, consistent with key equality: values
+    /// equal under the total order hash alike.
+    fn key_hash<'v>(&self, value: impl Fn(usize) -> &'v Value) -> u64 {
+        let mut h = DefaultHasher::new();
+        for &i in &self.key_indices {
+            ValueRef(value(i)).hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Whether row `pos` holds the key `value` reads.
+    fn row_has_key<'v>(&self, pos: usize, value: &impl Fn(usize) -> &'v Value) -> bool {
+        let row = &self.tuples[pos];
+        self.key_indices
             .iter()
-            .map(|t| t.key(&self.key_indices))
-            .collect();
+            .all(|&i| row.get(i).total_cmp(value(i)) == Ordering::Equal)
+    }
+
+    /// Whether a registered row holds the key `value` reads, whose hash
+    /// is `hash`.
+    fn holds_key<'v>(&self, hash: u64, value: impl Fn(usize) -> &'v Value) -> bool {
+        self.key_rows
+            .get(&hash)
+            .is_some_and(|&p| self.row_has_key(p, &value))
+            || self
+                .key_spill
+                .iter()
+                .any(|&(h, p)| h == hash && self.row_has_key(p, &value))
+    }
+
+    /// Register row `pos`, whose key (hashing to `hash`) no registered
+    /// row holds.
+    fn register_key(&mut self, hash: u64, pos: usize) {
+        match self.key_rows.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(pos);
+            }
+            Entry::Occupied(_) => self.key_spill.push((hash, pos)),
+        }
+    }
+
+    /// Re-register every row's key after rows moved. A key held twice
+    /// (only `push_unchecked` can do that) is registered once.
+    fn rebuild_keys(&mut self) {
+        self.key_rows.clear();
+        self.key_spill.clear();
+        if self.key_indices.is_empty() {
+            return;
+        }
+        for pos in 0..self.tuples.len() {
+            let row = &self.tuples[pos];
+            let hash = self.key_hash(|i| row.get(i));
+            if !self.holds_key(hash, |i| row.get(i)) {
+                self.register_key(hash, pos);
+            }
+        }
     }
 
     /// Whether a tuple with the given key values exists.
     pub fn contains_key(&self, key: &[Value]) -> bool {
-        if self.key_indices.is_empty() {
+        if self.key_indices.is_empty() || key.len() != self.key_indices.len() {
             return false;
         }
-        let key: Vec<ValueKey> = key.iter().cloned().map(ValueKey).collect();
-        self.key_set.contains(&key)
+        // `value(i)` is asked for schema positions; map them back to
+        // the probe's order.
+        let at = |i: usize| {
+            let k = self.key_indices.iter().position(|&j| j == i).unwrap_or(0);
+            &key[k]
+        };
+        self.holds_key(self.key_hash(at), at)
     }
 
     /// Find the first tuple whose key attributes equal `key`.
@@ -220,6 +286,7 @@ impl Relation {
             }
             std::cmp::Ordering::Equal
         });
+        self.rebuild_keys();
     }
 
     /// Sort tuples in place by attribute names.
@@ -253,9 +320,7 @@ impl Relation {
         let index = match cached {
             Some(index) => index,
             None => {
-                let built = Arc::new(AttributeIndex::build(
-                    self.tuples.iter().map(|t| t.get(idx)),
-                ));
+                let built = Arc::new(AttributeIndex::over_rows(&self.tuples, idx));
                 self.indexes
                     .write()
                     .unwrap_or_else(|e| e.into_inner())
@@ -398,6 +463,54 @@ mod tests {
         assert_eq!(removed, 1);
         // Key is free again after delete.
         r.insert(tuple!["SSBN730", "Rhode Island", "0101"]).unwrap();
+    }
+
+    #[test]
+    fn keys_stay_unique_through_sorts_deletes_and_hash_twins() {
+        use crate::value::ValueType;
+        let schema = Schema::new(vec![
+            Attribute::key("K", Domain::basic(ValueType::Int)),
+            Attribute::new("V", Domain::basic(ValueType::Int)),
+        ])
+        .unwrap();
+        let mut r = Relation::new("T", schema);
+        // 2^53 and 2^53 + 1 are distinct keys that hash alike.
+        let big = 1i64 << 53;
+        r.insert(tuple![big, 1]).unwrap();
+        r.insert(tuple![big + 1, 2]).unwrap();
+        assert!(r.insert(tuple![big + 1, 3]).is_err());
+        assert!(r.contains_key(&[Value::Int(big)]));
+        assert!(r.contains_key(&[Value::Int(big + 1)]));
+        r.insert(tuple![5, 4]).unwrap();
+        r.sort_by_indices(&[0]);
+        assert!(r.insert(tuple![5, 9]).is_err());
+        assert!(r.insert(tuple![big, 9]).is_err());
+        assert_eq!(r.delete_where(|t| t.get(1) == &Value::Int(1)), 1);
+        assert!(!r.contains_key(&[Value::Int(big)]));
+        r.insert(tuple![big, 7]).unwrap();
+        assert!(r.insert(tuple![big + 1, 7]).is_err());
+        // A copy registers its own keys.
+        let mut copy = r.clone();
+        copy.insert(tuple![6, 0]).unwrap();
+        assert!(!r.contains_key(&[Value::Int(6)]));
+        assert!(r.clone().insert(tuple![6, 0]).is_ok());
+    }
+
+    #[test]
+    fn a_composite_key_is_probed_in_key_order() {
+        let schema = Schema::new(vec![
+            Attribute::key("Ship", Domain::char_n(7)),
+            Attribute::new("Note", Domain::char_n(8)),
+            Attribute::key("Sonar", Domain::char_n(8)),
+        ])
+        .unwrap();
+        let mut r = Relation::new("INSTALL", schema);
+        r.insert(tuple!["SSN582", "a", "BQQ-2"]).unwrap();
+        r.insert(tuple!["SSN582", "b", "BQS-04"]).unwrap();
+        assert!(r.insert(tuple!["SSN582", "c", "BQQ-2"]).is_err());
+        assert!(r.contains_key(&[Value::str("SSN582"), Value::str("BQS-04")]));
+        assert!(!r.contains_key(&[Value::str("BQS-04"), Value::str("SSN582")]));
+        assert!(!r.contains_key(&[Value::str("SSN582")]));
     }
 
     #[test]

@@ -4,17 +4,25 @@ use crate::error::{Result, StorageError};
 use crate::schema::Schema;
 use crate::value::{Value, ValueKey};
 use std::fmt;
+use std::sync::Arc;
 
 /// A tuple (row) of values.
+///
+/// The values live in one shared allocation, so cloning a tuple (and
+/// so a relation, on a copy-on-write write) copies a pointer, not the
+/// row's strings. [`Tuple::get_mut`] copies the values first when
+/// another clone still shares them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Build a tuple from values.
     pub fn new(values: Vec<Value>) -> Tuple {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// The values in order.
@@ -27,9 +35,16 @@ impl Tuple {
         &self.values[idx]
     }
 
-    /// Mutable access to the value at position `idx`.
+    /// Mutable access to the value at position `idx`. A tuple whose
+    /// values another clone still shares gets its own copy first.
     pub fn get_mut(&mut self, idx: usize) -> &mut Value {
-        &mut self.values[idx]
+        if Arc::get_mut(&mut self.values).is_none() {
+            self.values = self.values.iter().cloned().collect();
+        }
+        match Arc::get_mut(&mut self.values) {
+            Some(values) => &mut values[idx],
+            None => unreachable!("a freshly collected tuple is unshared"),
+        }
     }
 
     /// Number of values.
@@ -39,7 +54,7 @@ impl Tuple {
 
     /// Consume the tuple, yielding its values.
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        self.values.to_vec()
     }
 
     /// The value named `attr` under `schema`.
@@ -72,15 +87,16 @@ impl Tuple {
 
     /// Project the tuple onto the given positions.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple::new(indices.iter().map(|&i| self.get(i).clone()).collect())
+        indices.iter().map(|&i| self.get(i).clone()).collect()
     }
 
     /// Concatenate two tuples (for join results).
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.arity() + other.arity());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple::new(values)
+        self.values
+            .iter()
+            .chain(other.values.iter())
+            .cloned()
+            .collect()
     }
 }
 
@@ -100,6 +116,17 @@ impl fmt::Display for Tuple {
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Self {
         Tuple::new(values)
+    }
+}
+
+/// Collect values straight into the tuple's shared allocation; an
+/// iterator of known length (a mapped slice, say) is written in place,
+/// with no intermediate `Vec`.
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        Tuple {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -156,6 +183,31 @@ mod tests {
         let k = t.key(&[0]);
         assert_eq!(k.len(), 1);
         assert_eq!(k[0].0, Value::str("SSN582"));
+    }
+
+    #[test]
+    fn get_mut_copies_only_a_shared_tuple() {
+        let original = tuple!["SSN582", 2145];
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.values, &copy.values));
+        *copy.get_mut(1) = Value::Int(1);
+        assert_eq!(
+            original,
+            tuple!["SSN582", 2145],
+            "the clone's edit stays its own"
+        );
+        assert_eq!(copy, tuple!["SSN582", 1]);
+        let before = Arc::as_ptr(&copy.values);
+        *copy.get_mut(0) = Value::str("SSN583");
+        assert_eq!(
+            Arc::as_ptr(&copy.values),
+            before,
+            "an unshared tuple edits in place"
+        );
+        assert_eq!(
+            copy.into_values(),
+            vec![Value::str("SSN583"), Value::Int(1)]
+        );
     }
 
     #[test]

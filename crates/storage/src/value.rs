@@ -211,13 +211,43 @@ impl Value {
             Value::Date(d) => d.to_string(),
         }
     }
+
+    /// Append the text of [`Value::render_bare`] to `out`, without
+    /// building a `String` of its own.
+    pub fn write_bare(&self, out: &mut String) {
+        use std::fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            Value::Null => out.write_str("NULL"),
+            Value::Int(v) => write!(out, "{v}"),
+            Value::Real(v) => write_real(out, *v),
+            Value::Str(s) => out.write_str(s),
+            Value::Date(d) => write!(out, "{d}"),
+        };
+    }
+
+    /// Whether two values have the same representation: the same
+    /// variant and payload, with reals compared by bit pattern. Unlike
+    /// `==`, this tells `-0.0` from `0.0`, which render differently.
+    pub fn identical(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Real(a), Value::Real(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
 }
 
 fn format_real(v: f64) -> String {
+    let mut out = String::new();
+    let _ = write_real(&mut out, v);
+    out
+}
+
+fn write_real(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
     if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
+        write!(out, "{v:.1}")
     } else {
-        format!("{v}")
+        write!(out, "{v}")
     }
 }
 
@@ -227,7 +257,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => f.write_str("NULL"),
             Value::Int(v) => write!(f, "{v}"),
-            Value::Real(v) => f.write_str(&format_real(*v)),
+            Value::Real(v) => write_real(f, *v),
             Value::Str(s) => write!(f, "\"{s}\""),
             Value::Date(d) => write!(f, "{d}"),
         }
@@ -359,6 +389,26 @@ impl std::hash::Hash for ValueRef<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn identical_compares_reals_by_bits() {
+        assert!(Value::Real(-0.0) == Value::Real(0.0));
+        assert!(!Value::Real(-0.0).identical(&Value::Real(0.0)));
+        assert!(Value::Real(f64::NAN).identical(&Value::Real(f64::NAN)));
+        assert!(!Value::Int(3).identical(&Value::Real(3.0)));
+        assert!(Value::str("a").identical(&Value::str("a")));
+        let mut out = String::new();
+        for v in [
+            Value::Null,
+            Value::Int(-4),
+            Value::Real(-0.0),
+            Value::Real(2.5),
+        ] {
+            v.write_bare(&mut out);
+            assert_eq!(out, v.render_bare());
+            out.clear();
+        }
+    }
 
     #[test]
     fn cross_numeric_comparison() {

@@ -19,7 +19,7 @@
 use crate::WalError;
 use intensio_rules::encode::{decode, encode, RuleRelations};
 use intensio_rules::rule::RuleSet;
-use intensio_storage::csv::{from_csv, to_csv};
+use intensio_storage::csv::{from_csv, write_csv};
 
 const HEADER: &str = "%intensio-rules v1";
 const SECTION: &str = "%relation ";
@@ -38,7 +38,7 @@ pub fn rules_to_bytes(rules: &RuleSet) -> Result<Vec<u8>, WalError> {
         out.push_str(SECTION);
         out.push_str(name);
         out.push('\n');
-        out.push_str(&to_csv(rel));
+        write_csv(rel, &mut out);
     }
     Ok(out.into_bytes())
 }
