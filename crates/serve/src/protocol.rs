@@ -52,7 +52,7 @@
 //! one trace across nodes.
 
 use crate::json::ObjWriter;
-use crate::service::{Reply, Request};
+use crate::reply::{Reply, Request};
 
 /// A decoded request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -466,7 +466,7 @@ fn encode_failpoints(points: &[intensio_fault::FailpointStatus]) -> String {
 
 /// Encode a profile timing tree as a JSON array of
 /// `{"name":..,"us":..,"fields":{..},"children":[..]}` nodes.
-fn encode_profile_nodes(nodes: &[crate::service::ProfileNode]) -> String {
+fn encode_profile_nodes(nodes: &[crate::reply::ProfileNode]) -> String {
     let mut out = String::from("[");
     for (i, n) in nodes.iter().enumerate() {
         if i > 0 {
@@ -688,7 +688,7 @@ mod tests {
 
     #[test]
     fn profile_reply_encodes_the_timing_tree() {
-        use crate::service::{ProfileNode, ProfileReply};
+        use crate::reply::{ProfileNode, ProfileReply};
         let reply = Reply::Profile(Box::new(ProfileReply {
             epoch: 2,
             cached: false,
@@ -738,7 +738,7 @@ mod tests {
 
     #[test]
     fn telemetry_reply_encodes_as_json() {
-        use crate::service::TelemetryReply;
+        use crate::reply::TelemetryReply;
         let line = encode_reply(&Reply::Telemetry(Box::new(TelemetryReply {
             role: "follower".to_string(),
             epoch: 9,
@@ -776,7 +776,7 @@ mod tests {
         reg.inc("serve.queries");
         reg.add("serve.cache_hits", 2);
         reg.stage(intensio_obs::Stage::Parse).record_us(1500);
-        let line = encode_reply(&Reply::Stats(Box::new(crate::service::StatsReply {
+        let line = encode_reply(&Reply::Stats(Box::new(crate::reply::StatsReply {
             epoch: 3,
             data_version: 4,
             rules_fresh: true,
@@ -797,7 +797,7 @@ mod tests {
             workers: 4,
             role: "follower".to_string(),
             term: 6,
-            repl: Some(crate::service::ReplStats {
+            repl: Some(crate::reply::ReplStats {
                 primary: "127.0.0.1:4050".to_string(),
                 connected: true,
                 primary_epoch: 5,
@@ -808,7 +808,7 @@ mod tests {
                 heartbeat_age_ms: Some(120),
                 stale_term_rejections: 1,
             }),
-            durability: Some(crate::service::DurabilityStats {
+            durability: Some(crate::reply::DurabilityStats {
                 fsync: "batch:8".to_string(),
                 wal_appends: 40,
                 wal_append_bytes: 4096,
@@ -821,7 +821,7 @@ mod tests {
                 recovery_ms: 12,
             }),
             metrics: reg.snapshot(),
-            cluster: vec![crate::service::PeerTelemetry {
+            cluster: vec![crate::reply::PeerTelemetry {
                 addr: "127.0.0.1:4061".to_string(),
                 ok: true,
                 role: "follower".to_string(),
@@ -932,12 +932,12 @@ mod tests {
             direction: Direction::Backward,
             conclusion: "CLASS.Type = \"SSBN\"".to_string(),
         });
-        let line = encode_reply(&Reply::Explain(crate::service::ExplainReply {
+        let line = encode_reply(&Reply::Explain(crate::reply::ExplainReply {
             epoch: 1,
             cached: true,
             rules_fresh: true,
             degraded: false,
-            soundness: crate::service::Soundness::None,
+            soundness: crate::reply::Soundness::None,
             intensional: std::sync::Arc::new(answer),
             headline: None,
         }));
@@ -974,7 +974,7 @@ mod tests {
             "rules",
             "gap between rules",
         ));
-        let line = encode_reply(&Reply::Check(crate::service::CheckReply {
+        let line = encode_reply(&Reply::Check(crate::reply::CheckReply {
             epoch: 7,
             rules_fresh: true,
             rejected: true,
