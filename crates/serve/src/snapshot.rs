@@ -43,22 +43,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The initial snapshot (epoch 0, term 0) over a database and
-    /// dictionary.
-    pub fn initial(db: Database, dictionary: DataDictionary, rules_fresh: bool) -> Snapshot {
-        Snapshot {
-            epoch: 0,
-            data_version: 0,
-            term: 0,
-            db,
-            dictionary,
-            rules_fresh,
-        }
-    }
-
-    /// A snapshot rebuilt by boot recovery at an explicit epoch, data
-    /// version, and term (checkpoint state plus the replayed WAL
-    /// suffix).
+    /// A snapshot at an explicit epoch, data version, and term: the
+    /// boot state (epoch 0 in memory; checkpoint state plus the replayed
+    /// WAL suffix when durable), or a follower's next state.
     pub fn recovered(
         epoch: u64,
         data_version: u64,

@@ -17,6 +17,12 @@
 //!    `local + 1` is a chain break: the stream drops and the follower
 //!    re-requests from its durable epoch (where a real primary would
 //!    ship the missing tail or a snapshot).
+//! 5. **A snapshot never rewinds within a term.** A same-term snapshot
+//!    below the follower's epoch is refused (`repl.snapshot_regressions`)
+//!    and the follower re-requests from its own epoch.
+//! 6. **A higher term at or below the local epoch forces a full
+//!    re-bootstrap.** The local suffix belongs to a fenced lineage, so
+//!    the follower's next handshake asks for everything, from epoch 0.
 
 mod support;
 
@@ -346,6 +352,84 @@ fn epoch_gap_forces_resync_from_the_durable_epoch() {
         assert_eq!(counts.get(id), Some(&1), "{id} lost or doubled by the gap");
     }
     assert_eq!(epoch_of(&mut client), base + 3);
+    drop(conn);
+    server.shutdown();
+}
+
+#[test]
+fn same_term_snapshot_below_the_local_epoch_is_refused() {
+    let primary = FakePrimary::bind();
+    let (server, mut client) = follower(&primary.addr);
+    let mut conn = primary.accept();
+    let base = conn.from;
+
+    conn.send_ok(base);
+    conn.send_write(base + 1, "WREG001");
+    conn.send_write(base + 2, "WREG002");
+    await_epoch(&mut client, base + 2, "pre-snapshot apply");
+    // A same-term snapshot one epoch back: installing it would silently
+    // drop WREG002.
+    let db = intensio_shipdb::ship_database().unwrap();
+    conn.send(&StreamMsg::Snapshot {
+        epoch: base + 1,
+        data_version: base + 1,
+        term: 0,
+        db: intensio_repl::snapshot::db_to_bytes(&db).unwrap(),
+        rules: None,
+    });
+    // End the stream either way, so a follower that installed the
+    // snapshot reconnects too, from the rewound epoch.
+    drop(conn);
+
+    let conn = primary.accept();
+    assert_eq!(
+        conn.from,
+        base + 2,
+        "the snapshot must not rewind the follower"
+    );
+    let counts = submarine_id_counts(&mut client);
+    for id in ["WREG001", "WREG002"] {
+        assert_eq!(
+            counts.get(id),
+            Some(&1),
+            "{id} lost by the refused snapshot"
+        );
+    }
+    drop(conn);
+    server.shutdown();
+}
+
+#[test]
+fn higher_term_record_at_the_local_epoch_forces_a_full_rebootstrap() {
+    let primary = FakePrimary::bind();
+    let (server, mut client) = follower(&primary.addr);
+    let mut conn = primary.accept();
+    let base = conn.from;
+
+    conn.send_ok(base);
+    conn.send_write(base + 1, "WFRK001");
+    conn.send_write(base + 2, "WFRK002");
+    await_epoch(&mut client, base + 2, "pre-fork apply");
+    // A new primary forked at `base + 1`: its record there carries a
+    // higher term, so this node's suffix is a fenced lineage.
+    conn.send(&StreamMsg::Record {
+        rec: Record::write(
+            base + 1,
+            base + 1,
+            "append to SUBMARINE (Id = \"WFRK101\", Name = \"Fork\", Class = \"0101\")",
+        )
+        .with_term(1),
+        trace: None,
+    });
+    // End the stream either way, so a follower that skipped the record
+    // reconnects too (from its own epoch, which fails the check below).
+    drop(conn);
+
+    let conn = primary.accept();
+    assert_eq!(
+        conn.from, 0,
+        "only a full snapshot may rewind a fenced suffix"
+    );
     drop(conn);
     server.shutdown();
 }
