@@ -2,8 +2,10 @@
 //! per-pair induction cost, plus the QUEL-mirror overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use intensio_induction::{induce_pair, induce_pair_quel, Ils, InductionConfig};
+use intensio_induction::{induce_pair, induce_pair_quel, Ils, IlsMemo, InductionConfig};
 use intensio_shipdb::{generate, ship_database, ship_model, FleetConfig};
+use intensio_storage::tuple::Tuple;
+use intensio_storage::value::Value;
 
 fn fleet(ships_per_class: usize) -> intensio_shipdb::Fleet {
     generate(FleetConfig {
@@ -117,12 +119,66 @@ fn bench_parallel_ils(c: &mut Criterion) {
     g.finish();
 }
 
+/// Re-induction after one SUBMARINE append on the 6x10x30 fleet (the
+/// servebench fleet, 3,690 tuples): the memoized run, which extends the
+/// two SUBMARINE pairs and reuses the rest, against a from-scratch run.
+fn bench_ils_after_append(c: &mut Criterion) {
+    let f = generate(FleetConfig {
+        seed: 1,
+        n_types: 6,
+        classes_per_type: 10,
+        ships_per_class: 30,
+        sonars_per_family: 4,
+        id_noise: 0.02,
+        overlapping_bands: false,
+    })
+    .expect("generation succeeds");
+    let model = f.ker_model();
+    let ils = Ils::new(&model, InductionConfig::with_min_support(3));
+    let mut learned = IlsMemo::new();
+    ils.induce_memo(&f.db, 1, &mut learned)
+        .expect("induction succeeds");
+    let class = f.db.get("CLASS").expect("CLASS").tuples()[0].get(0).clone();
+    let appended = || {
+        let mut db = f.db.clone();
+        db.get_mut("SUBMARINE")
+            .expect("SUBMARINE")
+            .insert(Tuple::new(vec![
+                Value::str("S900001"),
+                Value::str("added 1"),
+                class.clone(),
+            ]))
+            .expect("a fresh id");
+        db
+    };
+    let mut g = c.benchmark_group("ils_after_append");
+    g.bench_function("memoized", |b| {
+        b.iter_batched(
+            || (appended(), learned.clone()),
+            |(db, mut memo)| {
+                ils.induce_memo(&db, 1, &mut memo)
+                    .expect("induction succeeds")
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+    g.bench_function("from_scratch", |b| {
+        b.iter_batched(
+            appended,
+            |db| ils.induce(&db).expect("induction succeeds"),
+            criterion::BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_ils_scaling,
     bench_pairwise,
     bench_quel_vs_direct,
     bench_ship_testbed_full,
-    bench_parallel_ils
+    bench_parallel_ils,
+    bench_ils_after_append
 );
 criterion_main!(benches);

@@ -17,16 +17,18 @@
 //!   from another.
 
 use crate::config::InductionConfig;
-use crate::pairwise::{induce_values, InducedRule};
+use crate::pairwise::{merge_appended, pair_rule, scan, sorted_obs, Obs};
 use intensio_ker::model::{subtype_label_among, Classifier, KerModel};
 use intensio_rules::rule::{AttrId, Rule, RuleSet};
 use intensio_storage::catalog::Database;
 use intensio_storage::error::{Result, StorageError};
 use intensio_storage::relation::Relation;
+use intensio_storage::schema::SchemaRef;
 use intensio_storage::tuple::Tuple;
 use intensio_storage::value::{Value, ValueRef};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Statistics from one ILS run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -48,8 +50,19 @@ pub struct IlsOutput {
     pub stats: IlsStats,
 }
 
+/// How a run came by each pair's rules.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairWork {
+    /// Taken from the memo: the source did not change.
+    reused: usize,
+    /// The rows appended since the memo were merged into its order.
+    extended: usize,
+    /// Sorted and scanned from scratch.
+    rebuilt: usize,
+}
+
 /// Bump the global induction counters from one run's statistics.
-fn record_induction_metrics(stats: &IlsStats) {
+fn record_induction_metrics(stats: &IlsStats, work: PairWork) {
     intensio_obs::inc("induction.runs");
     intensio_obs::add("induction.pairs_examined", stats.pairs_examined as u64);
     intensio_obs::add("induction.rules_kept", stats.rules_kept as u64);
@@ -57,14 +70,162 @@ fn record_induction_metrics(stats: &IlsStats) {
         "induction.rules_pruned",
         stats.rules_constructed.saturating_sub(stats.rules_kept) as u64,
     );
+    intensio_obs::add("induction.pairs_reused", work.reused as u64);
+    intensio_obs::add("induction.pairs_extended", work.extended as u64);
+    intensio_obs::add("induction.pairs_rebuilt", work.rebuilt as u64);
 }
 
-/// An induced rule, labelled with the subtype its consequence selects.
-fn labelled_rule(r: InducedRule, classifiers: &[Classifier]) -> Rule {
-    let subtype = subtype_label_among(classifiers, &r.y.attribute, &r.y_value);
-    let mut rule = r.into_rule();
-    rule.rhs_subtype = subtype;
-    rule
+/// What [`Ils::induce_memo`] carries from one run to the next, so a
+/// re-induction does work only for the sources that changed.
+///
+/// It holds the `Arc<Relation>` handles it learned from. Holding them
+/// is what makes a pointer comparison sound: while the memo shares a
+/// relation's tuples, no later write can edit them in place — the
+/// catalog's copy-on-write copies the relation, and a tuple copies its
+/// values, first — so a tuple still pointer-equal to a remembered one
+/// holds the remembered values.
+///
+/// Per source, against the remembered handles:
+/// * a stored relation that is the same `Arc`, or the remembered
+///   tuples and nothing else, reuses its pairs' rules;
+/// * a stored relation whose remembered tuples are a pointer-equal
+///   prefix (same schema handle) merges the appended rows into each
+///   pair's persisted sort order, then re-runs the §5.2.1 scan;
+/// * a relationship reuses its pairs, join and all, when it is the same
+///   `Arc`, every role and hop entity only gained rows, and the
+///   remembered join resolved every reference: storage keeps keys
+///   unique, so an appended entity row cannot join;
+/// * anything else rebuilds that source.
+///
+/// A different model, configuration, or catalog (relation names and
+/// schema handles) empties the whole memo. A run takes the memo's
+/// contents once it starts and puts the new ones back only when it
+/// succeeds, so a run that fails or panics leaves it empty (the
+/// `induction.run` failpoint fires before, and leaves it as it was).
+#[derive(Debug, Clone, Default)]
+pub struct IlsMemo {
+    learned: Option<Learned>,
+}
+
+impl IlsMemo {
+    /// An empty memo: the next run learns every pair from scratch.
+    pub fn new() -> IlsMemo {
+        IlsMemo::default()
+    }
+
+    /// Whether the memo holds nothing to reuse.
+    pub fn is_empty(&self) -> bool {
+        self.learned.is_none()
+    }
+}
+
+/// One successful run: its key and what it learned per source.
+#[derive(Debug, Clone)]
+struct Learned {
+    model: KerModel,
+    cfg: InductionConfig,
+    /// Each relation's name and schema handle, in catalog order.
+    catalog: Vec<(String, SchemaRef)>,
+    /// One per relation, in catalog order.
+    sources: Vec<SourceMemo>,
+}
+
+impl Learned {
+    fn matches(&self, model: &KerModel, cfg: &InductionConfig, db: &Database) -> bool {
+        self.cfg == *cfg
+            && self.catalog.len() == db.len()
+            && self
+                .catalog
+                .iter()
+                .zip(db.relations())
+                .all(|((name, schema), rel)| {
+                    name == rel.name() && Arc::ptr_eq(schema, &rel.schema_ref())
+                })
+            && self.model == *model
+    }
+}
+
+/// What a run learned from one source.
+#[derive(Debug, Clone)]
+struct SourceMemo {
+    /// The stored relation, or the relationship of a joined source.
+    rel: Arc<Relation>,
+    /// A joined source's entities, `None` for a stored one.
+    join: Option<JoinMemo>,
+    /// One per job of the source, in job order.
+    pairs: Vec<PairMemo>,
+}
+
+/// The entities a role join read.
+#[derive(Debug, Clone)]
+struct JoinMemo {
+    /// Every role and hop entity, in [`RoleJoin::entities`] order.
+    entities: Vec<Arc<Relation>>,
+    /// Whether every role reference and every hop found its row.
+    complete: bool,
+}
+
+/// One pair's result.
+#[derive(Debug, Clone)]
+struct PairMemo {
+    x_id: AttrId,
+    y_id: AttrId,
+    /// The positions of X and Y in the tuples the rules point into.
+    x: usize,
+    y: usize,
+    /// The kept rules, in scan order.
+    rules: Vec<PairRule>,
+    constructed: usize,
+    /// A stored relation's non-null rows in §5.2.1 sort order; empty
+    /// for a joined source, which is only ever reused or rebuilt.
+    order: Vec<u32>,
+}
+
+/// A kept rule of a pair, pointing at the tuples whose values are its
+/// bounds and its conclusion rather than copying them.
+#[derive(Debug, Clone)]
+struct PairRule {
+    lo: Tuple,
+    hi: Tuple,
+    y: Tuple,
+    support: usize,
+    /// The subtype the conclusion selects.
+    subtype: Option<String>,
+}
+
+impl PairMemo {
+    /// The pair's rules, labelled and ready to number.
+    fn rules(&self) -> impl Iterator<Item = Rule> + '_ {
+        self.rules.iter().map(|r| {
+            let mut rule = pair_rule(
+                self.x_id.clone(),
+                r.lo.get(self.x).clone(),
+                r.hi.get(self.x).clone(),
+                self.y_id.clone(),
+                r.y.get(self.y).clone(),
+                r.support,
+            );
+            rule.rhs_subtype = r.subtype.clone();
+            rule
+        })
+    }
+}
+
+/// Whether `new` is `old` plus appended rows: the same schema handle,
+/// and `old`'s tuples, pointer for pointer, as its prefix.
+fn extends(old: &Relation, new: &Relation) -> bool {
+    Arc::ptr_eq(&old.schema_ref(), &new.schema_ref())
+        && old.len() <= new.len()
+        && old
+            .tuples()
+            .iter()
+            .zip(new.tuples())
+            .all(|(a, b)| a.shares_values(b))
+}
+
+/// A row position as the memo stores it.
+fn row_id(row: usize) -> u32 {
+    u32::try_from(row).expect("a relation holds fewer than u32::MAX rows")
 }
 
 /// The model-based inductive learning subsystem.
@@ -92,12 +253,7 @@ impl<'m> Ils<'m> {
 
     /// Run schema-guided induction over every relation of the database.
     pub fn induce(&self, db: &Database) -> Result<IlsOutput> {
-        let _span = intensio_obs::Span::stage("induction.run", intensio_obs::Stage::Induction)
-            .with_field("mode", "sequential");
-        intensio_fault::fire("induction.run")?;
-        let plan = self.plan(db)?;
-        let results = plan.jobs.iter().map(|job| plan.run(job, &self.cfg));
-        Ok(self.assemble(plan.jobs.len(), results))
+        self.induce_memo(db, 1, &mut IlsMemo::new())
     }
 
     /// Run schema-guided induction with pair-level parallelism.
@@ -109,56 +265,105 @@ impl<'m> Ils<'m> {
     /// [`Ils::induce`] (tested). Relationship joins are resolved to row
     /// ids once, up front, on the calling thread.
     pub fn induce_parallel(&self, db: &Database, threads: usize) -> Result<IlsOutput> {
-        let _span = intensio_obs::Span::stage("induction.run", intensio_obs::Stage::Induction)
-            .with_field("mode", "parallel")
-            .with_field("threads", threads.max(1));
-        intensio_fault::fire("induction.run")?;
-        let plan = self.plan(db)?;
-        let chunk = plan.jobs.len().div_ceil(threads.max(1)).max(1);
-        let mut results: Vec<(Vec<InducedRule>, usize)> = Vec::with_capacity(plan.jobs.len());
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = plan
-                .jobs
-                .chunks(chunk)
-                .map(|jobs| {
-                    let plan = &plan;
-                    let cfg = &self.cfg;
-                    scope.spawn(move || {
-                        jobs.iter()
-                            .map(|job| plan.run(job, cfg))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for worker in workers {
-                results.extend(worker.join().expect("induction worker panicked"));
-            }
-        });
-        Ok(self.assemble(plan.jobs.len(), results))
+        self.induce_memo(db, threads, &mut IlsMemo::new())
     }
 
-    /// Number and label the rules of every job, in job order, and
-    /// record the run's statistics.
+    /// Run schema-guided induction, reusing what `memo` learned from an
+    /// earlier run for every source that did not change (see
+    /// [`IlsMemo`]), and leave this run's results in it. The pairs that
+    /// must be recomputed are spread over `threads` workers as in
+    /// [`Ils::induce_parallel`]. The output is that of [`Ils::induce`]
+    /// on `db` (tested).
+    pub fn induce_memo(
+        &self,
+        db: &Database,
+        threads: usize,
+        memo: &mut IlsMemo,
+    ) -> Result<IlsOutput> {
+        let threads = threads.max(1);
+        let mode = if threads == 1 {
+            "sequential"
+        } else {
+            "parallel"
+        };
+        let _span = intensio_obs::Span::stage("induction.run", intensio_obs::Stage::Induction)
+            .with_field("mode", mode)
+            .with_field("threads", threads);
+        intensio_fault::fire("induction.run")?;
+        let old = memo
+            .learned
+            .take()
+            .filter(|l| l.matches(self.model, &self.cfg, db));
+        let (model, catalog, old_sources) = match old {
+            Some(l) => (l.model, l.catalog, l.sources),
+            None => {
+                let catalog = db
+                    .relations()
+                    .map(|r| (r.name().to_string(), r.schema_ref()))
+                    .collect();
+                (self.model.clone(), catalog, Vec::new())
+            }
+        };
+        let mut plan = self.plan(db, old_sources)?;
+        let jobs = std::mem::take(&mut plan.jobs);
+        let results = plan.run_jobs(jobs, &self.cfg, &self.model.classifier_list(), threads);
+        let (out, sources) = self.assemble(plan, results)?;
+        memo.learned = Some(Learned {
+            model,
+            cfg: self.cfg,
+            catalog,
+            sources,
+        });
+        Ok(out)
+    }
+
+    /// Number the rules of every pair, in job order, record the run's
+    /// statistics, and collect what the memo keeps.
     fn assemble(
         &self,
-        pairs_examined: usize,
-        results: impl IntoIterator<Item = (Vec<InducedRule>, usize)>,
-    ) -> IlsOutput {
-        let mut stats = IlsStats {
-            pairs_examined,
-            ..IlsStats::default()
-        };
-        let classifiers = self.model.classifier_list();
+        plan: Plan<'_>,
+        results: Vec<PairMemo>,
+    ) -> Result<(IlsOutput, Vec<SourceMemo>)> {
+        let mut stats = IlsStats::default();
+        let mut work = PairWork::default();
         let mut rules = RuleSet::new();
-        for (pair_rules, constructed) in results {
-            stats.rules_constructed += constructed;
-            stats.rules_kept += pair_rules.len();
-            for r in pair_rules {
-                rules.push(labelled_rule(r, &classifiers));
+        let mut results = results.into_iter();
+        let mut sources = Vec::with_capacity(plan.sources.len());
+        for planned in plan.sources {
+            let pairs = match planned.read {
+                Read::Reused(pairs) => {
+                    work.reused += pairs.len();
+                    pairs
+                }
+                read => {
+                    match read {
+                        Read::Extend(..) => work.extended += planned.jobs,
+                        _ => work.rebuilt += planned.jobs,
+                    }
+                    let mut pairs = Vec::with_capacity(planned.jobs);
+                    for pair in results.by_ref().take(planned.jobs) {
+                        intensio_fault::fire("induction.pair")?;
+                        pairs.push(pair);
+                    }
+                    pairs
+                }
+            };
+            for pair in &pairs {
+                stats.pairs_examined += 1;
+                stats.rules_constructed += pair.constructed;
+                stats.rules_kept += pair.rules.len();
+                for rule in pair.rules() {
+                    rules.push(rule);
+                }
             }
+            sources.push(SourceMemo {
+                rel: planned.rel,
+                join: planned.join,
+                pairs,
+            });
         }
-        record_induction_metrics(&stats);
-        IlsOutput { rules, stats }
+        record_induction_metrics(&stats, work);
+        Ok((IlsOutput { rules, stats }, sources))
     }
 
     /// The induction jobs of a database, in the order their rules are
@@ -166,18 +371,35 @@ impl<'m> Ils<'m> {
     /// every non-key classifying attribute `Y` paired with every other
     /// attribute `X` (intra-object, §3.1); within a relationship, every
     /// column of one role paired with every non-key classifying column
-    /// of another (inter-object).
-    fn plan<'d>(&self, db: &'d Database) -> Result<Plan<'d>> {
+    /// of another (inter-object). `old` is what the memo learned per
+    /// relation, in catalog order, or empty; a source it covers reuses
+    /// or extends it instead.
+    fn plan<'d>(&self, db: &'d Database, old: Vec<SourceMemo>) -> Result<Plan<'d>> {
         let classifier_attrs = self.classifier_attr_names();
         let is_classifier = |name: &str| classifier_attrs.contains(&name.to_ascii_lowercase());
+        let mut old = old.into_iter();
         let mut plan = Plan {
             sources: Vec::new(),
             jobs: Vec::new(),
         };
         for rel in db.relations() {
+            let shared = db.get_shared(rel.name())?;
+            let old = old.next();
             let source = plan.sources.len();
+            let first_job = plan.jobs.len();
             let roles = self.role_attrs(db, rel);
             if roles.len() >= 2 {
+                if let Some(old) = old {
+                    if let Some(entities) = self.join_unchanged(db, &old, &shared) {
+                        let join = Some(JoinMemo {
+                            entities,
+                            complete: true,
+                        });
+                        plan.sources
+                            .push(Planned::reused(SourceMemo { join, ..old }));
+                        continue;
+                    }
+                }
                 let join = self.join_roles(db, rel, &roles)?;
                 for (ai, a) in join.roles.iter().enumerate() {
                     for (bi, b) in join.roles.iter().enumerate() {
@@ -196,13 +418,43 @@ impl<'m> Ils<'m> {
                                     x_id: join.columns[x].attr_id(),
                                     y,
                                     y_id: yc.attr_id(),
+                                    remembered: None,
                                 });
                             }
                         }
                     }
                 }
-                plan.sources.push(Source::Joined(join));
+                let entities = join
+                    .entities
+                    .iter()
+                    .map(|e| db.get_shared(e))
+                    .collect::<Result<_>>()?;
+                plan.sources.push(Planned {
+                    rel: shared,
+                    join: Some(JoinMemo {
+                        entities,
+                        complete: join.complete,
+                    }),
+                    jobs: plan.jobs.len() - first_job,
+                    read: Read::Joined(join),
+                });
             } else {
+                let (read, remembered) = match old {
+                    Some(old) if Arc::ptr_eq(&old.rel, &shared) => {
+                        plan.sources.push(Planned::reused(old));
+                        continue;
+                    }
+                    Some(old) if extends(&old.rel, rel) => {
+                        if old.rel.len() == rel.len() {
+                            plan.sources
+                                .push(Planned::reused(SourceMemo { rel: shared, ..old }));
+                            continue;
+                        }
+                        (Read::Extend(rel, old.rel.len()), old.pairs)
+                    }
+                    _ => (Read::Stored(rel), Vec::new()),
+                };
+                let mut remembered = remembered.into_iter();
                 let attrs = rel.schema().attributes();
                 for (y, y_attr) in attrs.iter().enumerate() {
                     if y_attr.is_key() || !is_classifier(y_attr.name()) {
@@ -218,13 +470,40 @@ impl<'m> Ils<'m> {
                             x_id: AttrId::new(rel.name(), x_attr.name()),
                             y,
                             y_id: AttrId::new(rel.name(), y_attr.name()),
+                            remembered: remembered.next(),
                         });
                     }
                 }
-                plan.sources.push(Source::Stored(rel));
+                plan.sources.push(Planned {
+                    rel: shared,
+                    join: None,
+                    jobs: plan.jobs.len() - first_job,
+                    read,
+                });
             }
         }
         Ok(plan)
+    }
+
+    /// Whether a remembered role join still holds for `rel`: the
+    /// relationship is the same `Arc`, every entity it read only gained
+    /// rows, and none of its references missed (a missed one could now
+    /// find an appended row). Returns the entities' current handles,
+    /// which the memo keeps in place of the ones it read.
+    fn join_unchanged(
+        &self,
+        db: &Database,
+        old: &SourceMemo,
+        rel: &Arc<Relation>,
+    ) -> Option<Vec<Arc<Relation>>> {
+        let join = old.join.as_ref()?;
+        if !join.complete || !Arc::ptr_eq(&old.rel, rel) {
+            return None;
+        }
+        join.entities
+            .iter()
+            .map(|e| db.get_shared(e.name()).ok().filter(|now| extends(e, now)))
+            .collect()
     }
 
     /// Extension beyond the paper's §5.2.1: learn *multi-clause* rules
@@ -383,6 +662,8 @@ impl<'m> Ils<'m> {
             roles: Vec::new(),
             width: 0,
             rows: Vec::new(),
+            entities: entities_needed.into_iter().collect(),
+            complete: true,
         };
         let mut plans: Vec<RolePlan<'_, 'd>> = Vec::new();
         for ((role_attr, entity), cols) in roles.iter().zip(&role_cols) {
@@ -447,13 +728,17 @@ impl<'m> Ils<'m> {
         'tuples: for t in rel.iter() {
             for role in &plans {
                 let Some(&rid) = role.rows.get(&ValueRef(t.get(role.attr))) else {
+                    join.complete = false;
                     continue 'tuples;
                 };
                 row[role.slot] = rid;
                 let entity_row = &role.tuples[rid as usize];
                 for hop in &role.hops {
                     let key = ValueRef(entity_row.get(hop.via));
-                    row[hop.slot] = hop.rows.get(&key).copied().unwrap_or(NO_ROW);
+                    row[hop.slot] = hop.rows.get(&key).copied().unwrap_or_else(|| {
+                        join.complete = false;
+                        NO_ROW
+                    });
                 }
             }
             join.rows.extend_from_slice(&row);
@@ -615,9 +900,24 @@ pub(crate) struct RoleJoin<'d> {
     pub(crate) roles: Vec<Range<usize>>,
     width: usize,
     rows: Vec<u32>,
+    /// The names of every role and hop entity the join read.
+    entities: Vec<String>,
+    /// Whether every relationship row found its role rows, and every
+    /// hop its target row.
+    complete: bool,
 }
 
 impl<'d> RoleJoin<'d> {
+    /// The tuple column `col` reads at joined row `row`; the row must
+    /// not read NULL through a missing hop.
+    fn tuple(&self, col: usize, row: usize) -> &'d Tuple {
+        let c = &self.columns[col];
+        match self.rows[row * self.width + c.slot] {
+            NO_ROW => panic!("joined row {row} reads no {} row", c.entity),
+            id => &c.tuples[id as usize],
+        }
+    }
+
     /// Column `col`'s values, one per joined row, borrowed from the
     /// stored relations.
     pub(crate) fn values(&self, col: usize) -> impl Iterator<Item = &'d Value> + '_ {
@@ -631,13 +931,41 @@ impl<'d> RoleJoin<'d> {
     }
 }
 
-/// Where an induction job reads its rows.
-enum Source<'d> {
+/// Where the jobs of a source read their rows.
+enum Read<'d> {
     /// A stored relation, read in place; columns are attribute positions.
     Stored(&'d Relation),
+    /// A stored relation that gained rows after the first `usize` the
+    /// memo learned from: each job merges them into its remembered
+    /// order.
+    Extend(&'d Relation, usize),
     /// A relationship joined with its role entities; columns index
     /// [`RoleJoin::columns`].
     Joined(RoleJoin<'d>),
+    /// Nothing: the source is unchanged, and the memo holds its pairs'
+    /// results.
+    Reused(Vec<PairMemo>),
+}
+
+/// One source of a run, in catalog order.
+struct Planned<'d> {
+    rel: Arc<Relation>,
+    join: Option<JoinMemo>,
+    /// The number of jobs in [`Plan::jobs`] that read this source.
+    jobs: usize,
+    read: Read<'d>,
+}
+
+impl Planned<'_> {
+    /// A source whose pairs are all taken from the memo.
+    fn reused(memo: SourceMemo) -> Self {
+        Planned {
+            rel: memo.rel,
+            join: memo.join,
+            jobs: 0,
+            read: Read::Reused(memo.pairs),
+        }
+    }
 }
 
 /// One attribute pair to induce over.
@@ -648,27 +976,120 @@ struct Job {
     x_id: AttrId,
     y: usize,
     y_id: AttrId,
+    /// The pair as the memo has it, to extend (its buffers are reused).
+    remembered: Option<PairMemo>,
 }
 
-/// The sources and jobs of one ILS run.
+/// The sources of one ILS run, and the jobs of those it must recompute.
 struct Plan<'d> {
-    sources: Vec<Source<'d>>,
+    sources: Vec<Planned<'d>>,
     jobs: Vec<Job>,
 }
 
 impl Plan<'_> {
-    /// Induce one job's pair: its kept rules and the number constructed.
-    fn run(&self, job: &Job, cfg: &InductionConfig) -> (Vec<InducedRule>, usize) {
-        match &self.sources[job.source] {
-            Source::Stored(rel) => {
-                let pairs = rel.iter().map(|t| (t.get(job.x), t.get(job.y)));
-                induce_values(pairs, &job.x_id, &job.y_id, cfg)
-            }
-            Source::Joined(join) => {
-                let pairs = join.values(job.x).zip(join.values(job.y));
-                induce_values(pairs, &job.x_id, &job.y_id, cfg)
-            }
+    /// Run every job, spread over `threads` scoped workers (the last
+    /// chunk on the calling thread), and return the results in job
+    /// order.
+    fn run_jobs(
+        &self,
+        jobs: Vec<Job>,
+        cfg: &InductionConfig,
+        classifiers: &[Classifier],
+        threads: usize,
+    ) -> Vec<PairMemo> {
+        let total = jobs.len();
+        let chunk = total.div_ceil(threads).max(1);
+        let mut jobs = jobs.into_iter();
+        let mut chunks: Vec<Vec<Job>> = Vec::new();
+        while jobs.len() > 0 {
+            chunks.push(jobs.by_ref().take(chunk).collect());
         }
+        let last = chunks.pop().unwrap_or_default();
+        let run = |jobs: Vec<Job>| {
+            jobs.into_iter()
+                .map(|job| self.run(job, cfg, classifiers))
+                .collect::<Vec<_>>()
+        };
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = chunks
+                .into_iter()
+                .map(|jobs| scope.spawn(move || run(jobs)))
+                .collect();
+            let mine = run(last);
+            let mut results = Vec::with_capacity(total);
+            for worker in workers {
+                results.extend(worker.join().expect("induction worker panicked"));
+            }
+            results.extend(mine);
+            results
+        })
+    }
+
+    /// Induce one job's pair.
+    fn run(&self, job: Job, cfg: &InductionConfig, classifiers: &[Classifier]) -> PairMemo {
+        let source = &self.sources[job.source].read;
+        let obs = match source {
+            Read::Stored(rel) => sorted_obs(rel.iter().map(|t| (t.get(job.x), t.get(job.y))), 0),
+            Read::Extend(rel, from) => {
+                let tuples = rel.tuples();
+                let pair = |row: usize| (tuples[row].get(job.x), tuples[row].get(job.y));
+                let order = &job.remembered.as_ref().expect("a remembered pair").order;
+                let known = order
+                    .iter()
+                    .map(|&row| {
+                        let (x, y) = pair(row as usize);
+                        Obs::new(x, y, row as usize)
+                    })
+                    .collect();
+                let appended = sorted_obs((*from..tuples.len()).map(pair), *from);
+                merge_appended(known, appended)
+            }
+            Read::Joined(join) => sorted_obs(join.values(job.x).zip(join.values(job.y)), 0),
+            Read::Reused(_) => unreachable!("a reused source has no jobs"),
+        };
+        let (kept, constructed) = scan(&obs, cfg);
+        // The tuple holding column `col` at row `row`.
+        let tuple = |col: usize, row: usize| match source {
+            Read::Stored(rel) | Read::Extend(rel, _) => rel.tuples()[row].clone(),
+            Read::Joined(join) => join.tuple(col, row).clone(),
+            Read::Reused(_) => unreachable!("a reused source has no jobs"),
+        };
+        let rules = kept.iter().map(|k| PairRule {
+            lo: tuple(job.x, k.lo.row),
+            hi: tuple(job.x, k.hi.row),
+            y: tuple(job.y, k.y.row),
+            support: k.support,
+            subtype: subtype_label_among(classifiers, &job.y_id.attribute, k.y.y),
+        });
+        let mut pair = match job.remembered {
+            Some(pair) => pair,
+            // Where X and Y sit in the tuples the rules point into.
+            None => {
+                let (x, y) = match source {
+                    Read::Joined(join) => (join.columns[job.x].attr, join.columns[job.y].attr),
+                    _ => (job.x, job.y),
+                };
+                PairMemo {
+                    x_id: job.x_id.clone(),
+                    y_id: job.y_id.clone(),
+                    x,
+                    y,
+                    rules: Vec::new(),
+                    constructed: 0,
+                    order: Vec::new(),
+                }
+            }
+        };
+        // Refilled in place: an extended pair keeps its buffers.
+        pair.rules.clear();
+        pair.rules.extend(rules);
+        pair.constructed = constructed;
+        pair.order.clear();
+        // Only a stored relation's order is kept, to extend.
+        if !matches!(source, Read::Joined(_)) {
+            pair.order.extend(obs.iter().map(|o| row_id(o.row)));
+        }
+        pair
     }
 }
 

@@ -37,6 +37,6 @@ pub mod tree;
 
 pub use config::{InconsistencyPolicy, InductionConfig, RunScope, SupportMetric};
 pub use constraints::InterObjectConstraint;
-pub use driver::{Ils, IlsOutput, IlsStats};
+pub use driver::{Ils, IlsMemo, IlsOutput, IlsStats};
 pub use pairwise::{induce_pair, induce_pair_ids, induce_pair_ids_with_stats, InducedRule};
 pub use quel_impl::induce_pair_quel;

@@ -41,14 +41,26 @@ pub struct InducedRule {
 impl InducedRule {
     /// Convert into a [`Rule`] (id assigned by the rule set).
     pub fn into_rule(self) -> Rule {
-        let support = self.support;
-        Rule::new(
-            0,
-            vec![Clause::between(self.x, self.lo, self.hi)],
-            Clause::equals(self.y, self.y_value),
-        )
-        .with_support(support)
+        pair_rule(self.x, self.lo, self.hi, self.y, self.y_value, self.support)
     }
+}
+
+/// The rule `if lo <= X <= hi then Y = y_value` (id assigned by the
+/// rule set).
+pub(crate) fn pair_rule(
+    x: AttrId,
+    lo: Value,
+    hi: Value,
+    y: AttrId,
+    y_value: Value,
+    support: usize,
+) -> Rule {
+    Rule::new(
+        0,
+        vec![Clause::between(x, lo, hi)],
+        Clause::equals(y, y_value),
+    )
+    .with_support(support)
 }
 
 /// Induce rules for the pair `(X, Y)` over a relation.
@@ -108,22 +120,64 @@ pub fn induce_pair_ids_with_stats(
 /// One observed `(X, Y)` pair: both values non-null, and the position
 /// of its row in scan order.
 #[derive(Clone, Copy)]
-struct Obs<'v> {
-    x: &'v Value,
-    y: &'v Value,
-    row: usize,
+pub(crate) struct Obs<'v> {
+    pub(crate) x: &'v Value,
+    pub(crate) y: &'v Value,
+    pub(crate) row: usize,
 }
 
-/// The rule a run of X groups is building: its first and last X, its Y,
-/// and the span of sorted observations it covers.
+impl<'v> Obs<'v> {
+    /// Row `row`'s pair.
+    pub(crate) fn new(x: &'v Value, y: &'v Value, row: usize) -> Obs<'v> {
+        Obs { x, y, row }
+    }
+
+    /// The §5.2.1 sort key: X, then Y, under [`Value::total_cmp`].
+    fn cmp_key(&self, other: &Obs<'_>) -> std::cmp::Ordering {
+        self.x
+            .total_cmp(other.x)
+            .then_with(|| self.y.total_cmp(other.y))
+    }
+}
+
+/// The rule a run of X groups is building: the observations standing
+/// for its first and last X and for its Y, and the span of sorted
+/// observations it covers.
 struct Run<'v> {
-    lo: &'v Value,
-    hi: &'v Value,
-    y: &'v Value,
+    lo: Obs<'v>,
+    hi: Obs<'v>,
+    y: Obs<'v>,
     support: usize,
     violations: usize,
     distinct_x: usize,
     span: Range<usize>,
+}
+
+/// A rule step 4 kept: the observations whose values are its bounds
+/// (`lo.x`, `hi.x`) and its conclusion (`y.y`), and its counts.
+pub(crate) struct Kept<'v> {
+    pub(crate) lo: Obs<'v>,
+    pub(crate) hi: Obs<'v>,
+    pub(crate) y: Obs<'v>,
+    pub(crate) support: usize,
+    violations: usize,
+    distinct_x: usize,
+}
+
+impl Kept<'_> {
+    /// The rule, its values copied.
+    fn induced(&self, x_id: &AttrId, y_id: &AttrId) -> InducedRule {
+        InducedRule {
+            x: x_id.clone(),
+            lo: self.lo.x.clone(),
+            hi: self.hi.x.clone(),
+            y: y_id.clone(),
+            y_value: self.y.y.clone(),
+            support: self.support,
+            violations: self.violations,
+            distinct_x: self.distinct_x,
+        }
+    }
 }
 
 /// §5.2.1 over one attribute pair, given its `(X, Y)` values in row
@@ -143,15 +197,46 @@ pub(crate) fn induce_values<'v>(
     y_id: &AttrId,
     cfg: &InductionConfig,
 ) -> (Vec<InducedRule>, usize) {
-    // Step 1: the non-null pairs, sorted by (X, Y); missing values
-    // carry no classification evidence.
+    let (kept, constructed) = scan(&sorted_obs(pairs, 0), cfg);
+    let rules = kept.iter().map(|k| k.induced(x_id, y_id)).collect();
+    (rules, constructed)
+}
+
+/// Step 1: the non-null pairs, rows numbered from `first_row`, sorted
+/// stably by (X, Y); missing values carry no classification evidence.
+pub(crate) fn sorted_obs<'v>(
+    pairs: impl Iterator<Item = (&'v Value, &'v Value)>,
+    first_row: usize,
+) -> Vec<Obs<'v>> {
     let mut obs: Vec<Obs<'v>> = pairs
         .enumerate()
         .filter(|(_, (x, y))| !x.is_null() && !y.is_null())
-        .map(|(row, (x, y))| Obs { x, y, row })
+        .map(|(i, (x, y))| Obs::new(x, y, first_row + i))
         .collect();
-    obs.sort_by(|a, b| a.x.total_cmp(b.x).then_with(|| a.y.total_cmp(b.y)));
+    obs.sort_by(Obs::cmp_key);
+    obs
+}
 
+/// Step 1 after an append: `old`, sorted, with `appended` (sorted, every
+/// row after all of `old`'s) merged in. Each appended pair goes after
+/// every equal pair of `old` — at its upper bound — which is where a
+/// stable sort of all the rows puts it.
+pub(crate) fn merge_appended<'v>(old: Vec<Obs<'v>>, appended: Vec<Obs<'v>>) -> Vec<Obs<'v>> {
+    let mut out = Vec::with_capacity(old.len() + appended.len());
+    let mut appended = appended.into_iter().peekable();
+    for o in old {
+        while let Some(a) = appended.next_if(|a| a.cmp_key(&o).is_lt()) {
+            out.push(a);
+        }
+        out.push(o);
+    }
+    out.extend(appended);
+    out
+}
+
+/// Steps 2-4 over the sorted observations of [`sorted_obs`]: the kept
+/// rules and the number constructed before pruning.
+pub(crate) fn scan<'v>(obs: &[Obs<'v>], cfg: &InductionConfig) -> (Vec<Kept<'v>>, usize) {
     let mut rules = Vec::new();
     let mut constructed = 0usize;
     let mut flush = |run: Option<Run<'v>>| {
@@ -169,14 +254,14 @@ pub(crate) fn induce_values<'v>(
         // values: recount violations from the raw pairs.
         let violations = match cfg.run_scope {
             RunScope::FullObservedOrder => run.violations,
-            RunScope::RemainingOrder => recount_violations(&obs[run.span], run.lo, run.hi, run.y),
+            RunScope::RemainingOrder => {
+                recount_violations(&obs[run.span], run.lo.x, run.hi.x, run.y.y)
+            }
         };
-        rules.push(InducedRule {
-            x: x_id.clone(),
-            lo: run.lo.clone(),
-            hi: run.hi.clone(),
-            y: y_id.clone(),
-            y_value: run.y.clone(),
+        rules.push(Kept {
+            lo: run.lo,
+            hi: run.hi,
+            y: run.y,
             support: run.support,
             violations,
             distinct_x: run.distinct_x,
@@ -186,7 +271,7 @@ pub(crate) fn induce_values<'v>(
     let mut run: Option<Run<'v>> = None;
     let mut start = 0;
     while start < obs.len() {
-        let end = group_end(&obs, start, |o| o.x);
+        let end = group_end(obs, start, |o| o.x);
         let (x, assigned) = resolve_group(&obs[start..end], cfg.inconsistency);
         match assigned {
             // Step 2 removed this X: under the full observed order it
@@ -198,7 +283,7 @@ pub(crate) fn induce_values<'v>(
             }
             // Step 3: maximal runs of consecutive X values sharing a Y.
             Some((y, n, v)) => match &mut run {
-                Some(r) if r.y.total_cmp(y).is_eq() => {
+                Some(r) if r.y.y.total_cmp(y.y).is_eq() => {
                     r.hi = x;
                     r.support += n;
                     r.violations += v;
@@ -236,15 +321,16 @@ fn group_end<'v>(obs: &[Obs<'v>], start: usize, key: impl Fn(&Obs<'v>) -> &'v Va
             .count()
 }
 
-/// Step 2 for one X group (sorted by Y): the X value standing for the
-/// group, and its `(Y, instances, contradicting instances)` if it is
-/// consistent or majority-voted, `None` if it is removed.
+/// Step 2 for one X group (sorted by Y): the observation whose X stands
+/// for the group, and `(the one whose Y is assigned, instances,
+/// contradicting instances)` if it is consistent or majority-voted,
+/// `None` if it is removed.
 fn resolve_group<'v>(
     group: &[Obs<'v>],
     policy: InconsistencyPolicy,
-) -> (&'v Value, Option<(&'v Value, usize, usize)>) {
+) -> (Obs<'v>, Option<(Obs<'v>, usize, usize)>) {
     let mut first = group[0];
-    let (mut best_y, mut best_n) = (group[0].y, 0);
+    let (mut best_y, mut best_n) = (group[0], 0);
     let mut distinct_y = 0;
     let mut start = 0;
     while start < group.len() {
@@ -257,7 +343,7 @@ fn resolve_group<'v>(
         // no output shows it, as a Y is kept only when it is the
         // group's one Y or holds a strict majority.
         if end - start >= best_n {
-            (best_y, best_n) = (group[start].y, end - start);
+            (best_y, best_n) = (group[start], end - start);
         }
         distinct_y += 1;
         start = end;
@@ -273,7 +359,7 @@ fn resolve_group<'v>(
             }
         }
     };
-    (first.x, assigned)
+    (first, assigned)
 }
 
 /// Instances in `obs` (sorted by X, then Y) whose X lies in `[lo, hi]`

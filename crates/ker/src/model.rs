@@ -30,7 +30,7 @@ fn err(msg: impl Into<String>) -> ModelError {
 }
 
 /// A resolved object type (a frame in the data dictionary).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectType {
     /// The declared name.
     pub name: String,
@@ -78,7 +78,7 @@ impl Classifier {
 }
 
 /// The resolved KER model.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KerModel {
     domains: HashMap<String, Domain>,
     types: BTreeMap<String, ObjectType>,

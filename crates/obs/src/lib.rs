@@ -11,7 +11,7 @@
 //!   parent/child nesting (thread-local), and thread-safe collection
 //!   into a bounded ring buffer ([`recent_spans`]).
 //! * **Metrics** ([`Registry`]): named counters, gauges, and
-//!   fixed-bucket latency histograms per pipeline [`Stage`], with
+//!   fixed-bucket latency histograms, named or per pipeline [`Stage`], with
 //!   p50/p95/p99 estimation, exported as Prometheus-style text and as
 //!   JSON ([`MetricsSnapshot`]).
 //! * **Verbosity and slow-span logging**: a global [`Level`]
@@ -233,6 +233,13 @@ pub fn add(name: &str, n: u64) {
 pub fn gauge(name: &str, value: i64) {
     if enabled() {
         metrics().gauge(name, value);
+    }
+}
+
+/// Record a duration into a named histogram on the global registry.
+pub fn observe(name: &str, d: Duration) {
+    if enabled() {
+        metrics().observe(name, d);
     }
 }
 

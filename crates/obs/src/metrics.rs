@@ -205,8 +205,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// A metrics registry: named counters and gauges plus one latency
-/// histogram per pipeline [`Stage`].
+/// A metrics registry: named counters, gauges and latency histograms,
+/// plus one latency histogram per pipeline [`Stage`].
 ///
 /// Most code uses the process-global registry via [`crate::metrics`];
 /// independent instances exist so tests can assert exact counts.
@@ -215,6 +215,7 @@ pub struct Registry {
     stages: [Histogram; Stage::ALL.len()],
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, i64>>,
+    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl Registry {
@@ -224,6 +225,7 @@ impl Registry {
             stages: std::array::from_fn(|_| Histogram::new()),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
+            histograms: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -275,6 +277,19 @@ impl Registry {
             .copied()
     }
 
+    /// Record `d` into the named histogram (created empty on first use).
+    pub fn observe(&self, name: &str, d: Duration) {
+        let mut histograms = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
+        match histograms.get(name) {
+            Some(h) => h.record(d),
+            None => {
+                let h = Histogram::new();
+                h.record(d);
+                histograms.insert(name.to_string(), h);
+            }
+        }
+    }
+
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -292,6 +307,13 @@ impl Registry {
                 .iter()
                 .map(|s| (s.name().to_string(), self.stage(*s).snapshot()))
                 .collect(),
+            histograms: self
+                .histograms
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .iter()
+                .map(|(name, h)| (name.clone(), h.snapshot()))
+                .collect(),
         }
     }
 
@@ -308,6 +330,10 @@ impl Registry {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
+        self.histograms
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
     }
 }
 
@@ -321,6 +347,8 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Stage name → histogram snapshot, in [`Stage::ALL`] order.
     pub stages: Vec<(String, HistogramSnapshot)>,
+    /// Named histogram → snapshot (e.g. `rules_fresh_lag`).
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -331,6 +359,7 @@ impl MetricsSnapshot {
 
     /// Encode as a single-line JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{"parse":{"count":..,"sum_us":..,"p50_us":..,"p95_us":..,"p99_us":..},...}}`
+    /// (the stage histograms, then the named ones)
     /// (bucket arrays are omitted from JSON; use the Prometheus export
     /// for full bucket detail).
     pub fn to_json(&self) -> String {
@@ -351,7 +380,8 @@ impl MetricsSnapshot {
             let _ = write!(out, ":{v}");
         }
         out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.stages.iter().enumerate() {
+        let stages = self.stages.iter().map(|(name, h)| (name, h));
+        for (i, (name, h)) in stages.chain(&self.histograms).enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -368,7 +398,7 @@ impl MetricsSnapshot {
 
     /// Encode as Prometheus-style exposition text: counters as
     /// `intensio_<name>_total`, gauges as `intensio_<name>`, and stage
-    /// histograms as `intensio_<stage>_latency_us` with cumulative
+    /// and named histograms as `intensio_<name>_latency_us` with cumulative
     /// `_bucket{le=...}` series plus `_sum`/`_count`.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -382,7 +412,8 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "# TYPE intensio_{name} gauge");
             let _ = writeln!(out, "intensio_{name} {v}");
         }
-        for (stage, h) in &self.stages {
+        let stages = self.stages.iter().map(|(name, h)| (name, h));
+        for (stage, h) in stages.chain(&self.histograms) {
             let name = format!("intensio_{}_latency_us", sanitize(stage));
             let _ = writeln!(out, "# TYPE {name} histogram");
             let mut cumulative = 0u64;

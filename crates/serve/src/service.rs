@@ -52,7 +52,7 @@ use crate::reply::{PeerTelemetry, Reply, Request, StatsReply};
 use crate::snapshot::Snapshot;
 use durability::{boot, checkpointer_loop, Booted, Durability};
 use induction::inducer_loop;
-use intensio_induction::InductionConfig;
+use intensio_induction::{IlsMemo, InductionConfig};
 use intensio_inference::InferenceConfig;
 use intensio_ker::model::KerModel;
 use intensio_repl::ReplHub;
@@ -62,6 +62,7 @@ use intensio_wal::record::Record;
 use intensio_wal::{WalConfig, WalError};
 use query::{error, execute};
 use replication::{replicator_loop, ReplState};
+use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -344,6 +345,9 @@ enum Barrier {
     Forced,
 }
 
+/// Writes awaiting fresh rules that `rules_fresh_lag` keeps track of.
+const MAX_UNFRESH_WRITES: usize = 4096;
+
 struct Shared {
     state: RwLock<Arc<Snapshot>>,
     /// Serializes every epoch advance (see [`Shared::commit`]), so
@@ -354,6 +358,13 @@ struct Shared {
     counters: Counters,
     /// The install gate every rule set passes before it is served.
     gate: InstallGate,
+    /// What the last induction learned, per source; the inducer (and
+    /// boot) re-induce only the pairs a write touched.
+    ils_memo: Mutex<IlsMemo>,
+    /// When each write no installed rule set reflects yet was
+    /// acknowledged, by data version, oldest first: the start of its
+    /// `rules_fresh_lag` observation.
+    unfresh_writes: Mutex<VecDeque<(u64, std::time::Instant)>>,
     /// Signals the background inducer.
     induce: Wake,
     /// Signals the background checkpointer (durable mode only).
@@ -405,8 +416,12 @@ impl Shared {
             panic!("{f}");
         }
         let epoch = snapshot.epoch;
+        let fresh_at = snapshot.rules_fresh.then_some(snapshot.data_version);
         self.term.fetch_max(snapshot.term, Ordering::Relaxed);
         *self.state.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(snapshot);
+        if let Some(data_version) = fresh_at {
+            self.note_rules_fresh(data_version);
+        }
         self.cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -461,6 +476,32 @@ impl Shared {
             self.ckpt.signal();
         }
         Ok(())
+    }
+
+    /// Note a write acknowledged at `data_version`. Past
+    /// [`MAX_UNFRESH_WRITES`] pending writes (re-induction failing for
+    /// long), later ones go unobserved.
+    fn note_write_acked(&self, data_version: u64) {
+        let mut pending = self
+            .unfresh_writes
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        if pending.len() < MAX_UNFRESH_WRITES {
+            pending.push_back((data_version, std::time::Instant::now()));
+        }
+    }
+
+    /// Rules reflecting `data_version` are installed: record the
+    /// `rules_fresh_lag` of every pending write at or below it.
+    fn note_rules_fresh(&self, data_version: u64) {
+        let mut pending = self
+            .unfresh_writes
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        while let Some(&(_, acked)) = pending.front().filter(|(v, _)| *v <= data_version) {
+            intensio_obs::observe("rules_fresh_lag", acked.elapsed());
+            pending.pop_front();
+        }
     }
 
     fn note_rules_pruned(&self, n: u64) {
@@ -597,12 +638,13 @@ impl Service {
             cfg.learn_on_open = false;
         }
         let gate = InstallGate::new(cfg.check_rulesets, cfg.induction.min_support);
+        let ils_memo = Mutex::new(IlsMemo::new());
         let Booted {
             snapshot,
             durability,
             rejected,
             pruned,
-        } = boot(&cfg, &gate, db, model)?;
+        } = boot(&cfg, &gate, &ils_memo, db, model)?;
         // Arm the flight recorder: worker panics, shed onset, ladder
         // degradation, and shutdown dump the span ring + metrics here.
         if let Some(dir) = &cfg.data_dir {
@@ -633,6 +675,8 @@ impl Service {
             cfg,
             counters: Counters::default(),
             gate,
+            ils_memo,
+            unfresh_writes: Mutex::new(VecDeque::new()),
             induce: Wake::default(),
             ckpt: Wake::default(),
             queue_depth: AtomicUsize::new(0),

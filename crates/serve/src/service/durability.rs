@@ -23,6 +23,7 @@ use super::{ServeError, ServiceConfig, Shared};
 use crate::gate::InstallGate;
 use crate::snapshot::Snapshot;
 use intensio_core::DataDictionary;
+use intensio_induction::IlsMemo;
 use intensio_ker::model::KerModel;
 use intensio_quel::Session;
 use intensio_rules::rule::RuleSet;
@@ -181,6 +182,7 @@ pub(super) struct Booted {
 pub(super) fn boot(
     cfg: &ServiceConfig,
     gate: &InstallGate,
+    ils_memo: &Mutex<IlsMemo>,
     seed_db: Database,
     model: KerModel,
 ) -> Result<Booted, ServeError> {
@@ -223,7 +225,7 @@ pub(super) fn boot(
     // replay must not reinstall a rule set the checker rejects today.
     let mut snapshot = state.into_snapshot(DataDictionary::new(model), &mut admit);
     if !snapshot.rules_fresh && cfg.learn_on_open {
-        let rules = induce(cfg, &snapshot)
+        let rules = induce(cfg, &snapshot, ils_memo)
             .map_err(|e| ServeError(format!("initial induction failed: {e}")))?;
         // A rejected set leaves the service without intensional rules
         // rather than with provably unsound ones; the background

@@ -1,9 +1,15 @@
 //! The background inducer.
 //!
-//! * **Induction runs off the request path** on its own thread, using
-//!   the parallel ILS driver. It learns from a pinned snapshot and
-//!   installs the new rule set only if the data version is unchanged —
-//!   otherwise it simply goes around again.
+//! * **Induction runs off the request path** on its own thread. It
+//!   learns from a pinned snapshot and installs the new rule set only if
+//!   the data version is unchanged — otherwise it simply goes around
+//!   again.
+//! * **Induction is incremental.** Boot and every re-induction learn
+//!   through one [`IlsMemo`] (`Shared::ils_memo`), so a run re-induces
+//!   only the attribute pairs whose relations a write touched; those
+//!   pairs are spread over [`ServiceConfig::induction_threads`] workers.
+//!   A run that fails or panics leaves the memo empty, and the next one
+//!   learns every pair from scratch.
 //! * **Induction self-heals.** A failed background re-induction retries
 //!   with capped exponential backoff plus jitter (`induction_retries`),
 //!   so a transient fault cannot strand the service at
@@ -11,19 +17,23 @@
 
 use super::{Barrier, ServiceConfig, Shared};
 use crate::snapshot::Snapshot;
-use intensio_induction::Ils;
+use intensio_induction::{Ils, IlsMemo};
 use intensio_rules::rule::RuleSet;
 use intensio_wal::record::Record;
 use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 
-/// Induce a candidate rule set from `snap`'s data with the configured
-/// ILS driver. Boot and the background inducer both learn through here.
+/// Induce a candidate rule set from `snap`'s data, reusing what `memo`
+/// kept of the previous run. Boot and the background inducer both
+/// learn through here.
 pub(super) fn induce(
     cfg: &ServiceConfig,
     snap: &Snapshot,
+    memo: &Mutex<IlsMemo>,
 ) -> intensio_storage::error::Result<RuleSet> {
+    let mut memo = memo.lock().unwrap_or_else(|e| e.into_inner());
     Ils::new(snap.dictionary.model(), cfg.induction)
-        .induce_parallel(&snap.db, cfg.induction_threads)
+        .induce_memo(&snap.db, cfg.induction_threads, &mut memo)
         .map(|out| out.rules)
 }
 
@@ -54,7 +64,7 @@ fn induce_once(shared: &Shared) -> Induce {
     if snap.rules_fresh {
         return Induce::Idle;
     }
-    let Ok(candidate) = induce(&shared.cfg, &snap) else {
+    let Ok(candidate) = induce(&shared.cfg, &snap, &shared.ils_memo) else {
         return Induce::Failed;
     };
     // The gate prunes before the durable encode below: the WAL record

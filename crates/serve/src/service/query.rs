@@ -505,9 +505,11 @@ fn quel_write(shared: &Shared, script: &str) -> Reply {
     let record = |next: &Snapshot| {
         Ok(Record::write(next.epoch, next.data_version, script).with_term(next.term))
     };
+    let data_version = next.data_version;
     if let Err(e) = shared.commit(next, record, Barrier::Policy) {
         return error(format!("durability: {e}"));
     }
+    shared.note_write_acked(data_version);
     shared.counters.writes.fetch_add(1, Ordering::Relaxed);
     shared.induce.signal();
     Reply::Query(reply)

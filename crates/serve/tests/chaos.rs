@@ -193,6 +193,7 @@ fn failed_induction_retries_with_backoff_until_fresh() {
 
     // The next 4 induction runs fail; the 5th (a backoff retry) succeeds.
     intensio_fault::configure("induction.run", "error*4").unwrap();
+    let started = Instant::now();
     let reply = service.submit(Request::Quel(
         "append to SUBMARINE (Id = \"RETRY01\", Name = \"Retry\", Class = \"0101\")".to_string(),
     ));
@@ -209,6 +210,62 @@ fn failed_induction_retries_with_backoff_until_fresh() {
         stats.induction_retries
     );
     assert!(stats.rules_fresh);
+    // Each retry waited out its jittered delay, at least half of a base
+    // (10 ms) that doubles per failure: 5 + 10 + 20 + 40 ms. A loop that
+    // retried at once, or never grew its delay, is faster.
+    let floor = Duration::from_millis(5 + 10 + 20 + 40);
+    assert!(
+        started.elapsed() >= floor,
+        "four failed inductions took {:?}, under the backoff floor {floor:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn a_failed_induction_leaves_no_half_updated_memo() {
+    for spec in ["panic*1", "error*1"] {
+        let _gate = fault_gate();
+        let before = support::pair_counters();
+        let service = open_service(|_| {});
+
+        // The run fails while it assembles the pairs it recomputed,
+        // after it took the memo: the retry must learn every pair from
+        // scratch, and install what a from-scratch induction gives.
+        intensio_fault::configure("induction.pair", spec).unwrap();
+        let script = "append to SUBMARINE (Id = \"MEMO01\", Name = \"Memo\", Class = \"0101\")";
+        let reply = service.submit(Request::Quel(script.to_string()));
+        assert!(reply.query().is_some(), "the write itself succeeds");
+        assert!(
+            service.wait_rules_fresh(Duration::from_secs(10)),
+            "{spec}: induction never self-healed"
+        );
+        assert!(service.stats().induction_retries >= 1, "{spec}");
+        let after = support::pair_counters();
+
+        let mut db = intensio_shipdb::ship_database().unwrap();
+        intensio_quel::Session::new()
+            .run_script(&mut db, script)
+            .unwrap();
+        let model = intensio_shipdb::ship_model().unwrap();
+        let fresh = intensio_induction::Ils::new(&model, ServiceConfig::default().induction)
+            .induce(&db)
+            .unwrap();
+        let delta: Vec<u64> = (0..3).map(|i| after[i] - before[i]).collect();
+        // Boot learned every pair; the failed run recorded nothing; the
+        // retry, with an empty memo, learned every pair again.
+        let pairs = fresh.stats.pairs_examined as u64;
+        assert_eq!(
+            delta,
+            [0, 0, 2 * pairs],
+            "{spec}: reused, extended, rebuilt"
+        );
+        let mut want = fresh.rules;
+        want.minimize();
+        assert!(
+            service.rules().identical(&want),
+            "{spec}: installed rules differ"
+        );
+    }
 }
 
 #[test]

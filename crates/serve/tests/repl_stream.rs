@@ -433,3 +433,32 @@ fn higher_term_record_at_the_local_epoch_forces_a_full_rebootstrap() {
     drop(conn);
     server.shutdown();
 }
+
+#[test]
+fn an_unreachable_primary_is_retried_with_a_growing_backoff() {
+    // Nothing listens on the reserved port: every attempt is refused at
+    // once, so only the backoff spaces them. Its delays start at 100 ms
+    // and double, each jittered to at least half: attempts at 0 ms and
+    // then no sooner than 50, 150, 350 and 750 ms — at most five by
+    // 1.3 s. A loop that retried at once, or never grew its delay,
+    // reconnects far more often.
+    let cfg = ServiceConfig {
+        workers: 1,
+        learn_on_open: false,
+        replicate_from: Some(support::reserve_addr()),
+        ..ServiceConfig::default()
+    };
+    let db = intensio_shipdb::ship_database().unwrap();
+    let model = intensio_shipdb::ship_model().unwrap();
+    let service = Service::with_config(db, model, cfg).unwrap();
+    std::thread::sleep(Duration::from_millis(1_300));
+    let reconnects = service
+        .stats()
+        .repl
+        .expect("a follower reports replication")
+        .reconnects;
+    assert!(
+        (2..=5).contains(&reconnects),
+        "{reconnects} reconnects in 1.3 s"
+    );
+}

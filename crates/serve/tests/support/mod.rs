@@ -21,6 +21,13 @@ use std::time::{Duration, Instant};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// The process-wide induction counters: pairs reused, extended and
+/// rebuilt (`induction.pairs_*`).
+pub fn pair_counters() -> [u64; 3] {
+    let m = intensio_obs::metrics();
+    ["reused", "extended", "rebuilt"].map(|k| m.counter(&format!("induction.pairs_{k}")))
+}
+
 /// A fresh, empty scratch directory, unique per process and call.
 pub fn temp_dir(tag: &str) -> std::path::PathBuf {
     let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);

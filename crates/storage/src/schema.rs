@@ -7,7 +7,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// One attribute of a relation schema.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attribute {
     name: String,
     domain: Domain,

@@ -47,6 +47,12 @@ impl Tuple {
         }
     }
 
+    /// Whether `other` is a clone of this tuple: the same shared
+    /// values, not merely equal ones.
+    pub fn shares_values(&self, other: &Tuple) -> bool {
+        Arc::ptr_eq(&self.values, &other.values)
+    }
+
     /// Number of values.
     pub fn arity(&self) -> usize {
         self.values.len()

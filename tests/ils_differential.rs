@@ -27,12 +27,32 @@
 //! whose consequences repeat (equal clauses under different labels,
 //! `0.0` and `-0.0`, NaN).
 //!
+//! The memoized driver, `Ils::induce_memo`, re-induces only what a write
+//! touched. After every step of seeded write sequences — QUEL append,
+//! delete and replace, `retrieve into` (create) and drop, a relation
+//! re-created as it was or under a fresh schema, an entity losing its
+//! key (an ILS error) — over the role-join databases above, Appendix C
+//! and the servebench-shaped fleet (seeds 1-3), its output must equal
+//! the reference from scratch, under all eight configurations, and so
+//! must both wrappers; a memo switching configuration and model, and
+//! runs failing on injected `induction.run` and `induction.pair`
+//! faults, included. A failed run must leave its memo empty, or (for
+//! `induction.run`, which fails before the memo is taken) as it was.
+//!
 //! Each of these mutants of the new path fails this file:
 //! - an unstable sort of the pairs;
 //! - an X group represented by its last-seen value instead of its
 //!   first-seen one;
 //! - a hop-2 reference that misses its target dropping the joined row
-//!   instead of reading NULL.
+//!   instead of reading NULL;
+//! - appended rows merged at the lower bound of their `(X, Y)`;
+//! - a remembered join reused after an entity gained rows although the
+//!   join had a dangling reference (the new row can resolve it);
+//! - a memo that remembers a relation's address instead of holding it,
+//!   so a relation edited in place compares equal;
+//! - a failed run that leaves the memo half updated: the new run's key
+//!   over the old run's results (wrong rules on a later step even with
+//!   the emptiness checks removed).
 //!
 //! Two more are covered elsewhere: a repeated entity key keeping its
 //! first row instead of its last fails the `key_rows` unit test in the
@@ -41,12 +61,16 @@
 //! output, since a Y is kept only with a strict majority.
 
 use intensio::induction::{
-    induce_pair_ids_with_stats, InconsistencyPolicy, InducedRule, RunScope, SupportMetric,
+    induce_pair_ids_with_stats, IlsMemo, IlsOutput, IlsStats, InconsistencyPolicy, InducedRule,
+    RunScope, SupportMetric,
 };
 use intensio::prelude::*;
+use intensio::quel::Session;
+use intensio::shipdb::schema::SHIP_SCHEMA_KER;
 use intensio::shipdb::visit::{visit_database, visit_model};
 use intensio::shipdb::{generate, ship_database, ship_model, FleetConfig};
 use intensio::storage::domain::Domain;
+use intensio::storage::error::StorageError;
 use intensio::storage::expr::CmpOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -197,33 +221,40 @@ fn seeded_pairs_induce_like_the_reference() {
     pair_relations(0..40).check();
 }
 
+/// Compare one ILS run with the reference: rule set (Display and
+/// every field, each value's representation included), statistics, or
+/// error.
+fn assert_same_output(
+    got: &intensio::storage::error::Result<IlsOutput>,
+    want: &intensio::storage::error::Result<(RuleSet, IlsStats)>,
+    what: &str,
+) {
+    match (got, want) {
+        (Ok(got), Ok((rules, stats))) => {
+            assert_eq!(got.rules.to_string(), rules.to_string(), "{what}");
+            assert_eq!(format!("{:?}", got.rules), format!("{rules:?}"), "{what}");
+            assert_eq!(&got.stats, stats, "{what}");
+        }
+        (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{what}"),
+        _ => panic!(
+            "{what}: {:?} vs reference {:?}",
+            got.as_ref().map(|o| o.stats.clone()),
+            want.as_ref().map(|o| o.1.clone())
+        ),
+    }
+}
+
 /// Run the ILS both ways (sequential and on two threads) and compare
 /// with the reference: rule set, statistics, or error.
 fn assert_same_ils(model: &KerModel, db: &Database, cfg: InductionConfig, what: &str) -> usize {
     let want = reference::induce(model, cfg, db);
     let ils = Ils::new(model, cfg);
-    for (mode, got) in [
-        ("sequential", ils.induce(db)),
-        ("parallel", ils.induce_parallel(db, 2)),
-    ] {
-        match (&got, &want) {
-            (Ok(got), Ok((rules, stats))) => {
-                assert_eq!(got.rules.to_string(), rules.to_string(), "{what} {mode}");
-                assert_eq!(
-                    format!("{:?}", got.rules),
-                    format!("{rules:?}"),
-                    "{what} {mode}"
-                );
-                assert_eq!(&got.stats, stats, "{what} {mode}");
-            }
-            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{what}"),
-            _ => panic!(
-                "{what} {mode}: {:?} vs reference {:?}",
-                got.as_ref().map(|o| o.stats.clone()),
-                want.as_ref().map(|o| o.1.clone())
-            ),
-        }
-    }
+    assert_same_output(&ils.induce(db), &want, &format!("{what} sequential"));
+    assert_same_output(
+        &ils.induce_parallel(db, 2),
+        &want,
+        &format!("{what} parallel"),
+    );
     let constraints = ils.discover_relationship_constraints(db);
     let reference = reference::discover_constraints(model, cfg, db);
     assert_eq!(
@@ -590,6 +621,486 @@ fn minimized_rule_sets_match_the_reference() {
     assert!(removed > 0);
 }
 
+/// QUEL text for a value, `None` for NULL (an `append` leaves the
+/// attribute unassigned).
+fn literal(v: &Value) -> Option<String> {
+    match v {
+        Value::Null | Value::Date(_) => None,
+        Value::Int(i) => Some(i.to_string()),
+        Value::Real(f) => Some(format!("{f:?}")),
+        Value::Str(s) => Some(format!("\"{s}\"")),
+    }
+}
+
+/// `v` in the other numeric representation (`Int(3)` and `Real(3.0)`).
+fn flipped(v: Value) -> Value {
+    match v {
+        Value::Int(i) => Value::Real(i as f64),
+        Value::Real(f) if f.fract() == 0.0 => Value::Int(f as i64),
+        v => v,
+    }
+}
+
+/// `rel` under a fresh schema: the same attributes, without keys when
+/// `unkeyed`. The tuples are shared, not copied.
+fn copy_of(rel: &Relation, unkeyed: bool) -> Relation {
+    let attrs = rel
+        .schema()
+        .attributes()
+        .iter()
+        .map(|a| match unkeyed {
+            true => Attribute::new(a.name(), a.domain().clone()),
+            false => a.clone(),
+        })
+        .collect();
+    let mut out = Relation::new(rel.name(), Schema::new(attrs).unwrap());
+    out.insert_all(rel.iter().cloned()).unwrap();
+    out
+}
+
+/// A database under a seeded sequence of writes, for the memoized
+/// driver. Each write is one of: a QUEL `append` (values drawn from the
+/// column, some in the other numeric representation, some keys
+/// resolving a dangling reference), the same row inserted or a row
+/// deleted through the catalog in place, `delete` or `replace` of a row, a
+/// `replace` matching nothing, a `retrieve into` a new relation, a drop
+/// of one, a relation dropped and re-created as it was or under a
+/// fresh copy of its schema, and an entity replaced by an unkeyed copy
+/// (an ILS error) until the next write restores it. The database is
+/// edited in place and nothing else holds its relations, so only the
+/// memo's handles force a copy on write.
+struct Edits {
+    what: String,
+    model: KerModel,
+    /// The model parsed again: equal, so the memo stays valid.
+    same_model: KerModel,
+    /// The model with one subtype derived from another value: the
+    /// same pairs, other labels.
+    other_model: KerModel,
+    db: Database,
+    base: Vec<String>,
+    created: Vec<String>,
+    broken: Option<Relation>,
+    fresh: usize,
+    rng: StdRng,
+}
+
+impl Edits {
+    fn new(what: String, ker: &str, db: Database, seed: u64) -> Edits {
+        // Relabel the last subtype: its derivation value gains a `~`.
+        let mut lines: Vec<String> = ker.lines().map(str::to_string).collect();
+        let last = lines
+            .iter()
+            .rposition(|l| l.contains(" isa ") && l.contains(" with ") && l.ends_with('"'))
+            .expect("a subtype derived by value");
+        let quote = lines[last].len() - 1;
+        lines[last].insert(quote, '~');
+        Edits {
+            what,
+            model: KerModel::parse(ker).unwrap(),
+            same_model: KerModel::parse(ker).unwrap(),
+            other_model: KerModel::parse(&lines.join("\n")).unwrap(),
+            base: db.relations().map(|r| r.name().to_string()).collect(),
+            db,
+            created: Vec::new(),
+            broken: None,
+            fresh: 0,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    fn run(&mut self, script: &str) -> String {
+        match Session::new().run_script(&mut self.db, script) {
+            Ok(_) => script.to_string(),
+            Err(e) => format!("{script} (failed: {e})"),
+        }
+    }
+
+    /// Apply one seeded write; returns what it did.
+    fn write(&mut self) -> String {
+        if let Some(rel) = self.broken.take() {
+            let what = format!("restore {}", rel.name());
+            self.db.create_or_replace(rel);
+            return what;
+        }
+        let name = self.base[self.rng.gen_range(0..self.base.len())].clone();
+        match self.rng.gen_range(0..100) {
+            0..=29 => {
+                let script = self.append(&name);
+                self.run(&script)
+            }
+            // Through the catalog, not QUEL (whose script runs against
+            // a copy): a relation nothing else holds is edited in
+            // place, at the same address.
+            30..=39 => {
+                let row = Tuple::new(self.new_row(&name));
+                let rel = self.db.get_mut(&name).unwrap();
+                if self.rng.gen_bool(0.7) {
+                    let what = format!("{name}: {row} inserted in place");
+                    match rel.insert(row) {
+                        Ok(()) => what,
+                        Err(e) => format!("{what} (failed: {e})"),
+                    }
+                } else {
+                    let at = self.rng.gen_range(0..rel.len().max(1));
+                    let mut i = 0;
+                    let n = rel.delete_where(|_| {
+                        i += 1;
+                        i == at + 1
+                    });
+                    format!("{name}: row {at} deleted in place ({n} removed)")
+                }
+            }
+            40..=69 => {
+                let rel = self.db.get(&name).unwrap().clone();
+                let (Some(k), false) =
+                    (rel.schema().key_indices().first().copied(), rel.is_empty())
+                else {
+                    return format!("{name}: nothing to edit");
+                };
+                let row = rel.tuples()[self.rng.gen_range(0..rel.len())].clone();
+                let key = rel.schema().attributes()[k].name().to_string();
+                let Some(at) = literal(row.get(k)) else {
+                    return format!("{name}: a NULL key");
+                };
+                let at = match self.rng.gen_range(0..6) {
+                    // A write that matches no row leaves every tuple as
+                    // it was.
+                    0 => {
+                        literal(&self.fresh_key(rel.schema().attributes()[k].value_type())).unwrap()
+                    }
+                    _ => at,
+                };
+                let script = if self.rng.gen_bool(0.4) {
+                    format!("range of r is {name}\ndelete r where r.{key} = {at}")
+                } else {
+                    let attrs = rel.schema().attributes();
+                    let i = self.rng.gen_range(0..attrs.len());
+                    let value = self.drawn(&rel, i);
+                    let Some(value) = literal(&value).filter(|_| i != k) else {
+                        return format!("{name}: no value to replace with");
+                    };
+                    let attr = attrs[i].name();
+                    format!(
+                        "range of r is {name}\nreplace r ({attr} = {value}) where r.{key} = {at}"
+                    )
+                };
+                self.run(&script)
+            }
+            70..=77 => {
+                let rel = self.db.get(&name).unwrap();
+                let attrs = rel.schema().attributes();
+                let targets: Vec<String> = attrs
+                    .iter()
+                    .filter(|_| self.rng.gen_bool(0.6))
+                    .map(|a| format!("r.{}", a.name()))
+                    .collect();
+                if targets.len() < 2 {
+                    return format!("{name}: too few columns to retrieve");
+                }
+                self.fresh += 1;
+                let into = format!("T{}", self.fresh);
+                self.created.push(into.clone());
+                let script = format!(
+                    "range of r is {name}\nretrieve into {into} ({})",
+                    targets.join(", ")
+                );
+                self.run(&script)
+            }
+            78..=83 => match self.created.pop() {
+                Some(t) => {
+                    self.db.drop(&t);
+                    format!("drop {t}")
+                }
+                None => format!("{name}: nothing to drop"),
+            },
+            84..=88 => {
+                let copy = copy_of(self.db.get(&name).unwrap(), false);
+                self.db.create_or_replace(copy);
+                format!("{name} under a fresh schema")
+            }
+            89..=93 => {
+                let rel = self.db.drop(&name).unwrap();
+                self.db.create(rel).unwrap();
+                format!("{name} dropped and re-created")
+            }
+            _ => {
+                // An entity some relation's attribute refers to: a role
+                // join over it needs its single key.
+                let referenced = self.referencing(&name).next().is_some();
+                let rel = self.db.get(&name).unwrap();
+                if !referenced || rel.schema().key_indices().len() != 1 {
+                    return format!("{name}: no join to break");
+                }
+                let unkeyed = copy_of(rel, true);
+                self.broken = Some(self.db.drop(&name).unwrap());
+                self.db.create(unkeyed).unwrap();
+                format!("{name} without its key")
+            }
+        }
+    }
+
+    /// `(relation, attribute position)` of every column whose model
+    /// domain is the entity `name`.
+    fn referencing<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (String, usize)> + 'a {
+        self.db.relations().flat_map(move |rel| {
+            let ot = self.model.object_type(rel.name());
+            rel.schema()
+                .attributes()
+                .iter()
+                .enumerate()
+                .filter(move |(_, a)| {
+                    ot.and_then(|ot| {
+                        ot.declared_attrs
+                            .iter()
+                            .find(|d| d.name().eq_ignore_ascii_case(a.name()))
+                    })
+                    .is_some_and(|d| d.domain().name().eq_ignore_ascii_case(name))
+                })
+                .map(move |(i, _)| (rel.name().to_string(), i))
+        })
+    }
+
+    fn fresh_key(&mut self, ty: ValueType) -> Value {
+        self.fresh += 1;
+        match ty {
+            ValueType::Int => Value::Int(9_000 + self.fresh as i64),
+            ValueType::Real => Value::Real(9_000.0 + self.fresh as f64),
+            _ => Value::str(format!("Z{:03}", self.fresh)),
+        }
+    }
+
+    /// A value of column `i` drawn from a random row, sometimes in the
+    /// other numeric representation, sometimes NULL.
+    fn drawn(&mut self, rel: &Relation, i: usize) -> Value {
+        if rel.is_empty() || self.rng.gen_bool(0.05) {
+            return Value::Null;
+        }
+        let v = rel.tuples()[self.rng.gen_range(0..rel.len())]
+            .get(i)
+            .clone();
+        let real = rel.schema().attributes()[i].value_type() == ValueType::Real;
+        match real && self.rng.gen_bool(0.3) {
+            true => flipped(v),
+            false => v,
+        }
+    }
+
+    /// A new row for `name`: a key that a dangling reference names, or
+    /// a fresh one; every other value drawn from its column.
+    fn new_row(&mut self, name: &str) -> Vec<Value> {
+        let rel = self.db.get(name).unwrap().clone();
+        let mut row = Vec::new();
+        for (i, attr) in rel.schema().attributes().iter().enumerate() {
+            let value = if attr.is_key() {
+                let dangling: Vec<Value> = self
+                    .referencing(name)
+                    .flat_map(|(r, col)| {
+                        let refs = self.db.get(&r).unwrap();
+                        refs.iter()
+                            .map(move |t| t.get(col).clone())
+                            .collect::<Vec<_>>()
+                    })
+                    .filter(|v| !v.is_null() && !rel.contains_key(std::slice::from_ref(v)))
+                    .collect();
+                match dangling.is_empty() || self.rng.gen_bool(0.5) {
+                    true => self.fresh_key(attr.value_type()),
+                    false => dangling[self.rng.gen_range(0..dangling.len())].clone(),
+                }
+            } else {
+                self.drawn(&rel, i)
+            };
+            row.push(value);
+        }
+        row
+    }
+
+    /// The QUEL `append` of a new row for `name`.
+    fn append(&mut self, name: &str) -> String {
+        let row = self.new_row(name);
+        let schema = self.db.get(name).unwrap().schema_ref();
+        let assigns: Vec<String> = schema
+            .attributes()
+            .iter()
+            .zip(&row)
+            .filter_map(|(attr, v)| Some(format!("{} = {}", attr.name(), literal(v)?)))
+            .collect();
+        format!("append to {name} ({})", assigns.join(", "))
+    }
+}
+
+/// What the memoized runs of [`memo_sequence`] saw.
+#[derive(Debug, Default)]
+struct MemoTally {
+    runs: usize,
+    errors: usize,
+    faults: usize,
+    with_rules: usize,
+}
+
+/// Run `steps` seeded writes over `ed`, and after every one compare
+/// with [`reference::induce`] from scratch: one memoized run per
+/// configuration of `configs`, each with its own memo; a roaming memo
+/// whose configuration and model change now and then (always on a
+/// write that breaks a join), and whose run sometimes fails on an
+/// injected `induction.run` or `induction.pair` fault; and both
+/// wrappers under the roaming configuration. A failed run must leave
+/// its memo empty (`induction.pair`, or an ILS error) or as it was
+/// (`induction.run`).
+fn memo_sequence(mut ed: Edits, configs: &[InductionConfig], steps: usize) -> MemoTally {
+    let mut tally = MemoTally::default();
+    let mut memos: Vec<IlsMemo> = configs.iter().map(|_| IlsMemo::new()).collect();
+    let mut roaming = IlsMemo::new();
+    let (mut roam_cfg, mut roam_model) = (0usize, 0usize);
+    for step in 0..=steps {
+        let what = match step {
+            0 => "as generated".to_string(),
+            _ => ed.write(),
+        };
+        let ctx = |extra: &str| format!("{} step {step} ({what}) {extra}", ed.what);
+        let threads = 1 + step % 3;
+        let mut wants = Vec::new();
+        for (cfg, memo) in configs.iter().zip(&mut memos) {
+            let want = reference::induce(&ed.model, *cfg, &ed.db);
+            let got = Ils::new(&ed.model, *cfg).induce_memo(&ed.db, threads, memo);
+            assert_same_output(&got, &want, &ctx(&format!("{cfg:?}")));
+            assert_eq!(
+                memo.is_empty(),
+                got.is_err(),
+                "{}",
+                ctx("memo after the run")
+            );
+            tally.runs += 1;
+            tally.errors += usize::from(got.is_err());
+            tally.with_rules += usize::from(got.is_ok_and(|o| !o.rules.is_empty()));
+            wants.push(want);
+        }
+
+        // A fault often coincides with a new configuration: a run that
+        // failed halfway must not leave its key over older results.
+        let fault = ed.rng.gen_bool(0.15);
+        let switch =
+            ed.broken.is_some() || ed.rng.gen_bool(0.25) || (fault && ed.rng.gen_bool(0.5));
+        if switch && configs.len() > 1 {
+            roam_cfg = (roam_cfg + ed.rng.gen_range(1..configs.len())) % configs.len();
+        }
+        if ed.rng.gen_bool(0.15) {
+            roam_model = ed.rng.gen_range(0..3usize);
+        }
+        let model = [&ed.model, &ed.same_model, &ed.other_model][roam_model];
+        let cfg = configs[roam_cfg];
+        let want = match roam_model {
+            2 => reference::induce(model, cfg, &ed.db),
+            _ => std::mem::replace(
+                &mut wants[roam_cfg],
+                Err(StorageError::Invalid(String::new())),
+            ),
+        };
+        let ils = Ils::new(model, cfg);
+        let ctx = ctx(&format!("roaming, model {roam_model}, {cfg:?}"));
+        if fault {
+            let fault = ["induction.run", "induction.pair"][ed.rng.gen_range(0..2usize)];
+            let was_empty = roaming.is_empty();
+            let armed = intensio::fault::scoped(fault, "error*1").unwrap();
+            let got = ils.induce_memo(&ed.db, threads, &mut roaming);
+            drop(armed);
+            if let Err(e) = &got {
+                if e.to_string().contains(fault) {
+                    tally.faults += 1;
+                    let expect_empty = fault == "induction.pair" || was_empty;
+                    assert_eq!(roaming.is_empty(), expect_empty, "{ctx}: after {e}");
+                } else {
+                    assert_same_output(&got, &want, &ctx);
+                }
+            }
+        }
+        let got = ils.induce_memo(&ed.db, threads, &mut roaming);
+        assert_same_output(&got, &want, &ctx);
+        assert_eq!(
+            roaming.is_empty(),
+            got.is_err(),
+            "{ctx}: memo after the run"
+        );
+        assert_same_output(&ils.induce(&ed.db), &want, &format!("{ctx} induce"));
+        assert_same_output(
+            &ils.induce_parallel(&ed.db, threads),
+            &want,
+            &format!("{ctx} induce_parallel"),
+        );
+    }
+    tally
+}
+
+/// The servebench fleet shape (6 types x 10 classes x 30 ships) at
+/// `seed`, or a smaller fleet of the same generator.
+fn fleet_edits(seed: u64, classes: usize, ships: usize) -> Edits {
+    let fleet = generate(FleetConfig {
+        seed,
+        n_types: 6,
+        classes_per_type: classes,
+        ships_per_class: ships,
+        sonars_per_family: 4,
+        id_noise: 0.02,
+        overlapping_bands: false,
+    })
+    .expect("fleet");
+    Edits::new(
+        format!("fleet {seed} ({classes}x{ships})"),
+        &fleet.ker_source,
+        fleet.db,
+        seed,
+    )
+}
+
+fn appendix_c_edits(seed: u64) -> Edits {
+    Edits::new(
+        "Appendix C".to_string(),
+        SHIP_SCHEMA_KER,
+        ship_database().unwrap(),
+        seed,
+    )
+}
+
+fn join_edits(seed: u64) -> Edits {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let db = join_database(&mut rng);
+    Edits::new(format!("join db {seed}"), JOIN_KER, db, seed)
+}
+
+/// The counters of how runs came by their pairs.
+fn pair_counters() -> [u64; 3] {
+    let m = intensio::obs::metrics();
+    ["reused", "extended", "rebuilt"].map(|k| m.counter(&format!("induction.pairs_{k}")))
+}
+
+#[test]
+fn memoized_runs_match_the_reference_after_every_write() {
+    let before = pair_counters();
+    let mut tally = MemoTally::default();
+    let mut add = |t: MemoTally| {
+        tally.runs += t.runs;
+        tally.errors += t.errors;
+        tally.faults += t.faults;
+        tally.with_rules += t.with_rules;
+    };
+    for seed in 0..6 {
+        add(memo_sequence(join_edits(seed), &configs(2), 25));
+    }
+    add(memo_sequence(appendix_c_edits(1), &configs(3), 25));
+    add(memo_sequence(fleet_edits(1, 3, 6), &configs(3), 15));
+    for seed in 1..=3 {
+        let default = [InductionConfig::default()];
+        add(memo_sequence(fleet_edits(seed, 10, 30), &default, 3));
+    }
+    assert!(tally.errors > 0 && tally.faults > 0, "{tally:?}");
+    assert!(tally.with_rules * 2 > tally.runs, "{tally:?}");
+    let after = pair_counters();
+    assert!(
+        (0..3).all(|i| after[i] > before[i]),
+        "pairs reused, extended, rebuilt: {before:?} -> {after:?}"
+    );
+}
+
 #[test]
 #[ignore = "long seed run; CI runs it in release"]
 fn long_seed_run_induces_like_the_reference() {
@@ -613,6 +1124,29 @@ fn long_seed_run_induces_like_the_reference() {
     for cfg in configs(3) {
         assert_same_ils(&model, &fleet.db, cfg, &format!("fleet {cfg:?}"));
     }
+}
+
+#[test]
+#[ignore = "long seed run; CI runs it in release"]
+fn long_seed_run_memoizes_like_the_reference() {
+    let mut tally = MemoTally::default();
+    let mut add = |t: MemoTally| {
+        tally.runs += t.runs;
+        tally.errors += t.errors;
+        tally.faults += t.faults;
+    };
+    for seed in 100..160 {
+        add(memo_sequence(
+            join_edits(seed),
+            &configs(1 + seed as usize % 3),
+            40,
+        ));
+    }
+    add(memo_sequence(appendix_c_edits(2), &configs(2), 150));
+    for seed in 1..=3 {
+        add(memo_sequence(fleet_edits(seed, 10, 30), &configs(3), 30));
+    }
+    assert!(tally.errors > 0 && tally.faults > 0, "{tally:?}");
 }
 
 /// The ILS data path as it was before pairs were induced by
