@@ -336,9 +336,10 @@ impl<'m> Ils<'m> {
                     pairs
                 }
                 read => {
-                    match read {
-                        Read::Extend(..) => work.extended += planned.jobs,
-                        _ => work.rebuilt += planned.jobs,
+                    if matches!(read, Read::Extend(..)) {
+                        work.extended += planned.jobs;
+                    } else {
+                        work.rebuilt += planned.jobs;
                     }
                     let mut pairs = Vec::with_capacity(planned.jobs);
                     for pair in results.by_ref().take(planned.jobs) {

@@ -524,17 +524,24 @@ mod tests {
         let r = Registry::new();
         r.stage(Stage::Parse).record_us(10);
         r.inc("serve.cache_hits");
+        r.observe("rules_fresh_lag", Duration::from_micros(40));
         let s = r.snapshot();
+        assert_eq!(s.histograms["rules_fresh_lag"].count, 1);
         let json = s.to_json();
         for stage in Stage::ALL {
             assert!(json.contains(&format!("\"{}\"", stage.name())), "{json}");
         }
+        assert!(
+            json.contains("\"rules_fresh_lag\":{\"count\":1,\"sum_us\":40,"),
+            "{json}"
+        );
         assert!(json.contains("\"serve.cache_hits\":1"));
         assert!(!json.contains('\n'));
         let prom = s.to_prometheus();
         assert!(prom.contains("intensio_parse_latency_us_bucket{le=\"10\"} 1"));
         assert!(prom.contains("intensio_serve_cache_hits_total 1"));
         assert!(prom.contains("intensio_parse_latency_us_count 1"));
+        assert!(prom.contains("intensio_rules_fresh_lag_latency_us_bucket{le=\"50\"} 1"));
         assert!(prom.contains("le=\"+Inf\""));
         // Summary quantiles ride alongside the raw buckets, for every
         // stage including the replication-era ones.

@@ -345,7 +345,8 @@ enum Barrier {
     Forced,
 }
 
-/// Writes awaiting fresh rules that `rules_fresh_lag` keeps track of.
+/// The most writes awaiting fresh rules whose `rules_fresh_lag` is
+/// tracked.
 const MAX_UNFRESH_WRITES: usize = 4096;
 
 struct Shared {
