@@ -13,23 +13,20 @@
 //! | IC060 | error    | term monotonicity violated: a record above the checkpoint epoch carries a term below the established term — a deposed primary's ghost suffix |
 //! | IC061 | error    | corrupt frame: bad checksum, impossible length, or unknown record kind |
 //! | IC062 | warn     | torn tail: a segment ends mid-frame (the expected crash-mid-append shape) |
-//! | IC063 | error    | epoch contiguity broken: the log skips epochs, or no segment continues the newest checkpoint |
+//! | IC063 | error    | epoch contiguity broken: the log skips epochs, or no segment continues the checkpoint recovery boots from |
 //! | IC064 | info     | duplicate epoch: an unacknowledged append was superseded (last record wins on replay) |
 //! | IC065 | warn     | atomic-write debris: leftover `.tmp-*` / `.saving-*` / `.old-*` intermediates |
-//! | IC066 | error    | bad checkpoint: unreadable or checksum-failing `MANIFEST`, or a manifest disagreeing with its directory name |
+//! | IC066 | error    | bad checkpoint: unreadable or checksum-failing `MANIFEST`, a manifest disagreeing with its directory name, or a database/rules that do not load |
 //!
-//! The walk mirrors recovery's state machine exactly — same term
-//! fencing, same epoch chaining, same duplicate-epoch tolerance — so
-//! "fsck reports no errors" and "recovery replays everything present"
-//! coincide. Records already covered by the newest valid checkpoint are
-//! skipped without comment, including covered records from a superseded
-//! term (the footprint of a crash between a rewind checkpoint and its
-//! log truncation, which recovery handles).
+//! The audit mirrors recovery by construction: it starts from the
+//! checkpoint recovery boots from ([`choose_checkpoint`]) and walks the
+//! log with recovery's own chain walker ([`Walk`]), only mapping
+//! verdicts to findings — so "fsck reports no errors" and "recovery
+//! replays everything present" coincide.
 
 use crate::diag::{Diagnostic, Report, Severity};
-use intensio_wal::audit::{debris, list_checkpoint_dirs, read_manifest, scan_frames, ManifestInfo};
-use intensio_wal::record::FrameOutcome;
-use intensio_wal::segment::list_segments;
+use intensio_wal::chain::{Frame, Verdict, Walk};
+use intensio_wal::checkpoint::{choose_checkpoint, debris, Rejection};
 use std::path::Path;
 
 /// Audit `dir` (a serve `--data-dir`) and report every finding. A
@@ -44,12 +41,18 @@ pub fn check_data_dir(dir: &Path) -> Report {
     report
 }
 
-/// Verify every checkpoint directory's manifest and return the one
-/// recovery would boot from: the newest (by `(epoch, seq)` in the
-/// directory name) whose manifest verifies.
-fn checkpoint_audit(dir: &Path, report: &mut Report) -> Option<ManifestInfo> {
-    let dirs = match list_checkpoint_dirs(dir) {
-        Ok(d) => d,
+fn file_name(path: &Path, fallback: &str) -> String {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or(fallback)
+        .to_string()
+}
+
+/// Report every checkpoint directory recovery cannot boot from, and
+/// return the `(epoch, term)` of the one it boots from.
+fn checkpoint_audit(dir: &Path, report: &mut Report) -> (u64, u64) {
+    let choice = match choose_checkpoint(dir) {
+        Ok(c) => c,
         Err(e) => {
             report.push(Diagnostic::new(
                 "IC066",
@@ -57,62 +60,30 @@ fn checkpoint_audit(dir: &Path, report: &mut Report) -> Option<ManifestInfo> {
                 "checkpoints",
                 format!("cannot list checkpoint directories: {e}"),
             ));
-            return None;
+            return (0, 0);
         }
     };
-    let mut best: Option<((u64, u64), ManifestInfo)> = None;
-    for (path, parsed) in dirs {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("checkpoint")
-            .to_string();
-        let Some((epoch, seq)) = parsed else {
-            report.push(Diagnostic::new(
-                "IC066",
-                Severity::Error,
-                name,
-                "checkpoint directory name does not parse as ckpt-<epoch>-<seq>; \
-                 recovery will never consider it",
-            ));
-            continue;
-        };
-        match read_manifest(&path) {
-            Ok(info) if info.epoch != epoch => {
-                report.push(Diagnostic::new(
-                    "IC066",
-                    Severity::Error,
-                    name,
-                    format!(
-                        "manifest pins epoch {} but the directory name claims epoch {epoch}; \
-                         recovery rejects the checkpoint",
-                        info.epoch
-                    ),
-                ));
-            }
-            Ok(info) => {
-                if best
-                    .as_ref()
-                    .map(|(k, _)| *k < (epoch, seq))
-                    .unwrap_or(true)
-                {
-                    best = Some(((epoch, seq), info));
-                }
-            }
-            Err(e) => {
-                report.push(
-                    Diagnostic::new(
-                        "IC066",
-                        Severity::Error,
-                        name,
-                        format!("checkpoint manifest does not verify: {e}"),
-                    )
-                    .with_note("recovery falls back to the next older checkpoint"),
-                );
-            }
-        }
+    for (path, why) in choice.passed_over.into_iter().chain(choice.unusable) {
+        let name = file_name(&path, "checkpoint");
+        let bad =
+            |message: String| Diagnostic::new("IC066", Severity::Error, name.clone(), message);
+        report.push(match why {
+            Rejection::Unnamed => bad("checkpoint directory name does not parse as \
+                 ckpt-<epoch>-<seq>; recovery will never consider it"
+                .to_string()),
+            Rejection::EpochMismatch { manifest, name } => bad(format!(
+                "manifest pins epoch {manifest} but the directory name claims epoch {name}; \
+                 recovery rejects the checkpoint"
+            )),
+            Rejection::Manifest(e) => bad(format!("checkpoint manifest does not verify: {e}"))
+                .with_note("recovery falls back to the next older checkpoint"),
+            Rejection::Load(e) => bad(format!("checkpoint does not load: {e}")).with_note(
+                "its manifest verifies, but recovery skips it and boots from the next older \
+                 checkpoint that loads, if any",
+            ),
+        });
     }
-    best.map(|(_, info)| info)
+    choice.loaded.map_or((0, 0), |c| (c.epoch, c.term))
 }
 
 /// Report leftover atomic-write intermediates.
@@ -143,11 +114,11 @@ fn debris_audit(dir: &Path, report: &mut Report) {
     }
 }
 
-/// Walk every segment frame by frame, replaying recovery's acceptance
-/// state machine and reporting each deviation.
-fn log_audit(dir: &Path, base: Option<ManifestInfo>, report: &mut Report) {
-    let segments = match list_segments(dir) {
-        Ok(s) => s,
+/// Walk the log from recovery's base checkpoint and report each frame
+/// whose verdict deviates from the healthy shape.
+fn log_audit(dir: &Path, (base_epoch, base_term): (u64, u64), report: &mut Report) {
+    let walk = match Walk::open(dir, base_epoch, base_term) {
+        Ok(w) => w,
         Err(e) => {
             report.push(Diagnostic::new(
                 "IC063",
@@ -158,142 +129,76 @@ fn log_audit(dir: &Path, base: Option<ManifestInfo>, report: &mut Report) {
             return;
         }
     };
-    let base_epoch = base.map(|b| b.epoch).unwrap_or(0);
-    let mut last_epoch = base_epoch;
-    let mut last_term = base.map(|b| b.term).unwrap_or(0);
-    let mut last_from_log = false;
-    // Once the chain breaks (corruption or an epoch gap), recovery
-    // discards everything after; chain-level findings past that point
-    // would be noise, but frame-level damage is still worth reporting.
-    let mut chain_intact = true;
-
-    for (_seq, path) in &segments {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("segment")
-            .to_string();
-        let buf = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                report.push(Diagnostic::new(
-                    "IC061",
-                    Severity::Error,
-                    name,
-                    format!("unreadable segment: {e}"),
-                ));
-                chain_intact = false;
-                continue;
-            }
+    for step in walk {
+        let offset = step.offset;
+        let finding = |code, severity, message: String| {
+            Diagnostic::new(code, severity, file_name(&step.segment, "segment"), message)
         };
-        for (offset, outcome) in scan_frames(&buf) {
-            match outcome {
-                FrameOutcome::Torn => {
-                    let lost = buf.len() as u64 - offset;
-                    report.push(
-                        Diagnostic::new(
-                            "IC062",
-                            Severity::Warn,
-                            name.clone(),
-                            format!("torn tail: frame at byte {offset} is incomplete ({lost} trailing byte(s))"),
-                        )
-                        .with_note("the expected shape of a crash mid-append; recovery truncates it"),
-                    );
-                }
-                FrameOutcome::Corrupt(why) => {
-                    report.push(
-                        Diagnostic::new(
-                            "IC061",
-                            Severity::Error,
-                            name.clone(),
-                            format!("corrupt frame at byte {offset}: {why}"),
-                        )
-                        .with_note(
-                            "framing is lost from here; recovery discards the rest of the log",
-                        ),
-                    );
-                    chain_intact = false;
-                }
-                FrameOutcome::Complete(rec, _) => {
-                    if !chain_intact {
-                        continue;
-                    }
-                    if rec.term < last_term {
-                        if rec.epoch > base_epoch {
-                            report.push(
-                                Diagnostic::new(
-                                    "IC060",
-                                    Severity::Error,
-                                    name.clone(),
-                                    format!(
-                                        "term monotonicity violated: {} record at byte {offset} \
-                                         (epoch {}) carries term {} below the established term {last_term}",
-                                        rec.kind.name(),
-                                        rec.epoch,
-                                        rec.term
-                                    ),
-                                )
-                                .with_note(
-                                    "a deposed primary's ghost suffix — these records were fenced \
-                                     off at failover and will never replay",
-                                ),
-                            );
-                        }
-                        // Covered stale records (epoch at or below the
-                        // checkpoint) are the benign footprint of a
-                        // crash between a rewind checkpoint and its log
-                        // truncation; either way the record is skipped.
-                        continue;
-                    }
-                    if rec.term > last_term {
-                        // A failover fencepost: recovery retracts any
-                        // accepted records the new lineage overwrites.
-                        if last_epoch >= rec.epoch {
-                            last_epoch = rec.epoch.saturating_sub(1).max(base_epoch);
-                            last_from_log = last_epoch > base_epoch;
-                        }
-                        last_term = rec.term;
-                    }
-                    if rec.epoch == last_epoch && last_from_log {
-                        report.push(Diagnostic::new(
-                            "IC064",
-                            Severity::Info,
-                            name.clone(),
-                            format!(
-                                "duplicate epoch {}: the record at byte {offset} supersedes an \
-                                     earlier unacknowledged append (last record wins on replay)",
-                                rec.epoch
-                            ),
-                        ));
-                    } else if rec.epoch <= last_epoch {
-                        // Covered by the checkpoint; recovery skips it.
-                    } else if rec.epoch == last_epoch + 1 {
-                        last_epoch = rec.epoch;
-                        last_from_log = true;
-                    } else {
-                        report.push(
-                            Diagnostic::new(
-                                "IC063",
-                                Severity::Error,
-                                name.clone(),
-                                format!(
-                                    "epoch contiguity broken: record at byte {offset} carries epoch {} \
-                                     but the replayable chain ends at epoch {last_epoch}",
-                                    rec.epoch
-                                ),
-                            )
-                            .with_note(format!(
-                                "epoch(s) {}..={} are on no segment this directory holds; \
-                                 recovery discards everything from here",
-                                last_epoch + 1,
-                                rec.epoch - 1
-                            )),
-                        );
-                        chain_intact = false;
-                    }
-                }
+        report.push(match step.frame {
+            Frame::Torn => finding(
+                "IC062",
+                Severity::Warn,
+                format!(
+                    "torn tail: frame at byte {offset} is incomplete ({} trailing byte(s))",
+                    step.bytes
+                ),
+            )
+            .with_note("the expected shape of a crash mid-append; recovery truncates it"),
+            Frame::Corrupt(why) => finding(
+                "IC061",
+                Severity::Error,
+                format!("corrupt frame at byte {offset}: {why}"),
+            )
+            .with_note("framing is lost from here; recovery discards the rest of the log"),
+            Frame::Unreadable(e) => {
+                finding("IC061", Severity::Error, format!("unreadable segment: {e}"))
             }
-        }
+            // Covered stale records (epoch at or below the checkpoint)
+            // are the benign footprint of a crash between a rewind
+            // checkpoint and its log truncation.
+            Frame::Record(rec, Verdict::Fenced { established }) if rec.epoch > base_epoch => {
+                finding(
+                    "IC060",
+                    Severity::Error,
+                    format!(
+                        "term monotonicity violated: {} record at byte {offset} (epoch {}) \
+                         carries term {} below the established term {established}",
+                        rec.kind.name(),
+                        rec.epoch,
+                        rec.term
+                    ),
+                )
+                .with_note(
+                    "a deposed primary's ghost suffix — these records were fenced \
+                     off at failover and will never replay",
+                )
+            }
+            Frame::Record(rec, Verdict::Supersede) => finding(
+                "IC064",
+                Severity::Info,
+                format!(
+                    "duplicate epoch {}: the record at byte {offset} supersedes an \
+                     earlier unacknowledged append (last record wins on replay)",
+                    rec.epoch
+                ),
+            ),
+            Frame::Record(rec, Verdict::Gap { chain_end }) => finding(
+                "IC063",
+                Severity::Error,
+                format!(
+                    "epoch contiguity broken: record at byte {offset} carries epoch {} \
+                     but the replayable chain ends at epoch {chain_end}",
+                    rec.epoch
+                ),
+            )
+            .with_note(format!(
+                "epoch(s) {}..={} are on no segment this directory holds; \
+                 recovery discards everything from here",
+                chain_end + 1,
+                rec.epoch - 1
+            )),
+            Frame::Record(..) => continue,
+        });
     }
 }
 

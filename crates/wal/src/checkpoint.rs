@@ -12,11 +12,11 @@
 //! checkpoint guaranteed to survive a power cut, which is what lets the
 //! caller delete the log records it replaces. Checkpoint directories
 //! are never reused: each write gets a fresh `ckpt-<epoch>-<seq>` name,
-//! and recovery picks the newest `(epoch, seq)` whose manifest
-//! verifies.
+//! and recovery boots from the newest `(epoch, seq)` that loads
+//! ([`choose_checkpoint`]).
 
 use crate::crc::crc32;
-use crate::segment::CHECKPOINT_SUBDIR;
+use crate::segment::{CHECKPOINT_SUBDIR, WAL_SUBDIR};
 use crate::WalError;
 use intensio_rules::encode::{decode as decode_rules, encode as encode_rules, RuleRelations};
 use intensio_rules::rule::RuleSet;
@@ -24,7 +24,7 @@ use intensio_storage::catalog::Database;
 use intensio_storage::persist::{load_database, save_database};
 use std::path::{Path, PathBuf};
 
-pub(crate) const MANIFEST: &str = "MANIFEST";
+const MANIFEST: &str = "MANIFEST";
 const MANIFEST_HEADER: &str = "intensio-checkpoint v1";
 
 /// A checkpoint directory on disk, identified but not yet loaded.
@@ -71,30 +71,138 @@ fn parse_dir_name(name: &str) -> Option<(u64, u64)> {
     ))
 }
 
+/// Whether a file name is an atomic-write intermediate: a `.tmp-*`
+/// checkpoint staging directory or a `.saving-*` / `.old-*` persist
+/// sibling.
+fn is_debris_name(name: &str) -> bool {
+    name.contains(".tmp-") || name.contains(".saving-") || name.contains(".old-")
+}
+
+/// The directories under `data_dir/checkpoints`: the checkpoints whose
+/// name parses, sorted oldest-first by `(epoch, seq)`, and the paths of
+/// the ones whose name does not. Atomic-write debris is in neither.
+fn scan_checkpoints(data_dir: &Path) -> std::io::Result<(Vec<CheckpointRef>, Vec<PathBuf>)> {
+    let dir = data_dir.join(CHECKPOINT_SUBDIR);
+    let entries = match std::fs::read_dir(&dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Default::default()),
+        Err(e) => return Err(e),
+    };
+    let (mut named, mut unnamed) = (Vec::new(), Vec::new());
+    for entry in entries {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if is_debris_name(name) || !entry.path().is_dir() {
+            continue;
+        }
+        match parse_dir_name(name) {
+            Some((epoch, seq)) => named.push(CheckpointRef {
+                epoch,
+                seq,
+                path: entry.path(),
+            }),
+            None => unnamed.push(entry.path()),
+        }
+    }
+    named.sort_by_key(|c| (c.epoch, c.seq));
+    Ok((named, unnamed))
+}
+
+/// Leftover atomic-write intermediates: `.tmp-*` checkpoint staging
+/// directories and `.saving-*` / `.old-*` persist siblings. Each is the
+/// footprint of a crash mid-write — harmless to recovery (which ignores
+/// them) but disk an operator may want back. Scans the data directory
+/// root, `wal/`, `checkpoints/`, and one level inside each checkpoint.
+pub fn debris(data_dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let (named, unnamed) = scan_checkpoints(data_dir)?;
+    let mut roots = vec![data_dir.join(WAL_SUBDIR), data_dir.join(CHECKPOINT_SUBDIR)];
+    roots.extend(named.into_iter().map(|c| c.path).chain(unnamed));
+    let mut out = Vec::new();
+    for root in std::iter::once(data_dir.to_path_buf()).chain(roots) {
+        let entries = match std::fs::read_dir(&root) {
+            Ok(e) => e,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e),
+        };
+        for entry in entries {
+            let entry = entry?;
+            if entry.file_name().to_str().is_some_and(is_debris_name) {
+                out.push(entry.path());
+            }
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
 /// Checkpoints under `data_dir/checkpoints`, sorted oldest-first by
 /// `(epoch, seq)`. Temporary (`.tmp-*`) and unparseable directories are
 /// ignored — a crash mid-checkpoint must not confuse recovery.
 pub fn list_checkpoints(data_dir: &Path) -> std::io::Result<Vec<CheckpointRef>> {
-    let dir = data_dir.join(CHECKPOINT_SUBDIR);
-    let entries = match std::fs::read_dir(&dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
+    Ok(scan_checkpoints(data_dir)?.0)
+}
+
+/// Why a checkpoint directory cannot be booted from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rejection {
+    /// The name does not parse as `ckpt-<epoch>-<seq>`: recovery never
+    /// considers the directory.
+    Unnamed,
+    /// The `MANIFEST` is missing or unreadable, or fails its checksum
+    /// or format.
+    Manifest(WalError),
+    /// The manifest pins another epoch than the directory name.
+    EpochMismatch {
+        /// The epoch in the manifest.
+        manifest: u64,
+        /// The epoch in the directory name.
+        name: u64,
+    },
+    /// The manifest verifies, but the database or rules do not load.
+    Load(WalError),
+}
+
+/// The checkpoint recovery boots from, and the ones it cannot use.
+#[derive(Debug)]
+pub struct CheckpointChoice {
+    /// The newest checkpoint that loads.
+    pub loaded: Option<LoadedCheckpoint>,
+    /// Newer checkpoints recovery tried and passed over, newest first.
+    pub passed_over: Vec<(PathBuf, Rejection)>,
+    /// Directories recovery never needed: ones whose name does not
+    /// parse, and older checkpoints whose manifest does not verify.
+    pub unusable: Vec<(PathBuf, Rejection)>,
+}
+
+/// Pick the checkpoint recovery boots from: the newest by
+/// `(epoch, seq)` that loads. Fails only when the checkpoint directory
+/// cannot be listed.
+pub fn choose_checkpoint(data_dir: &Path) -> std::io::Result<CheckpointChoice> {
+    let (named, unnamed) = scan_checkpoints(data_dir)?;
+    let mut choice = CheckpointChoice {
+        loaded: None,
+        passed_over: Vec::new(),
+        unusable: unnamed
+            .into_iter()
+            .map(|p| (p, Rejection::Unnamed))
+            .collect(),
     };
-    let mut out = Vec::new();
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        if let Some((epoch, seq)) = name.to_str().and_then(parse_dir_name) {
-            out.push(CheckpointRef {
-                epoch,
-                seq,
-                path: entry.path(),
-            });
+    for ckpt in named.into_iter().rev() {
+        if choice.loaded.is_some() {
+            // Older than the boot checkpoint: recovery never reads it,
+            // so only its manifest is checked.
+            if let Err(why) = read_manifest(&ckpt) {
+                choice.unusable.push((ckpt.path, why));
+            }
+            continue;
+        }
+        match load_checkpoint(&ckpt) {
+            Ok(loaded) => choice.loaded = Some(loaded),
+            Err(why) => choice.passed_over.push((ckpt.path, why)),
         }
     }
-    out.sort_by_key(|c| (c.epoch, c.seq));
-    Ok(out)
+    Ok(choice)
 }
 
 fn manifest_text(epoch: u64, data_version: u64, term: u64, has_rules: bool) -> String {
@@ -107,7 +215,7 @@ fn manifest_text(epoch: u64, data_version: u64, term: u64, has_rules: bool) -> S
 }
 
 /// `(epoch, data_version, term, has_rules)`.
-pub(crate) fn parse_manifest(text: &str) -> Result<(u64, u64, u64, bool), WalError> {
+fn parse_manifest(text: &str) -> Result<(u64, u64, u64, bool), WalError> {
     let bad = |why: &str| WalError(format!("invalid checkpoint manifest: {why}"));
     let (body, crc_line) = text
         .trim_end_matches('\n')
@@ -215,28 +323,28 @@ pub fn write_checkpoint(
     })
 }
 
-/// Load a checkpoint back: manifest, database, rule relations.
-pub fn load_checkpoint(ckpt: &CheckpointRef) -> Result<LoadedCheckpoint, WalError> {
-    let io = |e: std::io::Error| WalError(format!("checkpoint io: {e}"));
-    let manifest = std::fs::read_to_string(ckpt.path.join(MANIFEST)).map_err(io)?;
-    let (epoch, data_version, term, has_rules) = parse_manifest(&manifest)?;
-    if epoch != ckpt.epoch {
-        return Err(WalError(format!(
-            "checkpoint directory {} claims epoch {epoch} in its manifest",
-            ckpt.path.display()
-        )));
+/// Read and verify `ckpt`'s `MANIFEST`: `(epoch, data_version, term,
+/// has_rules)`.
+fn read_manifest(ckpt: &CheckpointRef) -> Result<(u64, u64, u64, bool), Rejection> {
+    let text = std::fs::read_to_string(ckpt.path.join(MANIFEST))
+        .map_err(|e| Rejection::Manifest(WalError(format!("reading manifest: {e}"))))?;
+    let manifest = parse_manifest(&text).map_err(Rejection::Manifest)?;
+    if manifest.0 != ckpt.epoch {
+        return Err(Rejection::EpochMismatch {
+            manifest: manifest.0,
+            name: ckpt.epoch,
+        });
     }
+    Ok(manifest)
+}
+
+/// Load a checkpoint back: manifest, database, rule relations.
+pub fn load_checkpoint(ckpt: &CheckpointRef) -> Result<LoadedCheckpoint, Rejection> {
+    let (epoch, data_version, term, has_rules) = read_manifest(ckpt)?;
     let db = load_database(&ckpt.path.join("db"))
-        .map_err(|e| WalError(format!("loading checkpoint db: {e}")))?;
+        .map_err(|e| Rejection::Load(WalError(format!("loading checkpoint db: {e}"))))?;
     let rules = if has_rules {
-        let rules_db = load_database(&ckpt.path.join("rules"))
-            .map_err(|e| WalError(format!("loading checkpoint rules: {e}")))?;
-        let mut rels = RuleRelations::empty();
-        rels.rules = take_relation(&rules_db, "RULES")?;
-        rels.value_map = take_relation(&rules_db, "ATTRVALUEMAP")?;
-        rels.attr_catalog = take_relation(&rules_db, "ATTRCATALOG")?;
-        rels.meta = take_relation(&rules_db, "RULEMETA")?;
-        Some(decode_rules(&rels).map_err(|e| WalError(format!("decoding checkpoint rules: {e}")))?)
+        Some(load_rules(&ckpt.path).map_err(Rejection::Load)?)
     } else {
         None
     };
@@ -247,6 +355,17 @@ pub fn load_checkpoint(ckpt: &CheckpointRef) -> Result<LoadedCheckpoint, WalErro
         db,
         rules,
     })
+}
+
+fn load_rules(ckpt_dir: &Path) -> Result<RuleSet, WalError> {
+    let rules_db = load_database(&ckpt_dir.join("rules"))
+        .map_err(|e| WalError(format!("loading checkpoint rules: {e}")))?;
+    let mut rels = RuleRelations::empty();
+    rels.rules = take_relation(&rules_db, "RULES")?;
+    rels.value_map = take_relation(&rules_db, "ATTRVALUEMAP")?;
+    rels.attr_catalog = take_relation(&rules_db, "ATTRCATALOG")?;
+    rels.meta = take_relation(&rules_db, "RULEMETA")?;
+    decode_rules(&rels).map_err(|e| WalError(format!("decoding checkpoint rules: {e}")))
 }
 
 fn take_relation(db: &Database, name: &str) -> Result<intensio_storage::Relation, WalError> {
@@ -386,6 +505,38 @@ mod tests {
             .unwrap()
             .collect();
         assert!(leftovers.is_empty(), "tmp dir swept");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_reads_back_and_debris_is_found() {
+        use intensio_storage::catalog::Database;
+        let dir = std::env::temp_dir().join(format!("intensio_audit_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let r = write_checkpoint(&dir, &Database::new(), None, 4, 2, 3).unwrap();
+        let info = choose_checkpoint(&dir).unwrap().loaded.unwrap();
+        assert_eq!(
+            (
+                info.epoch,
+                info.data_version,
+                info.term,
+                info.rules.is_some()
+            ),
+            (4, 2, 3, false)
+        );
+        assert!(debris(&dir).unwrap().is_empty());
+
+        // Plant a crashed checkpoint staging dir and a persist sibling.
+        let tmp = dir.join(CHECKPOINT_SUBDIR).join("ckpt-x.tmp-999");
+        std::fs::create_dir_all(&tmp).unwrap();
+        std::fs::create_dir_all(r.path.join(".db.saving-999")).unwrap();
+        let found = debris(&dir).unwrap();
+        assert_eq!(found.len(), 2, "{found:?}");
+        let choice = choose_checkpoint(&dir).unwrap();
+        assert!(
+            choice.unusable.is_empty() && choice.passed_over.is_empty(),
+            "debris is not a checkpoint: {choice:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

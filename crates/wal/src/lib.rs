@@ -15,10 +15,19 @@
 //!   materialized through `storage::persist` into an atomically-renamed
 //!   directory whose `MANIFEST` pins the epoch, letting the log be
 //!   truncated.
-//! - **Recovery** ([`recover`]): boot loads the newest valid
-//!   checkpoint, replays the epoch-contiguous record suffix, truncates
-//!   a torn tail, and rejects corrupt frames — any prefix of a valid
-//!   log recovers to a consistent epoch.
+//! - **Chain walker** ([`chain`]): the one acceptance rule. It judges
+//!   every logged frame against the epoch/term chain from a base —
+//!   replay, supersede (last wins), covered, fenced, retract, gap,
+//!   torn, corrupt — and everything that reads the log goes through it.
+//! - **Recovery** ([`recover`]): boot loads the newest checkpoint that
+//!   loads ([`checkpoint::choose_checkpoint`]), replays the chain's
+//!   suffix, truncates a torn tail, and rejects corrupt frames — any
+//!   prefix of a valid log recovers to a consistent epoch.
+//! - **Replication tail** ([`read::LogTail`]): the same walk from a
+//!   follower's epoch, streamed one segment at a time.
+//! - **Offline audit**: `check fsck` reads the same walk and the same
+//!   checkpoint choice, plus the atomic-write debris recovery ignores
+//!   ([`checkpoint::debris`]).
 //!
 //! The crate is zero-dependency beyond the workspace: framing,
 //! checksums, and file handling are all implemented here.
@@ -28,7 +37,7 @@
 
 mod crc;
 
-pub mod audit;
+pub mod chain;
 pub mod checkpoint;
 pub mod log;
 pub mod read;

@@ -1,43 +1,38 @@
 //! Streaming reads of the log: the replication feed.
 //!
-//! [`LogTail`] walks the on-disk segments and yields the epoch-
-//! contiguous chain of records strictly above a starting epoch — the
-//! same acceptance rules boot recovery applies (contiguity, torn tails
-//! end a segment, duplicate epochs last-wins), but incrementally, one
-//! segment in memory at a time, so a replication stream can ship a
-//! multi-gigabyte log without materializing it.
-//!
-//! The chain must *begin* at `from_epoch + 1`. When the oldest record
-//! still on disk is newer than that (a checkpoint truncated the log
-//! past the requested point), the stream fails immediately with a gap
-//! error — the signal a replication source uses to fall back to
-//! shipping a full snapshot instead of a log tail.
+//! [`LogTail`] is the chain walker ([`crate::chain`]) started at the
+//! epoch the reader already holds and term 0, so it applies boot
+//! recovery's acceptance rules, but incrementally, one segment in memory
+//! at a time: a replication stream can ship a multi-gigabyte log without
+//! materializing it. The chain must *begin* at `from_epoch + 1`; when a
+//! checkpoint truncated the log past that point, the stream fails at
+//! once with a gap error — the signal a replication source uses to fall
+//! back to shipping a full snapshot instead of a log tail.
 
-use crate::record::{decode_frame, FrameOutcome, Record};
-use crate::segment::list_segments;
+use crate::chain::{Frame, Verdict, Walk};
+use crate::record::Record;
 use crate::WalError;
-use std::collections::VecDeque;
-use std::path::PathBuf;
 
 /// A streaming iterator over the log's records with epoch strictly
-/// greater than the `from_epoch` it was opened at. See the module docs
-/// for the acceptance rules. Yields every sound record, then `Err`
-/// exactly once (and ends) when the chain breaks: an epoch gap, a
-/// corrupt frame, or a segment deleted mid-stream.
+/// greater than the `from_epoch` it was opened at. Yields every sound
+/// record, then `Err` exactly once (and ends) when the chain breaks: an
+/// epoch gap, a corrupt frame, a segment deleted mid-stream, or a higher
+/// term retracting a record already yielded — so a caller that collects
+/// the whole tail before using it, as the replication source does, never
+/// uses a record recovery would fence or retract.
 pub struct LogTail {
-    segments: VecDeque<(u64, PathBuf)>,
-    /// Bytes of the segment currently being walked.
-    buf: Vec<u8>,
-    pos: usize,
-    in_segment: bool,
+    walk: Walk,
     /// Lookahead slot: the next record to yield, held back one step so
     /// a duplicate epoch (an unacked append whose epoch was reused) can
-    /// replace it before the caller sees it — recovery's last-wins rule.
+    /// replace it before the caller sees it — recovery's last-wins rule
+    /// — and a higher term can retract it.
     pending: Option<Record>,
-    /// An error to report after the lookahead is flushed.
-    deferred: Option<WalError>,
-    last_epoch: u64,
+    /// Epoch of the last record yielded (`from_epoch` before the first).
+    yielded: u64,
+    /// Set once the walk is over.
     done: bool,
+    /// The error that ended the walk, reported after the lookahead.
+    error: Option<WalError>,
 }
 
 impl LogTail {
@@ -45,34 +40,15 @@ impl LogTail {
     /// The segment list is snapshotted here; records appended to the
     /// active segment after this call may or may not be observed.
     pub fn open(data_dir: &std::path::Path, from_epoch: u64) -> Result<LogTail, WalError> {
-        let segments =
-            list_segments(data_dir).map_err(|e| WalError(format!("listing wal segments: {e}")))?;
+        let walk = Walk::open(data_dir, from_epoch, 0)
+            .map_err(|e| WalError(format!("listing wal segments: {e}")))?;
         Ok(LogTail {
-            segments: segments.into(),
-            buf: Vec::new(),
-            pos: 0,
-            in_segment: false,
+            walk,
             pending: None,
-            deferred: None,
-            last_epoch: from_epoch,
+            yielded: from_epoch,
             done: false,
+            error: None,
         })
-    }
-
-    /// Stop the stream: flush the lookahead first, then report `err`.
-    fn stop(&mut self, err: WalError) -> Option<Result<Record, WalError>> {
-        self.segments.clear();
-        self.in_segment = false;
-        match self.pending.take() {
-            Some(rec) => {
-                self.deferred = Some(err);
-                Some(Ok(rec))
-            }
-            None => {
-                self.done = true;
-                Some(Err(err))
-            }
-        }
     }
 }
 
@@ -80,76 +56,63 @@ impl Iterator for LogTail {
     type Item = Result<Record, WalError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if let Some(err) = self.deferred.take() {
+        while !self.done {
+            let Some(step) = self.walk.next() else {
+                self.done = true;
+                break;
+            };
+            let err = match step.frame {
+                Frame::Record(rec, Verdict::Replay) => match self.pending.replace(rec) {
+                    Some(out) => {
+                        self.yielded = out.epoch;
+                        return Some(Ok(out));
+                    }
+                    None => continue,
+                },
+                Frame::Record(rec, Verdict::Supersede) => {
+                    self.pending = Some(rec);
+                    continue;
+                }
+                // Only the lookahead lies above `to`: drop it unseen.
+                Frame::Record(rec, Verdict::RetractTo { to, replay }) if to >= self.yielded => {
+                    self.pending = replay.then_some(rec);
+                    continue;
+                }
+                Frame::Record(rec, Verdict::RetractTo { to, .. }) => {
+                    self.pending = None;
+                    WalError(format!(
+                        "term {} record at epoch {} retracts epochs {}..={} the log tail already yielded",
+                        rec.term,
+                        rec.epoch,
+                        to + 1,
+                        self.yielded
+                    ))
+                }
+                Frame::Record(rec, Verdict::Gap { chain_end }) => WalError(format!(
+                    "epoch gap in log tail: wanted {}, found {}",
+                    chain_end + 1,
+                    rec.epoch
+                )),
+                Frame::Record(
+                    _,
+                    Verdict::Covered | Verdict::Fenced { .. } | Verdict::Discarded,
+                )
+                | Frame::Torn => continue,
+                Frame::Corrupt(why) => WalError(format!("corrupt frame in log tail: {why}")),
+                // A segment vanished mid-stream (checkpoint truncation
+                // raced us): the chain is broken.
+                Frame::Unreadable(e) => {
+                    WalError(format!("reading segment {}: {e}", step.segment.display()))
+                }
+            };
             self.done = true;
-            return Some(Err(err));
+            self.error = Some(err);
         }
-        loop {
-            if !self.in_segment || self.pos >= self.buf.len() {
-                // Advance to the next segment with bytes to decode.
-                let Some((_seq, path)) = self.segments.pop_front() else {
-                    // End of log: flush the lookahead.
-                    if let Some(rec) = self.pending.take() {
-                        return Some(Ok(rec));
-                    }
-                    self.done = true;
-                    return None;
-                };
-                match std::fs::read(&path) {
-                    Ok(bytes) => {
-                        self.buf = bytes;
-                        self.pos = 0;
-                        self.in_segment = true;
-                        continue;
-                    }
-                    Err(e) => {
-                        // A segment vanished mid-stream (checkpoint
-                        // truncation raced us): the chain is broken.
-                        return self
-                            .stop(WalError(format!("reading segment {}: {e}", path.display())));
-                    }
-                }
-            }
-            match decode_frame(&self.buf[self.pos..]) {
-                FrameOutcome::Complete(rec, consumed) => {
-                    self.pos += consumed;
-                    let duplicates_tail = self
-                        .pending
-                        .as_ref()
-                        .is_some_and(|prev| prev.epoch == rec.epoch);
-                    if duplicates_tail {
-                        // Last-wins: the earlier append was never
-                        // acknowledged and its epoch was reused.
-                        self.pending = Some(rec);
-                    } else if rec.epoch <= self.last_epoch {
-                        continue; // already covered by the caller
-                    } else if rec.epoch == self.last_epoch + 1 {
-                        self.last_epoch = rec.epoch;
-                        if let Some(out) = self.pending.replace(rec) {
-                            return Some(Ok(out));
-                        }
-                    } else {
-                        let wanted = self.last_epoch + 1;
-                        return self.stop(WalError(format!(
-                            "epoch gap in log tail: wanted {wanted}, found {}",
-                            rec.epoch
-                        )));
-                    }
-                }
-                FrameOutcome::Torn => {
-                    // Expected crash shape: this segment ends here, but
-                    // a later segment may continue the chain.
-                    self.in_segment = false;
-                    self.pos = self.buf.len();
-                }
-                FrameOutcome::Corrupt(why) => {
-                    return self.stop(WalError(format!("corrupt frame in log tail: {why}")));
-                }
-            }
-        }
+        // The walk is over: flush the lookahead, then the error.
+        self.pending
+            .take()
+            .map(Ok)
+            .or_else(|| self.error.take().map(Err))
     }
 }
 
@@ -159,7 +122,7 @@ mod tests {
     use crate::log::Wal;
     use crate::segment::{segment_file_name, WAL_SUBDIR};
     use crate::{FsyncPolicy, WalConfig};
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("intensio_read_{name}_{}", std::process::id()));
@@ -327,6 +290,72 @@ mod tests {
         let (records, _) = wal.read_from(1).map(collect_tail).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].epoch, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_fenced_suffix_never_reaches_a_collecting_caller() {
+        // Term-0 epochs 3-4 are a deposed primary's unshipped tail; the
+        // term-1 fencepost at epoch 3 retracts them, as recovery does.
+        let dir = tmpdir("fenced");
+        let wal_dir = dir.join(WAL_SUBDIR);
+        std::fs::create_dir_all(&wal_dir).unwrap();
+        let mut buf = Vec::new();
+        for rec in [
+            Record::write(1, 1, "a"),
+            Record::write(2, 2, "b"),
+            Record::write(3, 3, "orphan3"),
+            Record::write(4, 4, "orphan4"),
+            Record::term_bump(1, 3, 2),
+            Record::write(4, 3, "kept4").with_term(1),
+        ] {
+            buf.extend_from_slice(&rec.encode());
+        }
+        std::fs::write(wal_dir.join(segment_file_name(1)), &buf).unwrap();
+
+        // From epoch 2, orphan3 has left the lookahead when the
+        // fencepost arrives: the stream ends with an error instead of
+        // going on to splice the new term onto the orphan.
+        let items: Vec<_> = LogTail::open(&dir, 2).unwrap().collect();
+        assert_eq!(items.len(), 2, "{items:?}");
+        assert_eq!(items[0].as_ref().unwrap().script(), Some("orphan3"));
+        let err = items[1].as_ref().unwrap_err().to_string();
+        assert!(err.contains("retracts epochs 3..=3"), "{err}");
+        // The replication source collects the whole tail before it
+        // ships anything, so it falls back to a snapshot.
+        assert!(LogTail::open(&dir, 2)
+            .unwrap()
+            .collect::<Result<Vec<_>, _>>()
+            .is_err());
+
+        // From epoch 3 only the lookahead (orphan4) is retracted: it is
+        // dropped unseen and the new term's chain follows.
+        let (records, err) = collect(&dir, 3);
+        assert!(err.is_none(), "{err:?}");
+        assert_eq!(records.len(), 1);
+        assert_eq!((records[0].epoch, records[0].term), (4, 1));
+        assert_eq!(records[0].script(), Some("kept4"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn records_below_the_established_term_are_never_yielded() {
+        let dir = tmpdir("ghost");
+        let wal_dir = dir.join(WAL_SUBDIR);
+        std::fs::create_dir_all(&wal_dir).unwrap();
+        let mut buf = Vec::new();
+        for rec in [
+            Record::write(1, 1, "a").with_term(2),
+            Record::write(2, 2, "b").with_term(2),
+            Record::write(3, 3, "ghost").with_term(0),
+        ] {
+            buf.extend_from_slice(&rec.encode());
+        }
+        std::fs::write(wal_dir.join(segment_file_name(1)), &buf).unwrap();
+        let (records, err) = collect(&dir, 0);
+        assert!(err.is_none(), "{err:?}");
+        let scripts: Vec<_> = records.iter().map(|r| r.script()).collect();
+        assert_eq!(scripts, vec![Some("a"), Some("b")]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,41 +1,20 @@
 //! Boot-time recovery: rebuild the newest consistent knowledge state
 //! from checkpoints plus the log.
 //!
-//! # Procedure
-//!
-//! 1. Load the newest checkpoint whose manifest verifies (older ones
-//!    are fallbacks; unverifiable ones are ignored).
-//! 2. Scan segments in sequence order, decoding frames. A record is
-//!    *replayed* only if its epoch is exactly one past the last
-//!    accepted epoch — the log is a chain, and contiguity is what makes
-//!    a replayed suffix sound. Records at or below the checkpoint epoch
-//!    are *skipped* (already materialized).
-//! 3. A torn frame ends that segment: the expected shape of a crash
-//!    mid-append. Replay continues with the next segment (a writer
-//!    never appends after a tail it did not write, so later segments
-//!    can legitimately follow a torn one), still under the contiguity
-//!    rule. Torn tails are reported so the caller can truncate them.
-//! 4. A corrupt frame (bad checksum, impossible length) or an epoch
-//!    gap ends replay entirely: frame boundaries or ordering can no
-//!    longer be trusted, and everything after is discarded and counted.
-//! 5. Terms fence failover lineages. Replay tracks the highest term
-//!    established so far (seeded from the checkpoint manifest). A
-//!    record from a *lower* term is a higher-term-orphaned suffix — a
-//!    deposed primary's unshipped tail, already superseded by a rewind
-//!    checkpoint — and is skipped, counted as orphaned. A record from a
-//!    *higher* term first retracts any accepted records at or above its
-//!    epoch (they were orphaned by the failover) and then chains
-//!    normally under the new term.
-//!
-//! The function is read-only; [`apply_sanitize`] performs the
-//! truncations recovery recommends. Orphaned records interleaved
-//! mid-log are dropped logically here and physically retired by the
-//! caller's next checkpoint (the serve boot path always re-checkpoints
-//! the recovered state, which truncates the covered log).
+//! Recovery boots from the newest checkpoint that loads
+//! ([`choose_checkpoint`]), walks the log from its `(epoch, term)` with
+//! the chain walker ([`crate::chain`]) and folds the verdicts into the
+//! records to replay and the [`RecoveryStats`]. Torn tails are reported
+//! so the caller can truncate them. The function is read-only;
+//! [`apply_sanitize`] performs the truncations recovery recommends.
+//! Orphaned records interleaved mid-log are dropped logically here and
+//! physically retired by the caller's next checkpoint (the serve boot
+//! path always re-checkpoints the recovered state, which truncates the
+//! covered log).
 
-use crate::checkpoint::{list_checkpoints, load_checkpoint, LoadedCheckpoint};
-use crate::record::{decode_frame, FrameOutcome, Record};
-use crate::segment::list_segments;
+use crate::chain::{Frame, Verdict, Walk};
+use crate::checkpoint::{choose_checkpoint, LoadedCheckpoint};
+use crate::record::Record;
 use crate::WalError;
 use std::path::{Path, PathBuf};
 
@@ -61,6 +40,8 @@ pub struct RecoveryStats {
     pub orphaned_records: u64,
     /// Term of the checkpoint recovery started from (0 if none).
     pub checkpoint_term: u64,
+    /// Newer checkpoints passed over because they did not load.
+    pub checkpoints_rejected: u64,
 }
 
 /// The result of scanning a data directory.
@@ -115,110 +96,64 @@ impl Recovered {
 pub fn recover(data_dir: &Path) -> Result<Recovered, WalError> {
     let io = |e: std::io::Error| WalError(format!("recovery io: {e}"));
 
-    let mut checkpoint = None;
-    for ckpt in list_checkpoints(data_dir).map_err(io)?.iter().rev() {
-        match load_checkpoint(ckpt) {
-            Ok(loaded) => {
-                checkpoint = Some(loaded);
-                break;
-            }
-            Err(_) => continue, // unverifiable checkpoint: fall back
-        }
-    }
-    let base_epoch = checkpoint.as_ref().map(|c| c.epoch).unwrap_or(0);
-    let base_term = checkpoint.as_ref().map(|c| c.term).unwrap_or(0);
-
+    let choice = choose_checkpoint(data_dir).map_err(io)?;
+    let checkpoint = choice.loaded;
+    let (base_epoch, base_term) = checkpoint.as_ref().map_or((0, 0), |c| (c.epoch, c.term));
     let mut stats = RecoveryStats {
         checkpoint_epoch: base_epoch,
         checkpoint_term: base_term,
+        checkpoints_rejected: choice.passed_over.len() as u64,
         ..RecoveryStats::default()
     };
     let mut records: Vec<Record> = Vec::new();
     let mut torn: Vec<(PathBuf, u64)> = Vec::new();
-    let mut last_epoch = base_epoch;
-    let mut last_term = base_term;
-    let mut stopped = false;
 
-    let segments = list_segments(data_dir).map_err(io)?;
-    let last_seq = segments.last().map(|(seq, _)| *seq).unwrap_or(0);
-
-    for (_seq, path) in &segments {
-        let buf = std::fs::read(path).map_err(io)?;
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            match decode_frame(&buf[pos..]) {
-                FrameOutcome::Complete(rec, consumed) => {
-                    pos += consumed;
-                    if stopped {
-                        stats.discarded_records += 1;
-                        stats.discarded_bytes += consumed as u64;
-                        continue;
-                    }
-                    if rec.term < last_term {
-                        // A deposed primary's lineage: a later term has
-                        // already been established (by the checkpoint
-                        // or an earlier record), so this suffix was
-                        // fenced off at failover. Never replay it.
-                        stats.orphaned_records += 1;
-                        stats.discarded_bytes += consumed as u64;
-                        continue;
-                    }
-                    if rec.term > last_term {
-                        // A new term begins. Anything accepted at or
-                        // above its epoch belonged to the previous
-                        // term's unshipped tail and was orphaned by the
-                        // failover — retract it before chaining.
-                        while records.last().is_some_and(|p| p.epoch >= rec.epoch) {
-                            records.pop();
-                            stats.replayed_records -= 1;
-                            stats.orphaned_records += 1;
-                        }
-                        last_epoch = records.last().map(|r| r.epoch).unwrap_or(base_epoch);
-                        last_term = rec.term;
-                    }
-                    let duplicates_tail = rec.epoch == last_epoch
-                        && records.last().is_some_and(|prev| prev.epoch == rec.epoch);
-                    if duplicates_tail {
-                        // Two records for one epoch: the earlier append
-                        // was logged but its in-process install failed
-                        // before acknowledgement, so the writer reused
-                        // the epoch. The later record is the transition
-                        // that was actually acknowledged — it wins.
-                        if let Some(prev) = records.last_mut() {
-                            *prev = rec;
-                        }
-                        stats.skipped_records += 1;
-                    } else if rec.epoch <= last_epoch {
-                        stats.skipped_records += 1;
-                    } else if rec.epoch == last_epoch + 1 {
-                        last_epoch = rec.epoch;
-                        stats.replayed_records += 1;
-                        records.push(rec);
-                    } else {
-                        // An epoch gap: records are missing between the
-                        // accepted prefix and this one. Nothing after
-                        // can be trusted to describe a state we hold.
-                        stats.corrupt = true;
-                        stopped = true;
-                        stats.discarded_records += 1;
-                        stats.discarded_bytes += consumed as u64;
-                    }
+    let walk = Walk::open(data_dir, base_epoch, base_term).map_err(io)?;
+    let last_seq = walk.last_seq;
+    for step in walk {
+        match step.frame {
+            Frame::Record(rec, Verdict::Replay) => records.push(rec),
+            Frame::Record(rec, Verdict::Supersede) => {
+                // The later record is the transition that was actually
+                // acknowledged.
+                if let Some(prev) = records.last_mut() {
+                    *prev = rec;
                 }
-                FrameOutcome::Torn => {
-                    stats.torn_tail = true;
-                    stats.discarded_bytes += (buf.len() - pos) as u64;
-                    torn.push((path.clone(), pos as u64));
-                    break; // next segment may still continue the chain
-                }
-                FrameOutcome::Corrupt(_) => {
-                    stats.corrupt = true;
-                    stats.discarded_bytes += (buf.len() - pos) as u64;
-                    stopped = true;
-                    break; // framing is lost for the rest of this file
+                stats.skipped_records += 1;
+            }
+            Frame::Record(_, Verdict::Covered) => stats.skipped_records += 1,
+            Frame::Record(_, Verdict::Fenced { .. }) => {
+                stats.orphaned_records += 1;
+                stats.discarded_bytes += step.bytes;
+            }
+            Frame::Record(rec, Verdict::RetractTo { to, replay }) => {
+                let kept = records.partition_point(|r| r.epoch <= to);
+                stats.orphaned_records += (records.len() - kept) as u64;
+                records.truncate(kept);
+                if replay {
+                    records.push(rec);
+                } else {
+                    stats.skipped_records += 1;
                 }
             }
+            Frame::Record(_, verdict @ (Verdict::Gap { .. } | Verdict::Discarded)) => {
+                stats.corrupt |= verdict != Verdict::Discarded;
+                stats.discarded_records += 1;
+                stats.discarded_bytes += step.bytes;
+            }
+            Frame::Torn => {
+                stats.torn_tail = true;
+                stats.discarded_bytes += step.bytes;
+                torn.push((step.segment.to_path_buf(), step.offset));
+            }
+            Frame::Corrupt(_) => {
+                stats.corrupt = true;
+                stats.discarded_bytes += step.bytes;
+            }
+            Frame::Unreadable(e) => return Err(io(e)),
         }
     }
+    stats.replayed_records = records.len() as u64;
 
     intensio_obs::gauge("recovery.replayed_records", stats.replayed_records as i64);
     intensio_obs::gauge("recovery.skipped_records", stats.skipped_records as i64);
@@ -226,6 +161,10 @@ pub fn recover(data_dir: &Path) -> Result<Recovered, WalError> {
     intensio_obs::gauge("recovery.discarded_bytes", stats.discarded_bytes as i64);
     intensio_obs::gauge("recovery.checkpoint_epoch", base_epoch as i64);
     intensio_obs::gauge("recovery.orphaned_records", stats.orphaned_records as i64);
+    intensio_obs::gauge(
+        "recovery.checkpoints_rejected",
+        stats.checkpoints_rejected as i64,
+    );
 
     Ok(Recovered {
         checkpoint,
@@ -256,7 +195,7 @@ pub fn apply_sanitize(recovered: &Recovered) -> Result<(), WalError> {
 mod tests {
     use super::*;
     use crate::log::Wal;
-    use crate::segment::{segment_file_name, WAL_SUBDIR};
+    use crate::segment::{list_segments, segment_file_name, WAL_SUBDIR};
     use crate::{FsyncPolicy, WalConfig};
 
     fn tmpdir(name: &str) -> PathBuf {

@@ -10,11 +10,16 @@
 //! * a **ghost suffix** — a deposed primary's low-term records after a
 //!   higher-term fencepost — exits 1 with `IC060 error`, and the
 //!   finding is byte-identical across runs;
+//! * a newest checkpoint whose **manifest verifies but whose database
+//!   does not load** exits 1 with `IC066 error` naming the load
+//!   failure, plus the `IC063` gap recovery hits from the older
+//!   checkpoint it falls back to;
 //! * usage errors (missing or non-directory operand) exit 2.
 
 use intensio_storage::catalog::Database;
 use intensio_wal::checkpoint::write_checkpoint;
 use intensio_wal::record::Record;
+use intensio_wal::recover::recover;
 use intensio_wal::segment::{segment_file_name, WAL_SUBDIR};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -180,6 +185,51 @@ fn ghost_suffix_corpus_fails_with_a_deterministic_ic060() {
         "json: {}",
         String::from_utf8_lossy(&json.stdout)
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unloadable_newest_checkpoint_fails_with_ic066_and_the_gap_recovery_hits() {
+    // Checkpoints at epochs 2 and 4, log records 5-6. The epoch-4
+    // checkpoint's manifest verifies, but its database does not load,
+    // so recovery boots from epoch 2 and stops at the missing 3-4.
+    let dir = corpus_dir("unloadable");
+    write_checkpoint(&dir, &Database::new(), None, 2, 2, 0).unwrap();
+    let newest = write_checkpoint(&dir, &Database::new(), None, 4, 4, 0).unwrap();
+    write_segment(
+        &dir,
+        1,
+        &[Record::write(5, 5, "e"), Record::write(6, 6, "f")],
+    );
+    std::fs::remove_file(newest.path.join("db").join("_schema.csv")).unwrap();
+
+    let recovered = recover(&dir).unwrap();
+    assert_eq!(recovered.stats.checkpoint_epoch, 2);
+    assert!(recovered.stats.corrupt);
+    assert!(recovered.records.is_empty());
+    assert_eq!(recovered.stats.checkpoints_rejected, 1);
+    assert_eq!(
+        intensio_obs::metrics().gauge_value("recovery.checkpoints_rejected"),
+        Some(1),
+        "the skipped checkpoint shows in STATS"
+    );
+
+    let out = run_fsck(&[dir.to_str().unwrap()]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    let ckpt_name = newest.path.file_name().unwrap().to_str().unwrap();
+    assert!(
+        text.lines().any(|l| l.contains("IC066 error")
+            && l.contains(ckpt_name)
+            && l.contains("checkpoint does not load")
+            && l.contains("loading checkpoint db")),
+        "the load failure is named on the skipped checkpoint:\n{text}"
+    );
+    assert!(
+        text.contains("IC063 error") && text.contains("chain ends at epoch 2"),
+        "the gap recovery hits after falling back:\n{text}"
+    );
+    assert!(text.contains("2 error(s)"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
