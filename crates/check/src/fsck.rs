@@ -63,7 +63,8 @@ fn checkpoint_audit(dir: &Path, report: &mut Report) -> (u64, u64) {
             return (0, 0);
         }
     };
-    for (path, why) in choice.passed_over.into_iter().chain(choice.unusable) {
+    let passed_over = choice.passed_over.into_iter().map(|(c, why)| (c.path, why));
+    for (path, why) in passed_over.chain(choice.unusable) {
         let name = file_name(&path, "checkpoint");
         let bad =
             |message: String| Diagnostic::new("IC066", Severity::Error, name.clone(), message);

@@ -41,5 +41,5 @@ pub mod workspace;
 pub use dictionary::DataDictionary;
 pub use error::IqpError;
 pub use processor::{answer, answer_intensional, Answer, IntensionalQueryProcessor};
-pub use summary::{summarize, AnswerSummary, SummaryGroup, SummaryLevel};
+pub use summary::{summarize, summarize_selection, AnswerSummary, SummaryGroup, SummaryLevel};
 pub use workspace::{load_workspace, save_workspace};

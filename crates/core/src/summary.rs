@@ -9,7 +9,9 @@
 //! schema.
 
 use intensio_ker::model::{subtype_label_among, KerModel};
+use intensio_sql::Selection;
 use intensio_storage::relation::Relation;
+use intensio_storage::schema::Schema;
 use intensio_storage::value::{Value, ValueRef};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -99,10 +101,27 @@ impl fmt::Display for AnswerSummary {
 /// SQL executor may be alias-prefixed (`c.Type`); the suffix after the
 /// last `.` is matched.
 pub fn summarize(rel: &Relation, model: &KerModel) -> AnswerSummary {
-    let classifiers = model.classifier_list();
+    summarize_columns(rel.schema(), rel.len(), model, |c| {
+        rel.iter().map(move |t| t.get(c))
+    })
+}
 
+/// [`summarize`] over a [`Selection`]'s rows, read in place.
+pub fn summarize_selection(sel: &Selection, model: &KerModel) -> AnswerSummary {
+    summarize_columns(sel.schema(), sel.len(), model, |c| sel.column(c))
+}
+
+/// Count each classifying column's values, borrowed from the answer:
+/// `column(c)` yields column `c` of every one of the `total` rows.
+fn summarize_columns<'v, I: Iterator<Item = &'v Value>>(
+    schema: &Schema,
+    total: usize,
+    model: &KerModel,
+    column: impl Fn(usize) -> I,
+) -> AnswerSummary {
+    let classifiers = model.classifier_list();
     let mut levels = Vec::new();
-    for (idx, attr) in rel.schema().attributes().iter().enumerate() {
+    for (idx, attr) in schema.attributes().iter().enumerate() {
         let base_name = attr.name().rsplit('.').next().unwrap_or(attr.name());
         if !classifiers
             .iter()
@@ -110,14 +129,28 @@ pub fn summarize(rel: &Relation, model: &KerModel) -> AnswerSummary {
         {
             continue;
         }
+        // Rows follow base-row order, so equal values mostly arrive in
+        // runs: count a run, then add it to its group once. The group
+        // keeps the first value of its first run.
         let mut counts: BTreeMap<ValueRef<'_>, usize> = BTreeMap::new();
-        for t in rel.iter() {
-            *counts.entry(ValueRef(t.get(idx))).or_insert(0) += 1;
+        let mut run: Option<(ValueRef<'_>, usize)> = None;
+        for v in column(idx).map(ValueRef) {
+            match &mut run {
+                Some((first, n)) if *first == v => *n += 1,
+                _ => {
+                    if let Some((first, n)) = run.replace((v, 1)) {
+                        *counts.entry(first).or_insert(0) += n;
+                    }
+                }
+            }
+        }
+        if let Some((first, n)) = run {
+            *counts.entry(first).or_insert(0) += n;
         }
         let mut groups: Vec<SummaryGroup> = counts
             .into_iter()
             .map(|(v, count)| SummaryGroup {
-                subtype: subtype_label_among(&classifiers, base_name, v.0),
+                subtype: subtype_label_among(classifiers, base_name, v.0),
                 value: v.0.clone(),
                 count,
             })
@@ -128,10 +161,7 @@ pub fn summarize(rel: &Relation, model: &KerModel) -> AnswerSummary {
             groups,
         });
     }
-    AnswerSummary {
-        total: rel.len(),
-        levels,
-    }
+    AnswerSummary { total, levels }
 }
 
 #[cfg(test)]

@@ -306,7 +306,7 @@ impl<'m> Ils<'m> {
         };
         let mut plan = self.plan(db, old_sources)?;
         let jobs = std::mem::take(&mut plan.jobs);
-        let results = plan.run_jobs(jobs, &self.cfg, &self.model.classifier_list(), threads);
+        let results = plan.run_jobs(jobs, &self.cfg, self.model.classifier_list(), threads);
         let (out, sources) = self.assemble(plan, results)?;
         memo.learned = Some(Learned {
             model,
@@ -555,7 +555,7 @@ impl<'m> Ils<'m> {
                         continue;
                     }
                     rule.rhs_subtype = rule.rhs.range.as_point().and_then(|v| {
-                        subtype_label_among(&classifiers, &rule.rhs.attr.attribute, v)
+                        subtype_label_among(classifiers, &rule.rhs.attr.attribute, v)
                     });
                     out.rules.push(rule);
                     out.stats.rules_kept += 1;

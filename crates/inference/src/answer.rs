@@ -213,49 +213,49 @@ impl IntensionalAnswer {
     }
 
     /// Render the answer as English sentences in the spirit of the
-    /// paper's `A_I` examples.
+    /// paper's `A_I` examples, one per line.
     pub fn render(&self) -> String {
-        if self.is_empty() {
-            return "No intensional characterization could be derived.".to_string();
-        }
         let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Append the text of [`IntensionalAnswer::render`] to `out`.
+    pub fn render_into(&self, out: &mut String) {
+        use std::fmt::Write;
+        if self.is_empty() {
+            out.push_str("No intensional characterization could be derived.");
+            return;
+        }
+        // Writing into a `String` cannot fail.
         for f in &self.certain {
-            let sentence = match &f.subtype {
-                Some(s) => format!(
-                    "Every answer is a {s} ({}.{} = {}).",
-                    f.attr.object,
-                    f.attr.attribute,
-                    f.value.render_bare()
-                ),
-                None => format!(
-                    "Every answer has {}.{} = {}.",
-                    f.attr.object,
-                    f.attr.attribute,
-                    f.value.render_bare()
-                ),
+            let (object, attribute) = (&f.attr.object, &f.attr.attribute);
+            let _ = match &f.subtype {
+                Some(s) => write!(out, "Every answer is a {s} ({object}.{attribute} = "),
+                None => write!(out, "Every answer has {object}.{attribute} = "),
             };
-            let attribution = match f.rule_id {
-                Some(id) => format!(" [by rule R{id}, forward inference]"),
-                None => " [by type hierarchy]".to_string(),
+            f.value.write_bare(out);
+            out.push_str(if f.subtype.is_some() { ")." } else { "." });
+            let _ = match f.rule_id {
+                Some(id) => write!(out, " [by rule R{id}, forward inference]"),
+                None => out.write_str(" [by type hierarchy]"),
             };
-            out.push_str(&sentence);
-            out.push_str(&attribution);
             out.push('\n');
         }
         for b in &self.partial {
-            let target = b.subtype.clone().unwrap_or_else(|| {
-                format!(
-                    "{}.{} = {}",
-                    b.y.object,
-                    b.y.attribute,
-                    b.value.render_bare()
-                )
-            });
-            out.push_str(&format!(
-                "Instances with {}.{} {} are {target}.",
+            let _ = write!(
+                out,
+                "Instances with {}.{} {} are ",
                 b.x.object, b.x.attribute, b.range
-            ));
-            out.push_str(&format!(" [by rule R{}, backward inference", b.rule_id));
+            );
+            match &b.subtype {
+                Some(s) => out.push_str(s),
+                None => {
+                    let _ = write!(out, "{}.{} = ", b.y.object, b.y.attribute);
+                    b.value.write_bare(out);
+                }
+            }
+            let _ = write!(out, ". [by rule R{}, backward inference", b.rule_id);
             match b.complete {
                 Some(true) => out.push_str("; this covers all such instances]"),
                 Some(false) => out.push_str(
@@ -265,6 +265,5 @@ impl IntensionalAnswer {
             }
             out.push('\n');
         }
-        out
     }
 }

@@ -25,7 +25,7 @@
 //! relation caches until it next mutates.
 
 use crate::answer::{BackwardCharacterization, Direction, ForwardFact, IntensionalAnswer, RuleUse};
-use intensio_ker::model::{subtype_label_among, Classifier, KerModel};
+use intensio_ker::model::{subtype_label_among, KerModel};
 use intensio_rules::range::{Endpoint, ValueRange};
 use intensio_rules::rule::{AttrId, Clause, Rule, RuleSet};
 use intensio_sql::QueryAnalysis;
@@ -33,7 +33,6 @@ use intensio_storage::catalog::Database;
 use intensio_storage::error::Result;
 use intensio_storage::index::AttributeIndex;
 use intensio_storage::value::Value;
-use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How premise subsumption is decided.
@@ -79,9 +78,6 @@ pub struct InferenceEngine<'a> {
     /// completeness checks, through each relation's secondary indexes.
     db: &'a Database,
     cfg: InferenceConfig,
-    /// The model's classifiers, built on the first subtype label a
-    /// conclusion needs.
-    classifiers: OnceCell<Vec<Classifier>>,
 }
 
 impl<'a> InferenceEngine<'a> {
@@ -98,16 +94,12 @@ impl<'a> InferenceEngine<'a> {
             rules,
             db,
             cfg,
-            classifiers: OnceCell::new(),
         })
     }
 
     /// The subtype `attribute = value` selects, if any.
     fn subtype_label(&self, attribute: &str, value: &Value) -> Option<String> {
-        let classifiers = self
-            .classifiers
-            .get_or_init(|| self.model.classifier_list());
-        subtype_label_among(classifiers, attribute, value)
+        subtype_label_among(self.model.classifier_list(), attribute, value)
     }
 
     /// Derive the intensional answer for an analyzed query.

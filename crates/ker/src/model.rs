@@ -12,6 +12,7 @@ use intensio_storage::schema::{Attribute, Schema};
 use intensio_storage::value::{Value, ValueType};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An error while resolving a KER schema into a model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,6 +85,21 @@ pub struct KerModel {
     types: BTreeMap<String, ObjectType>,
     /// Preserves declaration order of object types for rendering.
     type_order: Vec<String>,
+    /// [`KerModel::classifier_list`], built on first use.
+    classifiers: ClassifierCache,
+}
+
+/// A model's classifier list, built once. It is derived from the
+/// model's types, so it takes no part in equality; a model is not
+/// changed after [`KerModel::from_schema`] returns, so it never goes
+/// stale.
+#[derive(Debug, Clone, Default)]
+struct ClassifierCache(OnceLock<Vec<Classifier>>);
+
+impl PartialEq for ClassifierCache {
+    fn eq(&self, _: &ClassifierCache) -> bool {
+        true
+    }
 }
 
 fn key(name: &str) -> String {
@@ -534,10 +550,13 @@ impl KerModel {
     }
 
     /// The classifiers of [`KerModel::classifiers`], in the same order,
-    /// without their parent names: build it once and label any number
-    /// of values with [`subtype_label_among`].
-    pub fn classifier_list(&self) -> Vec<Classifier> {
-        self.classifiers().into_iter().map(|(_, c)| c).collect()
+    /// without their parent names, for labelling any number of values
+    /// with [`subtype_label_among`]. Built on the first call; later
+    /// calls borrow the same list.
+    pub fn classifier_list(&self) -> &[Classifier] {
+        self.classifiers
+            .0
+            .get_or_init(|| self.classifiers().into_iter().map(|(_, c)| c).collect())
     }
 
     /// The subtype selected by `attribute = value` in *any* hierarchy
@@ -545,12 +564,8 @@ impl KerModel {
     /// names are assumed unique across the schema (true of the paper's
     /// test bed: `Type`, `Class`, `SonarType`); when several hierarchies
     /// share the attribute name, the first declared match wins.
-    ///
-    /// A caller labelling many values can build
-    /// [`KerModel::classifier_list`] once and call
-    /// [`subtype_label_among`] instead.
     pub fn subtype_label_for(&self, attribute: &str, value: &Value) -> Option<String> {
-        subtype_label_among(&self.classifier_list(), attribute, value)
+        subtype_label_among(self.classifier_list(), attribute, value)
     }
 
     /// The derivation clause(s) characterizing a subtype, if any.
@@ -578,13 +593,13 @@ impl KerModel {
 /// The subtype selected by `attribute = value` among `classifiers`, in
 /// the order [`KerModel::classifiers`] declares them: the first one on
 /// that attribute that maps the value wins.
-pub fn subtype_label_among<'c>(
-    classifiers: impl IntoIterator<Item = &'c Classifier>,
+pub fn subtype_label_among(
+    classifiers: &[Classifier],
     attribute: &str,
     value: &Value,
 ) -> Option<String> {
     classifiers
-        .into_iter()
+        .iter()
         .filter(|c| c.attribute.eq_ignore_ascii_case(attribute))
         .find_map(|c| c.subtype_for(value))
         .map(str::to_string)

@@ -81,10 +81,14 @@ pub struct ObjWriter {
 impl ObjWriter {
     /// Start an object (`{`).
     pub fn new() -> ObjWriter {
-        ObjWriter {
-            buf: "{".to_string(),
-            any: false,
-        }
+        ObjWriter::with_capacity(0)
+    }
+
+    /// Start an object (`{`) in a buffer of at least `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> ObjWriter {
+        let mut buf = String::with_capacity(capacity.max(1));
+        buf.push('{');
+        ObjWriter { buf, any: false }
     }
 
     fn key(&mut self, key: &str) {
@@ -100,6 +104,13 @@ impl ObjWriter {
     pub fn raw(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
         self.buf.push_str(value);
+        self
+    }
+
+    /// Add a member whose encoded value `write` appends to the buffer.
+    pub fn raw_with(&mut self, key: &str, write: impl FnOnce(&mut String)) -> &mut Self {
+        self.key(key);
+        write(&mut self.buf);
         self
     }
 
@@ -131,35 +142,18 @@ impl ObjWriter {
     }
 
     /// Add an array-of-strings member.
-    pub fn str_array(&mut self, key: &str, items: &[String]) -> &mut Self {
+    pub fn str_array<S: AsRef<str>>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = S>,
+    ) -> &mut Self {
         self.key(key);
         self.buf.push('[');
-        for (i, item) in items.iter().enumerate() {
+        for (i, item) in items.into_iter().enumerate() {
             if i > 0 {
                 self.buf.push(',');
             }
-            push_json_str(&mut self.buf, item);
-        }
-        self.buf.push(']');
-        self
-    }
-
-    /// Add an array-of-arrays-of-strings member (result rows).
-    pub fn rows(&mut self, key: &str, rows: &[Vec<String>]) -> &mut Self {
-        self.key(key);
-        self.buf.push('[');
-        for (i, row) in rows.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            self.buf.push('[');
-            for (j, cell) in row.iter().enumerate() {
-                if j > 0 {
-                    self.buf.push(',');
-                }
-                push_json_str(&mut self.buf, cell);
-            }
-            self.buf.push(']');
+            push_json_str(&mut self.buf, item.as_ref());
         }
         self.buf.push(']');
         self
@@ -360,7 +354,7 @@ mod tests {
             .str("note", "line1\nline\"2\"\t\\")
             .opt_str("summary", None)
             .str_array("cols", &["Id".to_string(), "Name".to_string()])
-            .rows("rows", &[vec!["a".to_string(), "b".to_string()], vec![]]);
+            .raw("rows", r#"[["a","b"],[]]"#);
         let line = w.finish();
         assert!(!line.contains('\n'), "wire format is single-line");
 

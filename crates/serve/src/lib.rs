@@ -45,7 +45,8 @@
 //!     "SELECT Class FROM CLASS WHERE Displacement > 8000".to_string(),
 //! ));
 //! let q = reply.query().expect("query reply");
-//! assert_eq!(q.rows.len(), 2);
+//! assert_eq!(q.row_count(), 2);
+//! assert_eq!(q.rows()[0].len(), 1);
 //! assert!(!q.cached);
 //! let again = service.submit(Request::Sql(
 //!     "SELECT CLASS.CLASS FROM CLASS WHERE CLASS.DISPLACEMENT > 8000".to_string(),

@@ -53,6 +53,11 @@
 
 use crate::json::ObjWriter;
 use crate::reply::{Reply, Request};
+use intensio_inference::IntensionalAnswer;
+use intensio_obs::push_json_str;
+use intensio_sql::Selection;
+use intensio_storage::value::Value;
+use std::fmt::Write as _;
 
 /// A decoded request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,12 +219,14 @@ pub fn format_trace_prefix(ctx: intensio_obs::TraceContext) -> String {
 /// lets a client stitch a REDIRECTed read into one cross-node trace: it
 /// re-issues against the primary under the id the reply confirmed.
 pub fn encode_reply_with_trace(reply: &Reply, ctx: Option<intensio_obs::TraceContext>) -> String {
-    let s = encode_reply(reply);
-    match ctx {
-        // `encode_reply` always produces `{"..."` — splice after the brace.
-        Some(t) => format!("{{\"trace\":\"{:016x}\",{}", t.trace_id, &s[1..]),
-        None => s,
+    let mut w = ObjWriter::with_capacity(size_hint(reply));
+    if let Some(t) = ctx {
+        w.raw_with("trace", |buf| {
+            let _ = write!(buf, "\"{:016x}\"", t.trace_id);
+        });
     }
+    encode_fields(&mut w, reply);
+    w.finish()
 }
 
 /// Turn the line-safe escapes back into script text: `\n` → newline,
@@ -252,19 +259,72 @@ pub fn escape_script(s: &str) -> String {
 
 /// Encode a service reply as one JSON line (no trailing newline).
 pub fn encode_reply(reply: &Reply) -> String {
-    let mut w = ObjWriter::new();
+    encode_reply_with_trace(reply, None)
+}
+
+/// A capacity that holds most encoded replies without regrowing: a
+/// query reply's rows and intensional lines dominate its size.
+fn size_hint(reply: &Reply) -> usize {
     match reply {
         Reply::Query(q) => {
-            let intensional: Vec<String> = if q.intensional.is_empty() {
-                Vec::new()
-            } else {
-                q.intensional
-                    .render()
-                    .lines()
-                    .map(str::to_string)
-                    .filter(|l| !l.is_empty())
-                    .collect()
-            };
+            let cells = q.result.len() * q.result.schema().arity();
+            let lines = q.intensional.certain.len() + q.intensional.partial.len();
+            256 + cells * 14 + lines * 128
+        }
+        _ => 256,
+    }
+}
+
+/// Write a selection's rows as an array of arrays of strings, each
+/// value rendered bare straight from the stored value.
+fn write_rows(buf: &mut String, sel: &Selection) {
+    buf.push('[');
+    for r in 0..sel.len() {
+        if r > 0 {
+            buf.push(',');
+        }
+        buf.push('[');
+        for (c, v) in sel.row(r).enumerate() {
+            if c > 0 {
+                buf.push(',');
+            }
+            match v {
+                Value::Str(s) => push_json_str(buf, s),
+                // No other value renders a character JSON escapes.
+                other => {
+                    buf.push('"');
+                    other.write_bare(buf);
+                    buf.push('"');
+                }
+            }
+        }
+        buf.push(']');
+    }
+    buf.push(']');
+}
+
+/// Write an intensional answer's non-empty rendered lines as an array
+/// of strings (empty when nothing was derived).
+fn write_intensional(buf: &mut String, answer: &IntensionalAnswer) {
+    buf.push('[');
+    if !answer.is_empty() {
+        let mut text = String::with_capacity(128 * (answer.certain.len() + answer.partial.len()));
+        answer.render_into(&mut text);
+        for (i, line) in text.lines().filter(|l| !l.is_empty()).enumerate() {
+            if i > 0 {
+                buf.push(',');
+            }
+            push_json_str(buf, line);
+        }
+    }
+    buf.push(']');
+}
+
+/// Encode a reply's members into `w`.
+fn encode_fields(w: &mut ObjWriter, reply: &Reply) {
+    match reply {
+        Reply::Query(q) => {
+            let columns = q.result.schema().attributes().iter().map(|a| a.name());
             w.bool("ok", true)
                 .str("kind", "query")
                 .num("epoch", q.epoch)
@@ -272,9 +332,9 @@ pub fn encode_reply(reply: &Reply) -> String {
                 .bool("rules_fresh", q.rules_fresh)
                 .bool("degraded", q.degraded)
                 .str("soundness", q.soundness.as_str())
-                .str_array("columns", &q.columns)
-                .rows("rows", &q.rows)
-                .str_array("intensional", &intensional)
+                .str_array("columns", columns)
+                .raw_with("rows", |buf| write_rows(buf, &q.result))
+                .raw_with("intensional", |buf| write_intensional(buf, &q.intensional))
                 .opt_str("headline", q.headline.as_deref())
                 .opt_str("summary", q.summary.as_deref());
             match q.affected {
@@ -283,16 +343,6 @@ pub fn encode_reply(reply: &Reply) -> String {
             };
         }
         Reply::Explain(e) => {
-            let intensional: Vec<String> = if e.intensional.is_empty() {
-                Vec::new()
-            } else {
-                e.intensional
-                    .render()
-                    .lines()
-                    .map(str::to_string)
-                    .filter(|l| !l.is_empty())
-                    .collect()
-            };
             w.bool("ok", true)
                 .str("kind", "explain")
                 .num("epoch", e.epoch)
@@ -301,7 +351,7 @@ pub fn encode_reply(reply: &Reply) -> String {
                 .bool("degraded", e.degraded)
                 .str("soundness", e.soundness.as_str())
                 .raw("provenance", &encode_provenance(&e.intensional.provenance))
-                .str_array("intensional", &intensional)
+                .raw_with("intensional", |buf| write_intensional(buf, &e.intensional))
                 .opt_str("headline", e.headline.as_deref());
         }
         Reply::Check(c) => {
@@ -442,7 +492,6 @@ pub fn encode_reply(reply: &Reply) -> String {
             w.bool("ok", false).str("error", message);
         }
     }
-    w.finish()
 }
 
 /// Encode armed failpoints as a JSON array of

@@ -2,6 +2,7 @@
 
 use intensio_check::Report;
 use intensio_inference::IntensionalAnswer;
+use intensio_sql::Selection;
 use std::sync::Arc;
 
 /// A request to the service.
@@ -103,10 +104,10 @@ pub struct QueryReply {
     pub degraded: bool,
     /// Soundness class of the intensional part.
     pub soundness: Soundness,
-    /// Output column names (empty for pure mutations).
-    pub columns: Vec<String>,
-    /// Extensional rows, values rendered bare.
-    pub rows: Vec<Vec<String>>,
+    /// The extensional answer, as row ids into the snapshot's relations
+    /// (a QUEL result's relation, or nothing for pure mutations); read
+    /// it through [`QueryReply::columns`] and [`QueryReply::rows`].
+    pub(crate) result: Selection,
     /// The intensional answer (shared with the cache).
     pub intensional: Arc<IntensionalAnswer>,
     /// One-sentence intensional summary, if derivable.
@@ -115,6 +116,27 @@ pub struct QueryReply {
     pub summary: Option<String>,
     /// Tuples affected, for mutating QUEL scripts.
     pub affected: Option<usize>,
+}
+
+impl QueryReply {
+    /// Output column names (empty for pure mutations).
+    pub fn columns(&self) -> Vec<&str> {
+        let attrs = self.result.schema().attributes();
+        attrs.iter().map(|a| a.name()).collect()
+    }
+
+    /// How many extensional rows the answer holds.
+    pub fn row_count(&self) -> usize {
+        self.result.len()
+    }
+
+    /// The extensional rows, each value rendered bare, as the wire
+    /// reply carries them.
+    pub fn rows(&self) -> Vec<Vec<String>> {
+        (0..self.result.len())
+            .map(|r| self.result.row(r).map(|v| v.render_bare()).collect())
+            .collect()
+    }
 }
 
 /// The provenance behind one query's intensional answer.

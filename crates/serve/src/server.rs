@@ -169,7 +169,7 @@ fn handle_connection(stream: NetConn, service: &Service, stop: &AtomicBool) -> s
                 // minting here (not in the worker) lets the reply echo
                 // the id so the client can stitch REDIRECT hops.
                 let (ctx, parsed) = parse_traced(&request);
-                let response = match parsed {
+                let mut response = match parsed {
                     Ok(WireRequest::Quit) => return Ok(()),
                     Ok(WireRequest::Execute(req)) => {
                         let ctx = ctx.or_else(intensio_obs::start_trace);
@@ -196,8 +196,9 @@ fn handle_connection(stream: NetConn, service: &Service, stop: &AtomicBool) -> s
                     }
                     Err(message) => encode_protocol_error(&message),
                 };
+                // One write per reply: its line and newline leave together.
+                response.push('\n');
                 writer.write_all(response.as_bytes())?;
-                writer.write_all(b"\n")?;
                 writer.flush()?;
                 // Drain semantics: the in-flight request just got its
                 // complete reply; during shutdown, close instead of

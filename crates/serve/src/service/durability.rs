@@ -191,6 +191,7 @@ pub(super) fn boot(
     let mut recovered = match &cfg.data_dir {
         Some(dir) => {
             let recovered = intensio_wal::recover(dir).map_err(err)?;
+            refuse_rollback(&recovered)?;
             intensio_wal::recover::apply_sanitize(&recovered).map_err(err)?;
             Some((dir, recovered))
         }
@@ -276,6 +277,28 @@ pub(super) fn boot(
         rejected,
         pruned,
     })
+}
+
+/// Refuse to boot a state older than a checkpoint recovery passed
+/// over. A newer checkpoint truncated the log it covers, so booting
+/// from an older one would serve a rollback that recovery cannot see
+/// as a gap, and reuse the lost epochs for new writes. A rejected
+/// checkpoint that replay still reaches is harmless.
+fn refuse_rollback(recovered: &intensio_wal::Recovered) -> Result<(), ServeError> {
+    let reached = recovered.final_epoch();
+    match recovered
+        .passed_over
+        .iter()
+        .find(|(c, _)| c.epoch > reached)
+    {
+        Some((c, why)) => Err(ServeError(format!(
+            "recovery: checkpoint {} at epoch {} was rejected ({why}), and recovery reaches \
+             only epoch {reached}; refusing to serve the older state",
+            c.path.display(),
+            c.epoch
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Write a checkpoint of `snap` through `write`, the one rule-less

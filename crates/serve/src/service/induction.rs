@@ -90,13 +90,17 @@ fn induce_once(shared: &Shared) -> Induce {
             .inspect_err(|_| intensio_obs::inc("wal.unloggable_rulesets"))?;
         Ok(Record::rules(next.epoch, next.data_version, body).with_term(next.term))
     };
+    // Counted before the install publishes the rules, so a reader that
+    // sees them fresh also sees their induction; a failed commit
+    // installs nothing and takes the count back.
+    shared.counters.inductions.fetch_add(1, Ordering::Relaxed);
     if shared
         .commit(current.after_induction(dictionary), record, Barrier::Policy)
         .is_err()
     {
+        shared.counters.inductions.fetch_sub(1, Ordering::Relaxed);
         return Induce::Failed;
     }
-    shared.counters.inductions.fetch_add(1, Ordering::Relaxed);
     Induce::Installed
 }
 

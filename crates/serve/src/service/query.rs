@@ -23,8 +23,7 @@ use crate::reply::{
 use crate::snapshot::Snapshot;
 use intensio_inference::{condition_fingerprint, InferenceEngine, IntensionalAnswer};
 use intensio_quel::{AccessKind, Output, Session};
-use intensio_sql::{analyze, parse};
-use intensio_storage::relation::Relation;
+use intensio_sql::{analyze, parse, Selection};
 use intensio_wal::record::Record;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -289,23 +288,21 @@ fn exec_sql(shared: &Shared, sql: &str, deadline: Option<std::time::Instant>) ->
         Ok(r) => r,
         Err(reply) => return *reply,
     };
-    let extensional = match intensio_sql::execute(&snap.db, &q) {
+    let extensional = match intensio_sql::select(&snap.db, &q) {
         Ok(r) => r,
         Err(e) => return error(format!("sql execute: {e}")),
     };
 
-    let summary = intensio_core::summarize(&extensional, snap.dictionary.model());
+    let summary = intensio_core::summarize_selection(&extensional, snap.dictionary.model());
     shared.counters.queries.fetch_add(1, Ordering::Relaxed);
     intensio_obs::inc("serve.queries");
-    let (columns, rows) = render_relation(&extensional);
     Reply::Query(QueryReply {
         epoch: snap.epoch,
         cached,
         rules_fresh: snap.rules_fresh,
         degraded,
         soundness: Soundness::of(&intensional),
-        columns,
-        rows,
+        result: extensional,
         headline: intensional.headline(),
         intensional,
         summary: if summary.is_empty() {
@@ -369,12 +366,12 @@ fn exec_profile(shared: &Shared, sql: &str, deadline: Option<std::time::Instant>
         cached: q.cached,
         rules_fresh: q.rules_fresh,
         degraded: q.degraded,
-        rows: q.rows.len() as u64,
+        rows: q.row_count() as u64,
         total_us,
         tree: vec![ProfileNode {
             name: "request".to_string(),
             duration_us: total_us,
-            fields: vec![("rows".to_string(), q.rows.len().to_string())],
+            fields: vec![("rows".to_string(), q.row_count().to_string())],
             children,
         }],
     }))
@@ -480,7 +477,7 @@ fn quel_read(shared: &Shared, script: &str) -> Reply {
         Err(e) => return error(format!("quel: {e}")),
     };
     shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-    Reply::Query(quel_reply(&snap, &outputs))
+    Reply::Query(quel_reply(&snap, outputs))
 }
 
 /// Mutating scripts are serialized, applied transactionally to a COW
@@ -498,7 +495,7 @@ fn quel_write(shared: &Shared, script: &str) -> Reply {
         Err(e) => return error(format!("quel: {e}")),
     };
     let next = snap.after_write(db);
-    let reply = quel_reply(&next, &outputs);
+    let reply = quel_reply(&next, outputs);
     // Durability barrier: the record must be on the log (under the
     // configured fsync policy) before the new epoch is published or the
     // client acknowledged.
@@ -515,9 +512,9 @@ fn quel_write(shared: &Shared, script: &str) -> Reply {
     Reply::Query(reply)
 }
 
-fn quel_reply(snap: &Snapshot, outputs: &[Output]) -> QueryReply {
+fn quel_reply(snap: &Snapshot, outputs: Vec<Output>) -> QueryReply {
     let mut affected = None;
-    let mut result: Option<&Relation> = None;
+    let mut result = None;
     for out in outputs {
         match out {
             Output::Relation(r) => result = Some(r),
@@ -525,37 +522,18 @@ fn quel_reply(snap: &Snapshot, outputs: &[Output]) -> QueryReply {
             Output::None | Output::Stored(_) => {}
         }
     }
-    let (columns, rows) = match result {
-        Some(r) => render_relation(r),
-        None => (Vec::new(), Vec::new()),
-    };
     QueryReply {
         epoch: snap.epoch,
         cached: false,
         rules_fresh: snap.rules_fresh,
         degraded: false,
         soundness: Soundness::None,
-        columns,
-        rows,
+        result: result.map(Selection::from).unwrap_or_default(),
         intensional: Arc::new(IntensionalAnswer::default()),
         headline: None,
         summary: None,
         affected,
     }
-}
-
-fn render_relation(rel: &Relation) -> (Vec<String>, Vec<Vec<String>>) {
-    let columns = rel
-        .schema()
-        .attributes()
-        .iter()
-        .map(|a| a.name().to_string())
-        .collect();
-    let rows = rel
-        .iter()
-        .map(|t| t.values().iter().map(|v| v.render_bare()).collect())
-        .collect();
-    (columns, rows)
 }
 
 pub(super) fn error(message: String) -> Reply {

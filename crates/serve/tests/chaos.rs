@@ -107,7 +107,7 @@ fn randomized_faults_never_produce_wrong_answers_and_recovery_follows() {
                     Reply::Query(q) => {
                         if is_stable {
                             // Degraded or not, the rows must be right.
-                            assert_stable_rows(&q.rows);
+                            assert_stable_rows(&q.rows());
                         }
                     }
                     // Explicit failure modes are the contract working.
@@ -141,7 +141,7 @@ fn randomized_faults_never_produce_wrong_answers_and_recovery_follows() {
     );
     match service.submit(Request::Sql(STABLE.to_string())) {
         Reply::Query(q) => {
-            assert_stable_rows(&q.rows);
+            assert_stable_rows(&q.rows());
             assert!(!q.degraded, "no reason to degrade once faults stop");
             assert!(q.rules_fresh);
         }
@@ -181,7 +181,7 @@ fn dead_workers_are_restarted_by_the_supervisor() {
 
     // Full strength again: the pool still answers correctly.
     match service.submit(Request::Sql(STABLE.to_string())) {
-        Reply::Query(q) => assert_stable_rows(&q.rows),
+        Reply::Query(q) => assert_stable_rows(&q.rows()),
         other => panic!("post-restart query failed: {other:?}"),
     }
 }
@@ -278,7 +278,7 @@ fn expired_deadline_degrades_but_rows_stay_correct() {
         Reply::Query(q) => {
             assert!(q.degraded, "over-budget answer must be flagged");
             assert!(!q.cached, "nothing was cached yet");
-            assert_stable_rows(&q.rows);
+            assert_stable_rows(&q.rows());
             assert!(
                 q.intensional.is_empty(),
                 "extensional-only degradation carries no characterization"
@@ -314,7 +314,7 @@ fn failed_inference_falls_back_to_stale_cached_answer() {
         Reply::Query(q) => {
             assert!(q.degraded, "stale fallback must be flagged");
             assert!(q.cached, "the fallback came from the cache");
-            assert_stable_rows(&q.rows);
+            assert_stable_rows(&q.rows());
             assert_eq!(
                 q.intensional.render(),
                 primed.intensional.render(),
@@ -342,7 +342,7 @@ fn rejected_rule_sets_show_up_in_the_metrics_snapshot() {
     println!("chaos metrics snapshot: {}", stats.metrics.to_json());
 
     match service.submit(Request::Sql("SELECT Gid FROM G".to_string())) {
-        Reply::Query(q) => assert_eq!(q.rows.len(), 2),
+        Reply::Query(q) => assert_eq!(q.row_count(), 2),
         other => panic!("extensional query failed: {other:?}"),
     }
 }
@@ -397,7 +397,7 @@ fn queue_overflow_sheds_with_busy() {
     // Shedding is not sticking: once the burst passes, requests flow.
     intensio_fault::clear();
     match service.submit(Request::Sql(STABLE.to_string())) {
-        Reply::Query(q) => assert_stable_rows(&q.rows),
+        Reply::Query(q) => assert_stable_rows(&q.rows()),
         other => panic!("post-shed query failed: {other:?}"),
     }
 }

@@ -76,7 +76,7 @@ fn conflicting_rules_are_rejected_at_open_and_service_stays_up() {
     // Extensional service is unaffected by the missing knowledge.
     match service.submit(Request::Sql("SELECT Gid FROM G".to_string())) {
         Reply::Query(q) => {
-            assert_eq!(q.rows.len(), 2);
+            assert_eq!(q.row_count(), 2);
             assert!(!q.rules_fresh);
         }
         other => panic!("extensional query failed: {other:?}"),

@@ -77,8 +77,9 @@ fn hammer_mixed_reads_and_writes_from_eight_threads() {
                         if is_stable_probe {
                             // The oracle: writes touch only SUBMARINE,
                             // so this answer is invariant.
+                            let rows = q.rows();
                             let mut classes: Vec<&str> =
-                                q.rows.iter().map(|r| r[0].as_str()).collect();
+                                rows.iter().map(|r| r[0].as_str()).collect();
                             classes.sort_unstable();
                             assert_eq!(classes, ["0101", "1301"], "incorrect answer under load");
                         }
@@ -121,7 +122,7 @@ fn hammer_mixed_reads_and_writes_from_eight_threads() {
     assert!(count.query().is_some());
     let all = service.submit(Request::Sql("SELECT Id FROM SUBMARINE".to_string()));
     assert_eq!(
-        all.query().unwrap().rows.len(),
+        all.query().unwrap().row_count(),
         24 + expected_writes as usize
     );
 }
@@ -151,7 +152,7 @@ fn cache_hit_is_bit_for_bit_identical_to_the_miss() {
     assert_eq!(miss.epoch, hit.epoch);
 
     // The extensional parts are *not* shared: each query's own rows.
-    assert_ne!(miss.columns, hit.columns);
+    assert_ne!(miss.columns(), hit.columns());
 }
 
 #[test]
@@ -195,8 +196,8 @@ fn writes_trigger_background_reinduction_without_blocking_readers() {
         "re-induced rules still derive the Example 1 characterization"
     );
     assert_eq!(
-        after.rows.len(),
-        before.rows.len() + 1,
+        after.row_count(),
+        before.row_count() + 1,
         "the appended class-0101 submarine joins the answer"
     );
 }
@@ -210,7 +211,7 @@ fn read_only_quel_scratch_output_is_discarded() {
     ));
     let q = reply.query().unwrap().clone();
     assert_eq!(q.epoch, 0, "scratch writes do not make an epoch");
-    assert_eq!(q.rows.len(), 24);
+    assert_eq!(q.row_count(), 24);
 
     let stats = service.stats();
     assert_eq!(stats.writes, 0);
@@ -237,7 +238,7 @@ fn failing_write_script_installs_nothing() {
     assert_eq!(stats.writes, 0);
     let sub = service.submit(Request::Sql("SELECT Id FROM SUBMARINE".to_string()));
     assert_eq!(
-        sub.query().unwrap().rows.len(),
+        sub.query().unwrap().row_count(),
         24,
         "the first statement's append was rolled back with the clone"
     );

@@ -22,6 +22,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn open_durable(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> Service {
+    try_open_durable(dir, fsync, checkpoint_every).unwrap()
+}
+
+fn try_open_durable(
+    dir: &Path,
+    fsync: FsyncPolicy,
+    checkpoint_every: u64,
+) -> Result<Service, intensio_serve::ServeError> {
     let db = intensio_shipdb::ship_database().unwrap();
     let model = intensio_shipdb::ship_model().unwrap();
     let cfg = ServiceConfig {
@@ -34,7 +42,7 @@ fn open_durable(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> Servic
         },
         ..ServiceConfig::default()
     };
-    Service::with_config(db, model, cfg).unwrap()
+    Service::with_config(db, model, cfg)
 }
 
 fn append_sub(service: &Service, id: &str, name: &str) -> u64 {
@@ -51,7 +59,7 @@ fn count_subs(service: &Service, prefix: &str) -> usize {
     let reply = service.submit(Request::Sql("SELECT Id, Name FROM SUBMARINE".to_string()));
     match reply {
         Reply::Query(q) => q
-            .rows
+            .rows()
             .iter()
             .filter(|row| row.first().is_some_and(|id| id.starts_with(prefix)))
             .count(),
@@ -265,5 +273,114 @@ fn directly_subsumed_recovered_rules_are_pruned_on_install() {
     assert_eq!(s.rulesets_rejected, 0, "a redundant set is not rejected");
     assert_eq!(s.rules_pruned, 1, "the narrower duplicate is dropped");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Checkpoint directory names under `dir`, oldest first: the fixed-width
+/// hex `ckpt-<epoch>-<seq>` names sort by `(epoch, seq)`.
+fn checkpoint_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir.join("checkpoints"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.starts_with("ckpt-"))
+        .collect();
+    names.sort();
+    names
+}
+
+fn checkpoint_epoch(name: &str) -> u64 {
+    let (epoch, _seq) = name["ckpt-".len()..].split_once('-').unwrap();
+    u64::from_str_radix(epoch, 16).unwrap()
+}
+
+#[test]
+fn a_rejected_checkpoint_past_the_replayed_log_refuses_to_boot() {
+    let dir = temp_dir("rollback");
+    {
+        let service = open_durable(&dir, FsyncPolicy::Always, 3);
+        for i in 0..8 {
+            append_sub(&service, &format!("RBK{i:04}"), &format!("Rollback {i}"));
+        }
+        // Wait for a checkpoint at the last epoch: it deletes every log
+        // segment. Re-induction appends records of its own, so a write
+        // more may be needed before the cadence lands on the last one.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let mut extra = 0;
+        loop {
+            let s = stats(&service);
+            let newest = checkpoint_names(&dir)
+                .pop()
+                .map_or(0, |n| checkpoint_epoch(&n));
+            if s.rules_fresh && newest == s.epoch {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no covering checkpoint"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            if stats(&service).epoch == s.epoch && s.rules_fresh {
+                append_sub(&service, &format!("RBX{extra:04}"), "Extra");
+                extra += 1;
+            }
+        }
+    }
+    // The newest checkpoint truncated the whole log; without its
+    // database, recovery can only fall back to an older checkpoint.
+    let newest = checkpoint_names(&dir).pop().unwrap();
+    let epoch = checkpoint_epoch(&newest);
+    std::fs::remove_file(dir.join("checkpoints").join(&newest).join("db/_schema.csv")).unwrap();
+    let recovered = intensio_wal::recover(&dir).unwrap();
+    let reached = recovered.final_epoch();
+    assert!(reached < epoch, "replay reaches epoch {reached} >= {epoch}");
+
+    let message = match try_open_durable(&dir, FsyncPolicy::Always, 3) {
+        Ok(_) => panic!("booted epoch {reached} behind a rejected checkpoint at {epoch}"),
+        Err(e) => e.to_string(),
+    };
+    for needle in [
+        format!("at epoch {epoch} was rejected"),
+        format!("reaches only epoch {reached}"),
+        "does not load".to_string(),
+    ] {
+        assert!(message.contains(&needle), "{needle:?} not in {message:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_rejected_checkpoint_the_log_still_covers_boots() {
+    let dir = temp_dir("covered");
+    {
+        // Only the boot checkpoint: the log keeps every record.
+        let service = open_durable(&dir, FsyncPolicy::Always, 1000);
+        for i in 0..4 {
+            append_sub(&service, &format!("COV{i:04}"), &format!("Covered {i}"));
+        }
+    }
+    // A newer checkpoint that does not load, at an epoch the log
+    // reaches, and one past it.
+    let boot = checkpoint_names(&dir).pop().unwrap();
+    let reached = intensio_wal::recover(&dir).unwrap().final_epoch();
+    let forge = |epoch: u64| {
+        let name = format!("ckpt-{epoch:016x}-{:04x}", 0xfff);
+        let path = dir.join("checkpoints").join(name);
+        std::fs::create_dir_all(&path).unwrap();
+        std::fs::write(path.join("MANIFEST"), "not a manifest").unwrap();
+        path
+    };
+    let covered = forge(reached);
+    assert_ne!(checkpoint_names(&dir).last(), Some(&boot));
+    {
+        let service = open_durable(&dir, FsyncPolicy::Always, 1000);
+        assert_eq!(count_subs(&service, "COV"), 4);
+        assert!(stats(&service).durability.unwrap().recovered_epoch >= reached);
+    }
+    std::fs::remove_dir_all(&covered).unwrap();
+    forge(reached + 100);
+    assert!(
+        try_open_durable(&dir, FsyncPolicy::Always, 1000).is_err(),
+        "booted behind a rejected checkpoint"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

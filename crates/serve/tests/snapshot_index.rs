@@ -74,7 +74,11 @@ fn a_miss_after_a_write_sees_the_appended_row() {
         "displacement 40000 lies outside the premise: {:?}",
         after.intensional
     );
-    assert_eq!(after.rows, before.rows, "the new class has no submarines");
+    assert_eq!(
+        after.rows(),
+        before.rows(),
+        "the new class has no submarines"
+    );
 }
 
 #[test]

@@ -7,12 +7,14 @@
 //! cached [`AttributeIndex`] and keeping its admitted matches (null keys
 //! never match); with no such join, the smallest unbound entry starts a
 //! cartesian product. Unused join edges and residual predicates then
-//! filter the rows. A row is a vector of row ids, one per FROM entry;
-//! values are read through borrowed tuples and cloned only into the
-//! result. Without ORDER BY, result rows follow their base-row positions
-//! in FROM order, compared lexicographically, whichever entry the plan
-//! starts from; ORDER BY sorts stably on top. EXPLAIN renders the
-//! same [`Plan`].
+//! filter the rows. A row is one row id per FROM entry, and the rows lie
+//! end to end in one buffer. [`select`] projects, deduplicates and sorts
+//! them without copying a value, into a [`Selection`] that reads values
+//! through borrowed tuples; [`execute`] copies a selection into a
+//! relation. Without ORDER BY, result rows follow their base-row
+//! positions in FROM order, compared lexicographically, whichever entry
+//! the plan starts from; ORDER BY sorts stably on top. EXPLAIN renders
+//! the same [`Plan`].
 //!
 //! [`AttributeIndex`]: intensio_storage::index::AttributeIndex
 
@@ -27,8 +29,10 @@ use intensio_storage::relation::Relation;
 use intensio_storage::schema::{Attribute, Schema};
 use intensio_storage::tuple::Tuple;
 use intensio_storage::value::{Value, ValueRef, ValueType};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// An error from parsing or executing SQL.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,20 +272,22 @@ impl<'a> Plan<'a> {
         self.tuple(row, r.table).get(r.column)
     }
 
-    /// Run the join order and the post-join checks; rows come back in
-    /// the order contract's order.
-    fn rows(&self) -> Result<Vec<Vec<usize>>, SqlError> {
-        let mut rows = vec![vec![0; self.base.len()]];
+    /// Run the join order and the post-join checks. A row is one row id
+    /// per FROM entry, and the rows lie end to end in one buffer; they
+    /// come back in the order contract's order.
+    fn rows(&self) -> Result<Vec<usize>, SqlError> {
+        let n = self.base.len();
+        let mut rows = vec![0; n];
         for step in &self.steps {
             let mut next = Vec::new();
-            let mut extend = |row: &Vec<usize>, t: usize, p: usize| {
-                let mut r = row.clone();
-                r[t] = p;
-                next.push(r);
+            let mut extend = |row: &[usize], t: usize, p: usize| {
+                let at = next.len() + t;
+                next.extend_from_slice(row);
+                next[at] = p;
             };
             match *step {
                 Step::Scan(t) => {
-                    for row in &rows {
+                    for row in rows.chunks_exact(n) {
                         match &self.admitted[t] {
                             Some(ps) => ps.iter().for_each(|&p| extend(row, t, p)),
                             None => (0..self.base[t].len()).for_each(|p| extend(row, t, p)),
@@ -292,7 +298,7 @@ impl<'a> Plan<'a> {
                     let name = self.attribute(into).name();
                     let admitted = self.admitted[into.table].as_deref();
                     self.base[into.table].with_index(name, |idx| {
-                        for row in &rows {
+                        for row in rows.chunks_exact(n) {
                             let v = self.value(row, from);
                             if v.is_null() {
                                 continue;
@@ -323,29 +329,157 @@ impl<'a> Plan<'a> {
             .map(|j| j.expr)
             .chain(self.residual.iter().copied())
             .collect();
-        if let (false, Some(first)) = (post.is_empty(), rows.first()) {
+        if let (false, Some(first)) = (post.is_empty(), rows.get(..n)) {
             let mut env = Env::empty();
             for (t, from) in self.from.iter().enumerate() {
                 env.push(&from.alias, self.base[t].schema(), self.tuple(first, t));
             }
-            rows.retain(|row| {
-                for t in 0..row.len() {
+            let mut kept = 0;
+            for r in 0..rows.len() / n {
+                let row = &rows[r * n..(r + 1) * n];
+                for t in 0..n {
                     env.rebind(t, self.tuple(row, t));
                 }
-                post.iter().all(|e| e.eval_bool(&env).unwrap_or(false))
-            });
+                if post.iter().all(|e| e.eval_bool(&env).unwrap_or(false)) {
+                    rows.copy_within(r * n..(r + 1) * n, kept * n);
+                    kept += 1;
+                }
+            }
+            rows.truncate(kept * n);
         }
-        rows.sort_unstable();
-        Ok(rows)
+        let row = |r: usize| &rows[r * n..(r + 1) * n];
+        let count = rows.len() / n;
+        if (1..count).all(|r| row(r - 1) < row(r)) {
+            // Already in order, as a scan or a probe from the first
+            // entry leaves it: no permuted copy.
+            return Ok(rows);
+        }
+        let mut order: Vec<usize> = (0..count).collect();
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        Ok(order.iter().flat_map(|&r| row(r).iter().copied()).collect())
     }
 }
 
-/// Execute a parsed query.
-pub fn execute(db: &Database, q: &SelectQuery) -> Result<Relation, SqlError> {
+/// The rows a query selected, as row ids into its FROM entries'
+/// relations: no value is copied. It holds shared handles on those
+/// relations, so it outlives the database it was selected from.
+/// [`execute`] materializes one; a reply renders one straight to text.
+/// The default selection has no columns and no rows.
+#[derive(Debug, Clone, Default)]
+pub struct Selection {
+    /// Per FROM entry, its relation.
+    sources: Vec<Arc<Relation>>,
+    /// The output columns: names (alias-prefixed where two collide)
+    /// and domains.
+    schema: Schema,
+    /// Per output column, its FROM entry and position there.
+    columns: Vec<(usize, usize)>,
+    /// The rows, one row id per FROM entry each, end to end.
+    ids: Vec<usize>,
+}
+
+impl Selection {
+    /// The output columns.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// How many rows were selected.
+    pub fn len(&self) -> usize {
+        self.ids.len() / self.sources.len().max(1)
+    }
+
+    /// Whether no row was selected.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The value at output column `column` of row `row`.
+    pub fn value(&self, row: usize, column: usize) -> &Value {
+        let (t, c) = self.columns[column];
+        self.sources[t].tuples()[self.ids[row * self.sources.len() + t]].get(c)
+    }
+
+    /// The values of row `row`, in column order.
+    pub fn row(&self, row: usize) -> impl Iterator<Item = &Value> + '_ {
+        (0..self.columns.len()).map(move |c| self.value(row, c))
+    }
+
+    /// The values of output column `column`, in row order.
+    pub fn column(&self, column: usize) -> impl Iterator<Item = &Value> + '_ {
+        (0..self.len()).map(move |r| self.value(r, column))
+    }
+
+    /// Copy the selected rows into a relation named `result`.
+    pub fn materialize(&self) -> Result<Relation, SqlError> {
+        let mut result = Relation::new("result", self.schema.clone());
+        for r in 0..self.len() {
+            result.insert(self.row(r).cloned().collect::<Tuple>())?;
+        }
+        Ok(result)
+    }
+
+    /// Sort the rows stably by the ORDER BY attributes, each matched
+    /// against an output column name, then (given the plan) an
+    /// alias-prefixed one.
+    fn order(&mut self, q: &SelectQuery, plan: Option<&Plan<'_>>) -> Result<(), SqlError> {
+        if q.order_by.is_empty() {
+            return Ok(());
+        }
+        let mut keys = Vec::with_capacity(q.order_by.len());
+        for a in &q.order_by {
+            let key = match plan {
+                _ if self.schema.index_of(&a.name).is_some() => a.name.clone(),
+                Some(plan) => format!("{}.{}", q.from[plan.resolve(a)?.table].alias, a.name),
+                None => String::new(),
+            };
+            let Some(column) = self.schema.index_of(&key) else {
+                return Err(SqlError::Semantic(format!(
+                    "ORDER BY attribute {a} is not in the select list"
+                )));
+            };
+            keys.push(column);
+        }
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by(|&a, &b| {
+            keys.iter()
+                .map(|&c| self.value(a, c).total_cmp(self.value(b, c)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+        let n = self.sources.len();
+        self.ids = order
+            .iter()
+            .flat_map(|&r| self.ids[r * n..(r + 1) * n].iter().copied())
+            .collect();
+        Ok(())
+    }
+}
+
+impl From<Relation> for Selection {
+    /// Every row of `rel`, in its order.
+    fn from(rel: Relation) -> Selection {
+        let schema = rel.schema().clone();
+        Selection {
+            columns: (0..schema.arity()).map(|c| (0, c)).collect(),
+            ids: (0..rel.len()).collect(),
+            sources: vec![Arc::new(rel)],
+            schema,
+        }
+    }
+}
+
+/// Select a parsed query's rows: run its plan, then project, apply
+/// DISTINCT (the first of equal output rows is kept) and sort for
+/// ORDER BY, all over row ids. An aggregate query's (small) grouped
+/// output is computed into a relation the selection then covers.
+pub fn select(db: &Database, q: &SelectQuery) -> Result<Selection, SqlError> {
     let plan = plan(db, q)?;
     let rows = plan.rows()?;
     if q.is_aggregate() {
-        return project_grouped(q, &plan, &rows);
+        let mut sel = Selection::from(project_grouped(q, &plan, &rows)?);
+        sel.order(q, None)?;
+        return Ok(sel);
     }
 
     let mut out_cols: Vec<(String, Resolved)> = Vec::new();
@@ -378,57 +512,46 @@ pub fn execute(db: &Database, q: &SelectQuery) -> Result<Relation, SqlError> {
         };
         attrs.push(Attribute::new(name, plan.attribute(*r).domain().clone()));
     }
-    let mut result = Relation::new("result", Schema::new(attrs)?);
+    let schema = Schema::new(attrs)?;
 
     // DISTINCT keeps the first of each set of equal output rows.
-    let mut seen = BTreeSet::new();
-    for row in &rows {
-        let values = || out_cols.iter().map(|(_, r)| plan.value(row, *r));
-        if q.distinct && !seen.insert(values().map(ValueRef).collect::<Vec<_>>()) {
-            continue;
+    let ids = if q.distinct {
+        let n = plan.base.len();
+        let mut seen = BTreeSet::new();
+        let mut ids = Vec::with_capacity(rows.len());
+        for row in rows.chunks_exact(n) {
+            let values = out_cols.iter().map(|(_, r)| ValueRef(plan.value(row, *r)));
+            if seen.insert(values.collect::<Vec<_>>()) {
+                ids.extend_from_slice(row);
+            }
         }
-        result.insert(values().cloned().collect::<Tuple>())?;
-    }
-    order_result(&mut result, q, Some(&plan))?;
-    Ok(result)
+        ids
+    } else {
+        rows
+    };
+    let mut sel = Selection {
+        sources: q
+            .from
+            .iter()
+            .map(|t| db.get_shared(&t.name))
+            .collect::<Result<_, _>>()?,
+        schema,
+        columns: out_cols.iter().map(|(_, r)| (r.table, r.column)).collect(),
+        ids,
+    };
+    sel.order(q, Some(&plan))?;
+    Ok(sel)
 }
 
-/// Sort the result by the ORDER BY attributes, each matched against an
-/// output column name, then (given the plan) an alias-prefixed one.
-fn order_result(
-    result: &mut Relation,
-    q: &SelectQuery,
-    plan: Option<&Plan<'_>>,
-) -> Result<(), SqlError> {
-    if q.order_by.is_empty() {
-        return Ok(());
-    }
-    let mut keys: Vec<String> = Vec::new();
-    for a in &q.order_by {
-        let key = match plan {
-            _ if result.schema().index_of(&a.name).is_some() => a.name.clone(),
-            Some(plan) => format!("{}.{}", q.from[plan.resolve(a)?.table].alias, a.name),
-            None => String::new(),
-        };
-        if result.schema().index_of(&key).is_none() {
-            return Err(SqlError::Semantic(format!(
-                "ORDER BY attribute {a} is not in the select list"
-            )));
-        }
-        keys.push(key);
-    }
-    let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-    result.sort_by_names(&refs)?;
-    Ok(())
+/// Execute a parsed query: [`select`] its rows, then copy them into a
+/// relation.
+pub fn execute(db: &Database, q: &SelectQuery) -> Result<Relation, SqlError> {
+    select(db, q)?.materialize()
 }
 
 /// Grouped projection for aggregate queries: group the joined rows by
 /// the GROUP BY attributes and compute one output row per group.
-fn project_grouped(
-    q: &SelectQuery,
-    plan: &Plan<'_>,
-    rows: &[Vec<usize>],
-) -> Result<Relation, SqlError> {
+fn project_grouped(q: &SelectQuery, plan: &Plan<'_>, rows: &[usize]) -> Result<Relation, SqlError> {
     let group_cols: Vec<Resolved> = q
         .group_by
         .iter()
@@ -455,7 +578,7 @@ fn project_grouped(
     }
 
     let mut groups: BTreeMap<Vec<ValueRef<'_>>, Vec<&[usize]>> = BTreeMap::new();
-    for row in rows {
+    for row in rows.chunks_exact(plan.base.len()) {
         let key = group_cols.iter().map(|r| ValueRef(plan.value(row, *r)));
         groups.entry(key.collect()).or_default().push(row);
     }
@@ -529,7 +652,6 @@ fn project_grouped(
     for vals in out_rows {
         result.insert(Tuple::new(vals))?;
     }
-    order_result(&mut result, q, None)?;
     Ok(result)
 }
 

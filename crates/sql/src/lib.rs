@@ -10,9 +10,10 @@
 //!   restrictions become sorted row-id sets (through a relation's
 //!   cached index when a conjunct allows), joins start from the entry
 //!   admitting the fewest rows and probe the other entries' cached
-//!   indexes, and values are copied only into the result, whose rows
+//!   indexes, and the result is a [`Selection`] of row ids whose rows
 //!   follow base-row positions in FROM order unless `ORDER BY` says
-//!   otherwise (see [`exec`]);
+//!   otherwise; values are copied only when [`execute`] materializes
+//!   it (see [`exec`]);
 //! * [`explain`] — a rendering of the plan the executor runs;
 //! * [`analyze`] — extraction of the query's restrictions and join
 //!   structure, which the inference processor consumes to derive the
@@ -48,6 +49,6 @@ pub mod parser;
 
 pub use analyze::{analyze, BoundAttr, JoinCond, QueryAnalysis, Restriction};
 pub use ast::{SelectItem, SelectQuery, TableRef};
-pub use exec::{execute, query, SqlError};
+pub use exec::{execute, query, select, Selection, SqlError};
 pub use explain::explain;
 pub use parser::{parse, SqlParseError};

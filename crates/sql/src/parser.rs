@@ -3,6 +3,7 @@
 use crate::ast::{SelectItem, SelectQuery, TableRef};
 use intensio_storage::expr::{ArithOp, AttrRef, CmpOp, Expr};
 use intensio_storage::value::Value;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A SQL parse error.
@@ -26,12 +27,15 @@ impl fmt::Display for SqlParseError {
 
 impl std::error::Error for SqlParseError {}
 
+/// A token, borrowing its text from the source.
 #[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Str(String),
+enum Tok<'a> {
+    Ident(&'a str),
+    /// A quoted literal's bytes, each read as one `char` (so non-ASCII
+    /// text is owned, ASCII borrowed).
+    Str(Cow<'a, str>),
     Num {
-        text: String,
+        text: &'a str,
         value: f64,
         is_int: bool,
     },
@@ -51,7 +55,7 @@ enum Tok {
     Slash,
 }
 
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>, SqlParseError> {
+fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, SqlParseError> {
     let b = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -136,45 +140,33 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, SqlParseError> {
                 }
             }
             '\'' | '"' => {
-                let quote = c;
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(i) {
-                        Some(&q) if q as char == quote => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&ch) => {
-                            s.push(ch as char);
-                            i += 1;
-                        }
-                        None => {
-                            return Err(SqlParseError {
-                                message: "unterminated string".into(),
-                                offset: start,
-                            })
-                        }
-                    }
-                }
-                out.push((Tok::Str(s), start));
+                let Some(len) = b[i + 1..].iter().position(|&q| q == b[i]) else {
+                    return Err(SqlParseError {
+                        message: "unterminated string".into(),
+                        offset: start,
+                    });
+                };
+                let body = &src[i + 1..i + 1 + len];
+                i += len + 2;
+                let text = match body.is_ascii() {
+                    true => Cow::Borrowed(body),
+                    false => Cow::Owned(body.bytes().map(char::from).collect()),
+                };
+                out.push((Tok::Str(text), start));
             }
             d if d.is_ascii_digit() => {
-                let mut text = String::new();
                 let mut is_int = true;
-                while i < b.len() && (b[i] as char).is_ascii_digit() {
-                    text.push(b[i] as char);
+                while i < b.len() && b[i].is_ascii_digit() {
                     i += 1;
                 }
-                if i + 1 < b.len() && b[i] == b'.' && (b[i + 1] as char).is_ascii_digit() {
+                if i + 1 < b.len() && b[i] == b'.' && b[i + 1].is_ascii_digit() {
                     is_int = false;
-                    text.push('.');
                     i += 1;
-                    while i < b.len() && (b[i] as char).is_ascii_digit() {
-                        text.push(b[i] as char);
+                    while i < b.len() && b[i].is_ascii_digit() {
                         i += 1;
                     }
                 }
+                let text = &src[start..i];
                 let value: f64 = text.parse().map_err(|_| SqlParseError {
                     message: format!("bad number {text}"),
                     offset: start,
@@ -189,25 +181,22 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, SqlParseError> {
                 ));
             }
             a if a.is_ascii_alphabetic() || a == '_' => {
-                let mut s = String::new();
                 while i < b.len() {
-                    let ch = b[i] as char;
-                    if ch.is_ascii_alphanumeric() || ch == '_' {
-                        s.push(ch);
+                    let ch = b[i];
+                    if ch.is_ascii_alphanumeric() || ch == b'_' {
                         i += 1;
-                    } else if ch == '-'
+                    } else if ch == b'-'
                         && i + 1 < b.len()
-                        && (b[i + 1] as char).is_ascii_alphanumeric()
-                        && !is_keyword(&s)
+                        && b[i + 1].is_ascii_alphanumeric()
+                        && !is_keyword(&src[start..i])
                     {
                         // Hyphenated bare constants like BQS-04.
-                        s.push(ch);
                         i += 1;
                     } else {
                         break;
                     }
                 }
-                out.push((Tok::Ident(s), start));
+                out.push((Tok::Ident(&src[start..i]), start));
             }
             other => {
                 return Err(SqlParseError {
@@ -220,21 +209,12 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, SqlParseError> {
     Ok(out)
 }
 
+const KEYWORDS: [&str; 11] = [
+    "SELECT", "DISTINCT", "FROM", "WHERE", "AND", "OR", "NOT", "ORDER", "GROUP", "BY", "AS",
+];
+
 fn is_keyword(s: &str) -> bool {
-    matches!(
-        s.to_ascii_uppercase().as_str(),
-        "SELECT"
-            | "DISTINCT"
-            | "FROM"
-            | "WHERE"
-            | "AND"
-            | "OR"
-            | "NOT"
-            | "ORDER"
-            | "GROUP"
-            | "BY"
-            | "AS"
-    )
+    KEYWORDS.iter().any(|k| k.eq_ignore_ascii_case(s))
 }
 
 /// Parse a `SELECT` statement.
@@ -250,17 +230,17 @@ pub fn parse(src: &str) -> Result<SelectQuery, SqlParseError> {
     Ok(q)
 }
 
-struct Parser {
-    tokens: Vec<(Tok, usize)>,
+struct Parser<'a> {
+    tokens: Vec<(Tok<'a>, usize)>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.tokens.get(self.pos).map(|(t, _)| t)
     }
 
@@ -271,15 +251,15 @@ impl Parser {
         }
     }
 
-    fn advance(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Consume the next token (if any) and report `what` was expected
+    /// where it stood, at the offset of the token after it.
+    fn unexpected(&mut self, what: &str) -> SqlParseError {
+        let found = format!("{:?}", self.peek());
+        self.pos = (self.pos + 1).min(self.tokens.len());
+        self.err(format!("expected {what}, found {found}"))
     }
 
-    fn accept(&mut self, t: &Tok) -> bool {
+    fn accept(&mut self, t: &Tok<'_>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -307,9 +287,12 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String, SqlParseError> {
-        match self.advance() {
-            Some(Tok::Ident(s)) if !is_keyword(&s) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
+        match self.peek() {
+            Some(&Tok::Ident(s)) if !is_keyword(s) => {
+                self.pos += 1;
+                Ok(s.to_string())
+            }
+            _ => Err(self.unexpected("identifier")),
         }
     }
 
@@ -361,15 +344,17 @@ impl Parser {
             return Ok(SelectItem::Star);
         }
         // Aggregate function call?
+        use intensio_storage::ops::Aggregate;
         let func = match self.peek() {
-            Some(Tok::Ident(s)) => match s.to_ascii_lowercase().as_str() {
-                "count" => Some(intensio_storage::ops::Aggregate::Count),
-                "sum" => Some(intensio_storage::ops::Aggregate::Sum),
-                "avg" => Some(intensio_storage::ops::Aggregate::Avg),
-                "min" => Some(intensio_storage::ops::Aggregate::Min),
-                "max" => Some(intensio_storage::ops::Aggregate::Max),
-                _ => None,
-            },
+            Some(Tok::Ident(s)) => [
+                ("count", Aggregate::Count),
+                ("sum", Aggregate::Sum),
+                ("avg", Aggregate::Avg),
+                ("min", Aggregate::Min),
+                ("max", Aggregate::Max),
+            ]
+            .into_iter()
+            .find_map(|(name, f)| name.eq_ignore_ascii_case(s).then_some(f)),
             _ => None,
         };
         if let Some(func) = func {
@@ -404,10 +389,9 @@ impl Parser {
         let name = self.ident()?;
         // Optional alias: a following non-keyword identifier.
         let alias = match self.peek() {
-            Some(Tok::Ident(s)) if !is_keyword(s) => {
-                let a = s.clone();
+            Some(&Tok::Ident(s)) if !is_keyword(s) => {
                 self.pos += 1;
-                a
+                s.to_string()
             }
             _ => name.clone(),
         };
@@ -543,30 +527,34 @@ impl Parser {
                 },
             });
         }
-        match self.advance() {
-            Some(Tok::Num {
+        let expr = match self.peek() {
+            Some(&Tok::Num {
                 text,
                 value,
                 is_int,
-            }) => Ok(Expr::Const(num_value(&text, value, is_int))),
-            Some(Tok::Str(s)) => Ok(Expr::Const(Value::Str(s))),
-            Some(Tok::Ident(first)) if !is_keyword(&first) => {
-                if self.accept(&Tok::Dot) {
+            }) => Expr::Const(num_value(text, value, is_int)),
+            Some(Tok::Str(s)) => Expr::Const(Value::Str(s.to_string())),
+            Some(&Tok::Ident(first)) if !is_keyword(first) => {
+                self.pos += 1;
+                return if self.accept(&Tok::Dot) {
                     let attr = self.ident()?;
                     Ok(Expr::Attr(AttrRef::qualified(first, attr)))
                 } else {
                     Ok(Expr::Attr(AttrRef::bare(first)))
-                }
+                };
             }
             Some(Tok::LParen) => {
+                self.pos += 1;
                 let inner = self.additive()?;
                 if !self.accept(&Tok::RParen) {
                     return Err(self.err("expected `)`"));
                 }
-                Ok(inner)
+                return Ok(inner);
             }
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
-        }
+            _ => return Err(self.unexpected("expression")),
+        };
+        self.pos += 1;
+        Ok(expr)
     }
 }
 

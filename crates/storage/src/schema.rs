@@ -59,7 +59,7 @@ impl Attribute {
 /// Attribute names in the paper appear in mixed case (`ShipId`, `SHIPID`,
 /// `Id`); lookups are case-insensitive while the declared spelling is
 /// preserved for display.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Schema {
     attrs: Vec<Attribute>,
 }

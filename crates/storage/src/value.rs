@@ -203,13 +203,9 @@ impl Value {
 
     /// Render the value as a bare literal (no quotes on strings).
     pub fn render_bare(&self) -> String {
-        match self {
-            Value::Null => "NULL".to_string(),
-            Value::Int(v) => v.to_string(),
-            Value::Real(v) => format_real(*v),
-            Value::Str(s) => s.clone(),
-            Value::Date(d) => d.to_string(),
-        }
+        let mut out = String::new();
+        self.write_bare(&mut out);
+        out
     }
 
     /// Append the text of [`Value::render_bare`] to `out`, without
@@ -235,12 +231,6 @@ impl Value {
             _ => self == other,
         }
     }
-}
-
-fn format_real(v: f64) -> String {
-    let mut out = String::new();
-    let _ = write_real(&mut out, v);
-    out
 }
 
 fn write_real(out: &mut impl fmt::Write, v: f64) -> fmt::Result {

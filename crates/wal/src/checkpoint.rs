@@ -163,13 +163,27 @@ pub enum Rejection {
     Load(WalError),
 }
 
+impl std::fmt::Display for Rejection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rejection::Unnamed => f.write_str("the name does not parse as ckpt-<epoch>-<seq>"),
+            Rejection::Manifest(e) => write!(f, "the manifest does not verify: {e}"),
+            Rejection::EpochMismatch { manifest, name } => write!(
+                f,
+                "the manifest pins epoch {manifest} but the name claims epoch {name}"
+            ),
+            Rejection::Load(e) => write!(f, "it does not load: {e}"),
+        }
+    }
+}
+
 /// The checkpoint recovery boots from, and the ones it cannot use.
 #[derive(Debug)]
 pub struct CheckpointChoice {
     /// The newest checkpoint that loads.
     pub loaded: Option<LoadedCheckpoint>,
     /// Newer checkpoints recovery tried and passed over, newest first.
-    pub passed_over: Vec<(PathBuf, Rejection)>,
+    pub passed_over: Vec<(CheckpointRef, Rejection)>,
     /// Directories recovery never needed: ones whose name does not
     /// parse, and older checkpoints whose manifest does not verify.
     pub unusable: Vec<(PathBuf, Rejection)>,
@@ -199,7 +213,7 @@ pub fn choose_checkpoint(data_dir: &Path) -> std::io::Result<CheckpointChoice> {
         }
         match load_checkpoint(&ckpt) {
             Ok(loaded) => choice.loaded = Some(loaded),
-            Err(why) => choice.passed_over.push((ckpt.path, why)),
+            Err(why) => choice.passed_over.push((ckpt, why)),
         }
     }
     Ok(choice)

@@ -13,7 +13,7 @@
 //! covered log).
 
 use crate::chain::{Frame, Verdict, Walk};
-use crate::checkpoint::{choose_checkpoint, LoadedCheckpoint};
+use crate::checkpoint::{choose_checkpoint, CheckpointRef, LoadedCheckpoint, Rejection};
 use crate::record::Record;
 use crate::WalError;
 use std::path::{Path, PathBuf};
@@ -58,6 +58,9 @@ pub struct Recovered {
     pub last_seq: u64,
     /// Truncation plan: `(segment, keep_bytes)` for every torn tail.
     pub torn: Vec<(PathBuf, u64)>,
+    /// Checkpoints newer than [`Recovered::checkpoint`] that did not
+    /// load, newest first.
+    pub passed_over: Vec<(CheckpointRef, Rejection)>,
 }
 
 impl Recovered {
@@ -172,6 +175,7 @@ pub fn recover(data_dir: &Path) -> Result<Recovered, WalError> {
         stats,
         last_seq,
         torn,
+        passed_over: choice.passed_over,
     })
 }
 

@@ -82,7 +82,7 @@ fn submarine_ids(service: &Service) -> Vec<String> {
     let mut ids: Vec<String> = reply
         .query()
         .expect("query reply")
-        .rows
+        .rows()
         .iter()
         .map(|row| row[0].clone())
         .collect();

@@ -1372,7 +1372,7 @@ mod reference {
         let classifiers = model.classifier_list();
         let mut rules = RuleSet::new();
         for r in induced {
-            let subtype = subtype_label_among(&classifiers, &r.y.attribute, &r.y_value);
+            let subtype = subtype_label_among(classifiers, &r.y.attribute, &r.y_value);
             let mut rule = r.into_rule();
             rule.rhs_subtype = subtype;
             rules.push(rule);
