@@ -1,11 +1,14 @@
 //! Inference cost (DESIGN.md S2): intensional-answer latency vs rule-set
 //! cardinality — the storing/searching overhead §5.2.2 motivates pruning
 //! with — for a reused engine and for a cold cache miss, which builds
-//! the engine and infers once.
+//! the engine and infers once; and, on the servebench-shaped fleet with
+//! the rule set a default `Service` serves, the two `infer_miss` query
+//! shapes and the first-use build of the rule set's attribute lookup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use intensio_induction::{Ils, InductionConfig};
 use intensio_inference::{InferenceConfig, InferenceEngine};
+use intensio_serve::Service;
 use intensio_shipdb::{generate, ship_database, ship_model, FleetConfig};
 use intensio_sql::{analyze, parse};
 
@@ -103,5 +106,64 @@ fn bench_paper_examples(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_rule_set_size, bench_paper_examples);
+/// The servebench fleet (six types of ten classes of thirty ships,
+/// seed 1) and the ~490 rules a default `Service` induces from it:
+/// `infer` on servebench's `infer_miss` band and type-membership
+/// queries, and the build of the lookup those inferences read, which a
+/// served rule set pays once (`prune_below(0)` empties it and drops no
+/// rule, a pass over the rules).
+fn bench_servebench_fleet(c: &mut Criterion) {
+    let fleet = generate(FleetConfig {
+        seed: 1,
+        n_types: 6,
+        classes_per_type: 10,
+        ships_per_class: 30,
+        sonars_per_family: 4,
+        id_noise: 0.02,
+        overlapping_bands: false,
+    })
+    .expect("generation succeeds");
+    let model = fleet.ker_model();
+    let service = Service::open(fleet.db.clone(), model.clone()).expect("service opens");
+    let rules = service.rules();
+    let (lo, hi) = fleet.type_band["T02"];
+    let select = "SELECT SUBMARINE.Id, SUBMARINE.Name, CLASS.Class, CLASS.Type \
+                  FROM SUBMARINE, CLASS WHERE SUBMARINE.Class = CLASS.Class";
+    let engine = InferenceEngine::new(&model, &rules, &fleet.db, InferenceConfig::default())
+        .expect("engine builds");
+    let mut g = c.benchmark_group(&format!("servebench_fleet_{}_rules", rules.len()));
+    for (label, cond) in [
+        (
+            "infer_band",
+            format!(
+                "CLASS.Displacement >= {} AND CLASS.Displacement <= {}",
+                lo - 7,
+                hi + 7
+            ),
+        ),
+        (
+            "infer_type_membership",
+            format!("CLASS.Type = 'T02' AND CLASS.Displacement <= {}", hi + 7),
+        ),
+    ] {
+        let q = parse(&format!("{select} AND {cond}")).expect("query parses");
+        let analysis = analyze(&fleet.db, &q).expect("analysis succeeds");
+        g.bench_function(label, |b| b.iter(|| engine.infer(&analysis)));
+    }
+    let mut fresh = (*rules).clone();
+    g.bench_function("lookup_first_use", |b| {
+        b.iter(|| {
+            fresh.prune_below(0);
+            fresh.lookup().key_count()
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_rule_set_size,
+    bench_paper_examples,
+    bench_servebench_fleet
+);
 criterion_main!(benches);

@@ -97,8 +97,10 @@ fn record_induction_metrics(stats: &IlsStats, work: PairWork) {
 ///   unique, so an appended entity row cannot join;
 /// * anything else rebuilds that source.
 ///
-/// A different model, configuration, or catalog (relation names and
-/// schema handles) empties the whole memo. A run takes the memo's
+/// A different model (as far as a run reads it: its classifiers and
+/// each object type's declared attribute names and domains),
+/// configuration, or catalog (relation names and schema handles)
+/// empties the whole memo. A run takes the memo's
 /// contents once it starts and puts the new ones back only when it
 /// succeeds, so a run that fails or panics leaves it empty (the
 /// `induction.run` failpoint fires before, and leaves it as it was).
@@ -119,10 +121,37 @@ impl IlsMemo {
     }
 }
 
+/// What an ILS run reads of the KER model: the classifiers (which
+/// attributes are classifying, and the subtype labels of their values),
+/// and each object type, in declaration order, with its declared
+/// attributes' names and domain names (which attributes are
+/// object-valued, and the types they reference).
+#[derive(Debug, Clone, PartialEq)]
+struct ModelKey {
+    classifiers: Vec<Classifier>,
+    types: Vec<(String, Vec<(String, String)>)>,
+}
+
+impl ModelKey {
+    fn of(model: &KerModel) -> ModelKey {
+        let types = model.type_names().iter().filter_map(|name| {
+            let ot = model.object_type(name)?;
+            let attrs = (ot.declared_attrs.iter())
+                .map(|a| (a.name().to_string(), a.domain().name().to_string()))
+                .collect();
+            Some((ot.name.clone(), attrs))
+        });
+        ModelKey {
+            classifiers: model.classifier_list().to_vec(),
+            types: types.collect(),
+        }
+    }
+}
+
 /// One successful run: its key and what it learned per source.
 #[derive(Debug, Clone)]
 struct Learned {
-    model: KerModel,
+    model: ModelKey,
     cfg: InductionConfig,
     /// Each relation's name and schema handle, in catalog order.
     catalog: Vec<(String, SchemaRef)>,
@@ -141,7 +170,7 @@ impl Learned {
                 .all(|((name, schema), rel)| {
                     name == rel.name() && Arc::ptr_eq(schema, &rel.schema_ref())
                 })
-            && self.model == *model
+            && self.model == ModelKey::of(model)
     }
 }
 
@@ -301,7 +330,7 @@ impl<'m> Ils<'m> {
                     .relations()
                     .map(|r| (r.name().to_string(), r.schema_ref()))
                     .collect();
-                (self.model.clone(), catalog, Vec::new())
+                (ModelKey::of(self.model), catalog, Vec::new())
             }
         };
         let mut plan = self.plan(db, old_sources)?;
@@ -1114,5 +1143,41 @@ mod tests {
         assert_eq!(rows[&ValueRef(&Value::Int(3))], 3);
         assert_eq!(rows[&ValueRef(&Value::Real(3.0))], 3);
         assert_eq!(rows[&ValueRef(&Value::Null)], 4);
+    }
+
+    /// A model that differs in what a run reads empties the memo: a
+    /// run with it equals one from scratch. Retyping `SUBMARINE.Class`
+    /// drops the hop from INSTALL's ship role to CLASS; a remembered
+    /// role join (the same `Arc`, unchanged entities) would be reused
+    /// were the memo keyed on less than attribute domains.
+    #[test]
+    fn a_changed_model_empties_the_memo() {
+        use intensio_shipdb::schema::SHIP_SCHEMA_KER;
+        let db = intensio_shipdb::ship_database().unwrap();
+        let model = KerModel::parse(SHIP_SCHEMA_KER).unwrap();
+        let retyped = SHIP_SCHEMA_KER.replace("Class domain: CLASS", "Class domain: CHAR[4]");
+        let relabelled = SHIP_SCHEMA_KER.replace("with Type = \"SSN\"", "with Type = \"SSN~\"");
+        let cfg = InductionConfig::with_min_support(2);
+        let fresh = |m: &KerModel| Ils::new(m, cfg).induce(&db).unwrap().rules.to_string();
+        let mut memo = IlsMemo::new();
+        let first = Ils::new(&model, cfg)
+            .induce_memo(&db, 1, &mut memo)
+            .unwrap();
+        assert_eq!(first.rules.to_string(), fresh(&model));
+        for ker in [retyped, relabelled] {
+            let other = KerModel::parse(&ker).unwrap();
+            let want = fresh(&other);
+            assert_ne!(want, fresh(&model), "the change shows in the rules");
+            let got = Ils::new(&other, cfg)
+                .induce_memo(&db, 1, &mut memo)
+                .unwrap();
+            assert_eq!(got.rules.to_string(), want);
+            // The same model parsed again keeps the memo.
+            let again = KerModel::parse(&ker).unwrap();
+            let got = Ils::new(&again, cfg)
+                .induce_memo(&db, 1, &mut memo)
+                .unwrap();
+            assert_eq!(got.rules.to_string(), want);
+        }
     }
 }

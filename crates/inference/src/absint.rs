@@ -27,6 +27,7 @@
 //! assuming the rules themselves hold on the data, which is exactly the
 //! contract induced rules carry.
 
+use crate::bits::RuleBits;
 use intensio_rules::range::ValueRange;
 use intensio_rules::rule::RuleSet;
 use intensio_storage::domain::{Bound, Domain, DomainConstraint};
@@ -484,7 +485,7 @@ impl<'r> Saturator<'r> {
             touched: vec![false; self.keys.len()],
             held: vec![Vec::new(); self.keys.len()],
             open: self.premise_len.clone(),
-            ready: vec![0; self.rules.len().div_ceil(64)],
+            ready: RuleBits::new(self.rules.len()),
         };
         let mut seeded = Vec::new();
         for (k, v) in state.slots() {
@@ -504,7 +505,7 @@ impl<'r> Saturator<'r> {
         'passes: for _ in 0..max_passes {
             let mut changed = false;
             let mut from = 0;
-            while let Some(pos) = run.next_ready(from) {
+            while let Some(pos) = run.ready.next_from(from) {
                 from = pos + 1;
                 let rule = &all[pos];
                 if skip.contains(&rule.id) {
@@ -554,8 +555,8 @@ struct Run<'s, 'r> {
     held: Vec<Vec<usize>>,
     /// Per rule: how many of its premise clauses do not hold.
     open: Vec<u32>,
-    /// Bit per rule: every premise clause holds (and there is one).
-    ready: Vec<u64>,
+    /// The rules every premise clause of which holds (and there is one).
+    ready: RuleBits,
 }
 
 impl Run<'_, '_> {
@@ -581,30 +582,16 @@ impl Run<'_, '_> {
     /// Record that clause `c` now holds, or no longer does.
     fn mark(&mut self, c: usize, holds: bool) {
         let pos = self.sat.clauses[c].0;
-        let bit = 1 << (pos % 64);
         if holds {
             self.open[pos] -= 1;
             if self.open[pos] == 0 {
-                self.ready[pos / 64] |= bit;
+                self.ready.insert(pos);
             }
         } else {
             if self.open[pos] == 0 {
-                self.ready[pos / 64] &= !bit;
+                self.ready.remove(pos);
             }
             self.open[pos] += 1;
-        }
-    }
-
-    /// The first ready rule position at or after `from`.
-    fn next_ready(&self, from: usize) -> Option<usize> {
-        let mut word = from / 64;
-        let mut bits = *self.ready.get(word)? & (!0u64 << (from % 64));
-        loop {
-            if bits != 0 {
-                return Some(word * 64 + bits.trailing_zeros() as usize);
-            }
-            word += 1;
-            bits = *self.ready.get(word)?;
         }
     }
 }

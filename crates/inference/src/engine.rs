@@ -20,20 +20,29 @@
 //! rows holding the consequence, each of whose premise values must lie
 //! in the premise range.
 //!
-//! The engine borrows the database and keeps no copy of it: building
-//! one costs nothing, and both data checks read the indexes each
-//! relation caches until it next mutates.
+//! The engine borrows the database and keeps no copy of it, and reads
+//! the rules through their attribute lookup ([`RuleSet::lookup`], the
+//! §5.2.2 rule relations keyed by attribute): forward inference visits
+//! only the rules premised on an attribute whose fact changed, backward
+//! inference only the rules concluding on a point fact's attribute. An
+//! engine is built per query at no cost; the lookup is built on the
+//! first inference over a rule set and kept until the set changes, the
+//! referential equivalences once per model, and both data checks read
+//! the indexes each relation caches until it next mutates.
 
 use crate::answer::{BackwardCharacterization, Direction, ForwardFact, IntensionalAnswer, RuleUse};
+use crate::bits::RuleBits;
 use intensio_ker::model::{subtype_label_among, KerModel};
+use intensio_ker::Equivalences;
+use intensio_rules::lookup::KeyId;
 use intensio_rules::range::{Endpoint, ValueRange};
-use intensio_rules::rule::{AttrId, Clause, Rule, RuleSet};
+use intensio_rules::rule::{AttrId, Rule, RuleSet};
 use intensio_sql::QueryAnalysis;
 use intensio_storage::catalog::Database;
 use intensio_storage::error::Result;
 use intensio_storage::index::AttributeIndex;
 use intensio_storage::value::Value;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Write;
 
 /// How premise subsumption is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,16 +67,83 @@ pub struct InferenceConfig {
     pub backward_only: bool,
 }
 
-fn attr_key(a: &AttrId) -> (String, String) {
-    (
-        a.object.to_ascii_lowercase(),
-        a.attribute.to_ascii_lowercase(),
-    )
-}
-
 /// A range endpoint in the `(value, inclusive)` form of index lookups.
 fn index_bound(end: &Option<Endpoint>) -> Option<(&Value, bool)> {
     end.as_ref().map(|e| (&e.value, e.inclusive))
+}
+
+/// One attribute's fact.
+struct Fact<'q> {
+    object: &'q str,
+    attribute: &'q str,
+    /// The attribute's key in the rule lookup, if a rule mentions it.
+    key: Option<KeyId>,
+    range: ValueRange,
+}
+
+/// The facts of one inference: at most one range per attribute, names
+/// compared ASCII case-insensitively.
+struct Facts<'q> {
+    /// In the order their attributes were first constrained.
+    entries: Vec<Fact<'q>>,
+    /// Per rule-lookup key: the position of its fact, or `u32::MAX`.
+    slot: Vec<u32>,
+    /// How many of `entries` the query's own conditions made (the given
+    /// facts, propagated across equivalences).
+    given: usize,
+    /// The lookup keys whose fact changed since forward inference last
+    /// took them.
+    changed: Vec<KeyId>,
+}
+
+impl<'q> Facts<'q> {
+    fn new(keys: usize) -> Facts<'q> {
+        Facts {
+            entries: Vec::new(),
+            slot: vec![u32::MAX; keys],
+            given: 0,
+            changed: Vec::new(),
+        }
+    }
+
+    /// The fact on a lookup key.
+    fn on_key(&self, key: KeyId) -> Option<&ValueRange> {
+        let at = self.slot[key as usize] as usize;
+        self.entries.get(at).map(|f| &f.range)
+    }
+
+    /// Whether the key's fact is a given one.
+    fn is_given(&self, key: KeyId) -> bool {
+        (self.slot[key as usize] as usize) < self.given
+    }
+
+    /// The position of the fact on `object.attribute`, if any.
+    fn position(&self, key: Option<KeyId>, object: &str, attribute: &str) -> Option<usize> {
+        match key {
+            Some(k) => Some(self.slot[k as usize] as usize).filter(|&at| at < self.entries.len()),
+            None => self.entries.iter().position(|f| {
+                f.key.is_none()
+                    && f.object.eq_ignore_ascii_case(object)
+                    && f.attribute.eq_ignore_ascii_case(attribute)
+            }),
+        }
+    }
+}
+
+/// Whether two ranges print alike. Ranges that print alike bound the
+/// same values (a NaN bound aside), so only those are printed to tell
+/// representations apart (`-0.0` prints unlike `0.0`, `1e15` like
+/// `1000000000000000`).
+fn same_text(a: &ValueRange, b: &ValueRange) -> bool {
+    let nan = |v: &Value| matches!(v, Value::Real(f) if f.is_nan());
+    let alike = |x: &Option<Endpoint>, y: &Option<Endpoint>| match (x, y) {
+        (Some(x), Some(y)) => {
+            x.inclusive == y.inclusive
+                && (x.value.sem_eq(&y.value) || nan(&x.value) || nan(&y.value))
+        }
+        (x, y) => x.is_none() && y.is_none(),
+    };
+    a.identical(b) || (alike(&a.lo, &b.lo) && alike(&a.hi, &b.hi) && a.to_string() == b.to_string())
 }
 
 /// The inference processor.
@@ -112,98 +188,118 @@ impl<'a> InferenceEngine<'a> {
         // inference fail, or `delay`/`panic` here.
         let _ = intensio_fault::fire("inference.infer");
         let mut answer = IntensionalAnswer::default();
+        let lookup = self.rules.lookup();
+        let rules = self.rules.rules();
 
-        // Equivalence classes from equi-joins, for fact propagation.
-        let equiv = self.equivalences(analysis);
+        // Equivalence classes from the schema and the equi-joins, for
+        // fact propagation.
+        let joins = analysis.joins.iter().map(|j| {
+            [
+                (&j.left.relation[..], &j.left.attribute[..]),
+                (&j.right.relation[..], &j.right.attribute[..]),
+            ]
+        });
+        let equiv = self.model.equivalences_with(joins);
 
         // Initial facts: query restrictions as ranges, intersected per
         // attribute and propagated across joins.
-        let mut facts: BTreeMap<(String, String), ValueRange> = BTreeMap::new();
+        let mut facts = Facts::new(lookup.key_count());
         for r in &analysis.restrictions {
             let Some(range) = ValueRange::from_cmp(r.op, r.value.clone()) else {
                 continue; // != has no interval form
             };
-            let attr = AttrId::new(r.attr.relation.clone(), r.attr.attribute.clone());
-            self.add_fact(&mut facts, &equiv, &attr, range, &mut answer.steps);
+            let attr = (&r.attr.relation[..], &r.attr.attribute[..]);
+            self.add_fact(&mut facts, &equiv, attr, range, &mut answer.steps);
         }
-        let given: BTreeSet<(String, String)> = facts.keys().cloned().collect();
+        facts.given = facts.entries.len();
 
-        // Forward chaining to fixpoint.
+        // Forward chaining to fixpoint, in passes over the rules in id
+        // order. A rule's premise check reads only the facts on its
+        // premise attributes, so a rule is visited again only when one
+        // of them changed: those that changed since a visit are the
+        // candidates, and a candidate behind the pass's position waits
+        // for the next pass, as in a pass over every rule.
         if !self.cfg.backward_only {
             let mut forward_span =
-                intensio_obs::Span::enter("inference.forward").with_field("given", given.len());
-            let mut fired: BTreeSet<u32> = BTreeSet::new();
+                intensio_obs::Span::enter("inference.forward").with_field("given", facts.given);
+            let mut fired = RuleBits::new(rules.len());
+            let mut fired_count = 0usize;
+            let mut candidates = RuleBits::new(rules.len());
+            let mut next = 0;
             loop {
-                let mut progressed = false;
-                for rule in self.rules.iter() {
-                    if fired.contains(&rule.id) {
-                        continue;
+                for k in facts.changed.drain(..) {
+                    for &pos in lookup.premised_on(k) {
+                        if !fired.contains(pos as usize) {
+                            candidates.insert(pos as usize);
+                        }
                     }
-                    if !self.premise_satisfied(rule, &facts) {
-                        continue;
-                    }
-                    fired.insert(rule.id);
-                    progressed = true;
-                    let rhs_value = rule
-                        .rhs
-                        .range
-                        .as_point()
-                        .cloned()
-                        .expect("induced consequences are points");
-                    answer.steps.push(format!(
-                        "forward: R{} fires, concluding {} = {}",
-                        rule.id, rule.rhs.attr, rhs_value
-                    ));
-                    answer.provenance.push(RuleUse {
-                        rule_id: rule.id,
-                        support: rule.support,
-                        direction: Direction::Forward,
-                        conclusion: format!("{} = {}", rule.rhs.attr, rhs_value),
-                    });
-                    intensio_obs::inc("inference.forward_fired");
-                    let subtype = rule
-                        .rhs_subtype
-                        .clone()
-                        .or_else(|| self.subtype_label(&rule.rhs.attr.attribute, &rhs_value));
-                    answer.certain.push(ForwardFact {
-                        attr: rule.rhs.attr.clone(),
-                        value: rhs_value.clone(),
-                        subtype,
-                        rule_id: Some(rule.id),
-                    });
-                    self.add_fact(
-                        &mut facts,
-                        &equiv,
-                        &rule.rhs.attr,
-                        ValueRange::point(rhs_value),
-                        &mut answer.steps,
-                    );
                 }
-                if !progressed {
+                let Some(pos) = candidates
+                    .next_from(next)
+                    .or_else(|| candidates.next_from(0))
+                else {
                     break;
+                };
+                candidates.remove(pos);
+                next = pos + 1;
+                let rule = &rules[pos];
+                if !self.premise_satisfied(pos, rule, &facts) {
+                    continue;
                 }
+                fired.insert(pos);
+                fired_count += 1;
+                let rhs_value = rule
+                    .rhs
+                    .range
+                    .as_point()
+                    .cloned()
+                    .expect("induced consequences are points");
+                // Writing into a `String` cannot fail.
+                let mut step = format!("forward: R{} fires, concluding ", rule.id);
+                let conclusion = step.len();
+                let _ = write!(step, "{} = {}", rule.rhs.attr, rhs_value);
+                answer.provenance.push(RuleUse {
+                    rule_id: rule.id,
+                    support: rule.support,
+                    direction: Direction::Forward,
+                    conclusion: step[conclusion..].to_string(),
+                });
+                answer.steps.push(step);
+                let subtype = rule
+                    .rhs_subtype
+                    .clone()
+                    .or_else(|| self.subtype_label(&rule.rhs.attr.attribute, &rhs_value));
+                answer.certain.push(ForwardFact {
+                    attr: rule.rhs.attr.clone(),
+                    value: rhs_value.clone(),
+                    subtype,
+                    rule_id: Some(rule.id),
+                });
+                let attr = (&rule.rhs.attr.object[..], &rule.rhs.attr.attribute[..]);
+                let point = ValueRange::point(rhs_value);
+                self.add_fact(&mut facts, &equiv, attr, point, &mut answer.steps);
             }
             // Deduplicate identical conclusions from different rules.
             answer
                 .certain
                 .dedup_by(|a, b| a.attr == b.attr && a.value == b.value && a.subtype == b.subtype);
-            forward_span.field("fired", fired.len());
+            count("inference.forward_fired", fired_count);
+            forward_span.field("fired", fired_count);
             drop(forward_span);
         }
 
         // Backward inference: from every point fact (given or derived),
-        // invert rules concluding it.
+        // invert rules concluding it, facts in key order.
         if !self.cfg.forward_only {
             let mut backward_span = intensio_obs::Span::enter("inference.backward");
             let mut inverted = 0usize;
-            for ((obj, attr_name), range) in &facts {
-                let Some(value) = range.as_point() else {
+            for key in 0..lookup.key_count() as KeyId {
+                let Some(value) = facts.on_key(key).and_then(ValueRange::as_point) else {
                     continue;
                 };
-                for rule in self.rules.iter() {
-                    if !rule.rhs.attr.matches(obj, attr_name) {
-                        continue;
-                    }
+                let first = answer.partial.len();
+                for &pos in lookup.concluding(key) {
+                    let rule = &rules[pos as usize];
                     let Some(rhs_value) = rule.rhs.range.as_point() else {
                         continue;
                     };
@@ -213,202 +309,150 @@ impl<'a> InferenceEngine<'a> {
                     // Single-premise rules only (the paper's induced
                     // rules are single-clause).
                     let [lhs] = rule.lhs.as_slice() else { continue };
-                    let complete = self.backward_completeness(rule, &lhs.attr, value);
-                    answer.steps.push(format!(
-                        "backward: R{} inverted — instances with {} {} have {} = {}",
-                        rule.id, lhs.attr, lhs.range, rule.rhs.attr, value
-                    ));
-                    answer.provenance.push(RuleUse {
-                        rule_id: rule.id,
-                        support: rule.support,
-                        direction: Direction::Backward,
-                        conclusion: format!(
-                            "{} {} ⇒ {} = {}",
-                            lhs.attr, lhs.range, rule.rhs.attr, value
-                        ),
-                    });
                     inverted += 1;
-                    intensio_obs::inc("inference.backward_inverted");
-                    answer.partial.push(BackwardCharacterization {
-                        x: lhs.attr.clone(),
-                        range: lhs.range.clone(),
-                        y: rule.rhs.attr.clone(),
-                        value: value.clone(),
-                        subtype: rule
-                            .rhs_subtype
-                            .clone()
-                            .or_else(|| self.subtype_label(&rule.rhs.attr.attribute, value)),
-                        rule_id: rule.id,
-                        complete,
-                    });
+                    let mut step = format!("backward: R{} inverted — instances with ", rule.id);
+                    let x = step.len();
+                    let _ = write!(step, "{} {}", lhs.attr, lhs.range);
+                    let x_end = step.len();
+                    step.push_str(" have ");
+                    let y = step.len();
+                    let _ = write!(step, "{} = {}", rule.rhs.attr, value);
+                    let x_key = lookup.premise_keys(pos as usize)[0];
+                    if let Some(b) =
+                        self.characterize(&answer.partial[first..], &facts, x_key, rule, value)
+                    {
+                        answer.provenance.push(RuleUse {
+                            rule_id: rule.id,
+                            support: rule.support,
+                            direction: Direction::Backward,
+                            conclusion: [&step[x..x_end], " ⇒ ", &step[y..]].concat(),
+                        });
+                        answer.partial.push(b);
+                    }
+                    answer.steps.push(step);
                 }
             }
+            count("inference.backward_inverted", inverted);
             backward_span.field("inverted", inverted);
             drop(backward_span);
         }
 
-        // Suppress trivial backward echoes: a backward characterization
-        // whose X attribute the query already fixed to the same range
-        // adds nothing.
-        answer.partial.retain(|b| {
-            let k = attr_key(&b.x);
-            match (given.contains(&k), facts.get(&k)) {
-                (true, Some(r)) => r != &b.range,
-                _ => true,
+        if intensio_obs::enabled() {
+            let mut name = String::from("inference.rule.R");
+            let prefix = name.len();
+            for u in &answer.provenance {
+                name.truncate(prefix);
+                let _ = write!(name, "{}.used", u.rule_id);
+                intensio_obs::inc(&name);
             }
-        });
-        // Two rules with the same premise and conclusion (a redundant
-        // duplicate the install-time prune would drop) invert to the
-        // same description; keep the first — iteration is in rule-id
-        // order, so the citation is stable — and the answer reads the
-        // same whether or not the duplicate was pruned.
-        let mut seen_descriptions = BTreeSet::new();
-        answer.partial.retain(|b| {
-            seen_descriptions.insert(format!(
-                "{}|{}|{}|{}|{:?}",
-                b.x, b.range, b.y, b.value, b.subtype
-            ))
-        });
-        // Keep provenance consistent with the surviving characterizations.
-        let kept_backward: BTreeSet<u32> = answer.partial.iter().map(|b| b.rule_id).collect();
-        answer.provenance.retain(|u| match u.direction {
-            Direction::Forward => true,
-            Direction::Backward => kept_backward.contains(&u.rule_id),
-        });
-        for u in &answer.provenance {
-            intensio_obs::inc(&format!("inference.rule.R{}.used", u.rule_id));
         }
 
         answer
     }
 
-    /// Referential equivalences from the KER schema: an object-valued
-    /// attribute holds the referenced entity's key, so facts transfer
-    /// between them (`INSTALL.Sonar` ≡ `SONAR.Sonar`,
-    /// `SUBMARINE.Class` ≡ `CLASS.Class`). This is how a condition on a
-    /// relationship attribute reaches rules phrased over the entity —
-    /// the paper's Example 3 relies on it (`INSTALL.SONAR = "BQS-04"`
-    /// fires R17/R11, which speak of `y.Sonar`).
-    fn schema_equivalences(&self) -> Vec<(AttrId, AttrId)> {
-        let mut out = Vec::new();
-        for type_name in self.model.type_names() {
-            let Some(ot) = self.model.object_type(type_name) else {
-                continue;
-            };
-            for a in &ot.declared_attrs {
-                let target = a.domain().name();
-                if !self.model.contains_type(target) || target.eq_ignore_ascii_case(type_name) {
-                    continue;
-                }
-                let Some(tt) = self.model.object_type(target) else {
-                    continue;
-                };
-                let Some(key) = tt.declared_attrs.iter().find(|k| k.is_key()) else {
-                    continue;
-                };
-                out.push((
-                    AttrId::new(ot.name.clone(), a.name().to_string()),
-                    AttrId::new(tt.name.clone(), key.name().to_string()),
-                ));
-            }
+    /// The characterization inverting `rule` describes, unless it adds
+    /// nothing: its premise attribute (key `x_key`) is a given fact with
+    /// the premise's range, a trivial echo of the query; or `earlier`,
+    /// the characterizations of the same point fact, already describe
+    /// the same instances. Two rules with the same premise and
+    /// conclusion (a redundant duplicate the install-time prune would
+    /// drop) invert to the same description; the first is kept — rules
+    /// are inverted in id order, so the citation is stable — and the
+    /// answer reads the same whether or not the duplicate was pruned.
+    fn characterize(
+        &self,
+        earlier: &[BackwardCharacterization],
+        facts: &Facts<'_>,
+        x_key: KeyId,
+        rule: &Rule,
+        value: &Value,
+    ) -> Option<BackwardCharacterization> {
+        let lhs = &rule.lhs[0];
+        if facts.is_given(x_key) && facts.on_key(x_key) == Some(&lhs.range) {
+            return None;
         }
-        out
-    }
-
-    /// Join-equivalence classes: attr -> every attr equated with it.
-    fn equivalences(&self, analysis: &QueryAnalysis) -> HashMap<(String, String), Vec<AttrId>> {
-        // Union-find over the attributes mentioned in joins.
-        let mut parent: HashMap<(String, String), (String, String)> = HashMap::new();
-        fn find(
-            parent: &mut HashMap<(String, String), (String, String)>,
-            k: (String, String),
-        ) -> (String, String) {
-            let p = parent.get(&k).cloned();
-            match p {
-                None => k,
-                Some(p) if p == k => k,
-                Some(p) => {
-                    let root = find(parent, p);
-                    parent.insert(k, root.clone());
-                    root
-                }
-            }
+        let subtype = rule
+            .rhs_subtype
+            .clone()
+            .or_else(|| self.subtype_label(&rule.rhs.attr.attribute, value));
+        // Every earlier one concludes on the same attribute key with the
+        // same value, so the description differs only in these.
+        let same = |b: &BackwardCharacterization| {
+            b.x == lhs.attr
+                && b.y == rule.rhs.attr
+                && b.subtype == subtype
+                && same_text(&b.range, &lhs.range)
+        };
+        if earlier.iter().any(same) {
+            return None;
         }
-        let mut members: HashMap<(String, String), BTreeSet<(String, String)>> = HashMap::new();
-        let mut ids: HashMap<(String, String), AttrId> = HashMap::new();
-        let mut edges: Vec<(AttrId, AttrId)> = analysis
-            .joins
-            .iter()
-            .map(|j| {
-                (
-                    AttrId::new(j.left.relation.clone(), j.left.attribute.clone()),
-                    AttrId::new(j.right.relation.clone(), j.right.attribute.clone()),
-                )
-            })
-            .collect();
-        edges.extend(self.schema_equivalences());
-        for (a, b) in &edges {
-            let (ka, kb) = (attr_key(a), attr_key(b));
-            let (a, b) = (a.clone(), b.clone());
-            ids.insert(ka.clone(), a);
-            ids.insert(kb.clone(), b);
-            let ra = find(&mut parent, ka.clone());
-            let rb = find(&mut parent, kb.clone());
-            parent.insert(ka.clone(), ra.clone());
-            parent.insert(kb, ra.clone());
-            if ra != rb {
-                parent.insert(rb, ra);
-            }
-        }
-        let keys: Vec<(String, String)> = ids.keys().cloned().collect();
-        for k in keys {
-            let r = find(&mut parent, k.clone());
-            members.entry(r).or_default().insert(k);
-        }
-        let mut out: HashMap<(String, String), Vec<AttrId>> = HashMap::new();
-        for set in members.values() {
-            for k in set {
-                let peers: Vec<AttrId> = set
-                    .iter()
-                    .filter(|o| *o != k)
-                    .filter_map(|o| ids.get(o).cloned())
-                    .collect();
-                out.insert(k.clone(), peers);
-            }
-        }
-        out
+        Some(BackwardCharacterization {
+            x: lhs.attr.clone(),
+            range: lhs.range.clone(),
+            y: rule.rhs.attr.clone(),
+            value: value.clone(),
+            subtype,
+            rule_id: rule.id,
+            complete: self.backward_completeness(rule, &lhs.attr, value),
+        })
     }
 
     /// Record a fact, intersecting with any existing fact on the
-    /// attribute, and propagate it across join equivalences.
-    fn add_fact(
+    /// attribute, and propagate it across equivalences.
+    fn add_fact<'q>(
         &self,
-        facts: &mut BTreeMap<(String, String), ValueRange>,
-        equiv: &HashMap<(String, String), Vec<AttrId>>,
-        attr: &AttrId,
+        facts: &mut Facts<'q>,
+        equiv: &'q Equivalences,
+        attr: (&'q str, &'q str),
         range: ValueRange,
         steps: &mut Vec<String>,
     ) {
-        let mut queue = vec![(attr.clone(), range)];
-        while let Some((a, r)) = queue.pop() {
-            let k = attr_key(&a);
-            let merged = match facts.get(&k) {
+        let lookup = self.rules.lookup();
+        let mut queue = vec![(attr, range)];
+        while let Some(((object, attribute), r)) = queue.pop() {
+            let key = lookup.key(object, attribute);
+            let at = facts.position(key, object, attribute);
+            let merged = match at.map(|i| &facts.entries[i].range) {
                 Some(existing) => match existing.intersect(&r) {
                     Some(i) => i,
                     None => {
-                        steps.push(format!("contradiction on {a}: {existing} ∧ {r} is empty"));
-                        r.clone()
+                        steps.push(format!(
+                            "contradiction on {object}.{attribute}: {existing} ∧ {r} is empty"
+                        ));
+                        r
                     }
                 },
-                None => r.clone(),
+                None => r,
             };
-            let changed = facts.get(&k) != Some(&merged);
-            facts.insert(k.clone(), merged.clone());
-            if changed {
-                if let Some(peers) = equiv.get(&k) {
-                    for p in peers {
-                        queue.push((p.clone(), merged.clone()));
+            let at = match at {
+                Some(i) if facts.entries[i].range == merged => {
+                    facts.entries[i].range = merged;
+                    continue;
+                }
+                Some(i) => {
+                    facts.entries[i].range = merged;
+                    i
+                }
+                None => {
+                    if let Some(k) = key {
+                        facts.slot[k as usize] = facts.entries.len() as u32;
                     }
+                    facts.entries.push(Fact {
+                        object,
+                        attribute,
+                        key,
+                        range: merged,
+                    });
+                    facts.entries.len() - 1
+                }
+            };
+            facts.changed.extend(key);
+            let Some(class) = equiv.class_of(object, attribute) else {
+                continue;
+            };
+            for (o, a) in class {
+                if !(o.eq_ignore_ascii_case(object) && a.eq_ignore_ascii_case(attribute)) {
+                    queue.push(((o, a), facts.entries[at].range.clone()));
                 }
             }
         }
@@ -416,36 +460,31 @@ impl<'a> InferenceEngine<'a> {
 
     /// Is a rule's premise subsumed by the current facts?
     ///
-    /// Every premise clause must be satisfied, and at least one premise
+    /// Every premise clause must be satisfied. At least one premise
     /// attribute must actually be constrained by the query (otherwise
-    /// any database-wide regularity would fire).
-    fn premise_satisfied(
-        &self,
-        rule: &Rule,
-        facts: &BTreeMap<(String, String), ValueRange>,
-    ) -> bool {
-        let fact_on = |clause: &Clause| facts.get(&attr_key(&clause.attr));
-        if !rule.lhs.iter().any(|c| fact_on(c).is_some()) {
-            return false;
-        }
-        rule.lhs.iter().all(|clause| match self.cfg.subsumption {
-            SubsumptionMode::PureInterval => {
-                fact_on(clause).is_some_and(|f| clause.range.subsumes(f))
-            }
-            SubsumptionMode::DataGrounded => {
-                // Every stored value meeting the fact (all of them when
-                // the attribute carries none) lies in the premise, and
-                // there is at least one.
-                let (lo, hi) = fact_on(clause)
-                    .map_or((None, None), |f| (index_bound(&f.lo), index_bound(&f.hi)));
-                let premise_covers = |idx: &AttributeIndex| {
-                    let mut matching = idx.values_in(lo, hi).peekable();
-                    matching.peek().is_some() && matching.all(|v| clause.range.contains(v))
-                };
-                self.db
-                    .get(&clause.attr.object)
-                    .and_then(|rel| rel.with_index(&clause.attr.attribute, premise_covers))
-                    .unwrap_or(false)
+    /// any database-wide regularity would fire): forward inference only
+    /// visits rules premised on an attribute with a fact.
+    fn premise_satisfied(&self, pos: usize, rule: &Rule, facts: &Facts<'_>) -> bool {
+        let keys = self.rules.lookup().premise_keys(pos);
+        rule.lhs.iter().zip(keys).all(|(clause, &key)| {
+            let fact = facts.on_key(key);
+            match self.cfg.subsumption {
+                SubsumptionMode::PureInterval => fact.is_some_and(|f| clause.range.subsumes(f)),
+                SubsumptionMode::DataGrounded => {
+                    // Every stored value meeting the fact (all of them
+                    // when the attribute carries none) lies in the
+                    // premise, and there is at least one.
+                    let (lo, hi) =
+                        fact.map_or((None, None), |f| (index_bound(&f.lo), index_bound(&f.hi)));
+                    let premise_covers = |idx: &AttributeIndex| {
+                        let mut matching = idx.values_in(lo, hi).peekable();
+                        matching.peek().is_some() && matching.all(|v| clause.range.contains(v))
+                    };
+                    self.db
+                        .get(&clause.attr.object)
+                        .and_then(|rel| rel.with_index(&clause.attr.attribute, premise_covers))
+                        .unwrap_or(false)
+                }
             }
         })
     }
@@ -467,5 +506,12 @@ impl<'a> InferenceEngine<'a> {
                 .all(|&row| lhs.range.contains(rel.tuples()[row].get(xi)))
         })
         .ok()
+    }
+}
+
+/// Add `n` to a counter, leaving an untouched one absent.
+fn count(name: &str, n: usize) {
+    if n > 0 {
+        intensio_obs::add(name, n as u64);
     }
 }

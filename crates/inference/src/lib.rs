@@ -20,6 +20,7 @@
 
 pub mod absint;
 pub mod answer;
+mod bits;
 pub mod engine;
 pub mod fingerprint;
 pub mod optimizer;

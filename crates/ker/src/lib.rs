@@ -35,6 +35,7 @@
 
 pub mod ast;
 pub mod classify;
+pub mod equiv;
 pub mod lexer;
 pub mod model;
 pub mod parser;
@@ -45,6 +46,7 @@ pub use ast::{
     DomainDef, DomainSpec, IsaDef, KerSchema, KerStatement, ObjectTypeDef, RoleDef,
 };
 pub use classify::classify_value;
+pub use equiv::{Edge, Equivalences};
 pub use lexer::KerError;
 pub use model::{coerce_value, Classifier, KerModel, ModelError, ObjectType};
 pub use parser::parse;

@@ -7,9 +7,11 @@
 //! rules) lives in `intensio-rules`.
 
 use crate::ast::*;
+use crate::equiv::{Edge, Equivalences};
 use intensio_storage::domain::Domain;
 use intensio_storage::schema::{Attribute, Schema};
 use intensio_storage::value::{Value, ValueType};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::OnceLock;
@@ -86,18 +88,19 @@ pub struct KerModel {
     /// Preserves declaration order of object types for rendering.
     type_order: Vec<String>,
     /// [`KerModel::classifier_list`], built on first use.
-    classifiers: ClassifierCache,
+    classifiers: Derived<Vec<Classifier>>,
+    /// [`KerModel::referential_equivalences`], built on first use.
+    equivalences: Derived<Equivalences>,
 }
 
-/// A model's classifier list, built once. It is derived from the
-/// model's types, so it takes no part in equality; a model is not
-/// changed after [`KerModel::from_schema`] returns, so it never goes
-/// stale.
+/// A value derived from the model's types, built once. It takes no part
+/// in equality; a model is not changed after [`KerModel::from_schema`]
+/// returns, so it never goes stale.
 #[derive(Debug, Clone, Default)]
-struct ClassifierCache(OnceLock<Vec<Classifier>>);
+struct Derived<T>(OnceLock<T>);
 
-impl PartialEq for ClassifierCache {
-    fn eq(&self, _: &ClassifierCache) -> bool {
+impl<T> PartialEq for Derived<T> {
+    fn eq(&self, _: &Derived<T>) -> bool {
         true
     }
 }
@@ -557,6 +560,62 @@ impl KerModel {
         self.classifiers
             .0
             .get_or_init(|| self.classifiers().into_iter().map(|(_, c)| c).collect())
+    }
+
+    /// The referential equivalences: an object-valued attribute holds
+    /// the referenced entity's key, so a condition on one holds for the
+    /// other (`INSTALL.Sonar` ≡ `SONAR.Sonar`, `SUBMARINE.Class` ≡
+    /// `CLASS.Class`). This is how a condition on a relationship
+    /// attribute reaches rules phrased over the entity — the paper's
+    /// Example 3 relies on it. Built on the first call.
+    pub fn referential_equivalences(&self) -> &Equivalences {
+        self.equivalences
+            .0
+            .get_or_init(|| Equivalences::from_edges(self.referential_edges()))
+    }
+
+    /// The referential equivalences joined with a query's equi-joins:
+    /// the cached classes when every join equates two attributes they
+    /// already equate, else the classes of the joins and the
+    /// referential edges, in that order, built afresh.
+    pub fn equivalences_with<'e, I>(&self, joins: I) -> Cow<'_, Equivalences>
+    where
+        I: IntoIterator<Item = Edge<'e>>,
+        I::IntoIter: Clone,
+    {
+        let cached = self.referential_equivalences();
+        let joins = joins.into_iter();
+        if joins.clone().all(|j| cached.holds(j)) {
+            return Cow::Borrowed(cached);
+        }
+        let mut edges: Vec<Edge<'_>> = joins.collect();
+        edges.extend(self.referential_edges());
+        Cow::Owned(Equivalences::from_edges(edges))
+    }
+
+    /// Each object-valued attribute with the key of the type it names,
+    /// types and attributes in declaration order.
+    fn referential_edges(&self) -> Vec<Edge<'_>> {
+        let mut out = Vec::new();
+        for type_name in self.type_names() {
+            let Some(ot) = self.object_type(type_name) else {
+                continue;
+            };
+            for a in &ot.declared_attrs {
+                let target = a.domain().name();
+                if target.eq_ignore_ascii_case(type_name) {
+                    continue;
+                }
+                let Some(tt) = self.object_type(target) else {
+                    continue;
+                };
+                let Some(key) = tt.declared_attrs.iter().find(|k| k.is_key()) else {
+                    continue;
+                };
+                out.push([(&ot.name[..], a.name()), (&tt.name[..], key.name())]);
+            }
+        }
+        out
     }
 
     /// The subtype selected by `attribute = value` in *any* hierarchy

@@ -8,6 +8,8 @@
 //!   forward/backward type inference;
 //! * [`rule::Rule`] / [`rule::RuleSet`] — Horn rules whose clauses are
 //!   attribute value ranges, with support counts and subtype labels;
+//! * [`lookup::RuleLookup`] — a rule set keyed by attribute, so the
+//!   inference processor reads only the rules a query's facts reach;
 //! * [`encode`] — the §5.2.2 *rule relations* encoding, storing a rule
 //!   set as ordinary relations `(RuleNo, Role, Lvalue, Att_no, Uvalue)`
 //!   plus an attribute value mapping, so knowledge relocates with the
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod encode;
+pub mod lookup;
 pub mod range;
 pub mod rule;
 

@@ -6,11 +6,13 @@
 //! classifying attribute with a subtype's derivation value, the rule is
 //! equivalently `... then x isa SUBTYPE` (the form the paper prints).
 
+use crate::lookup::RuleLookup;
 use crate::range::ValueRange;
 use intensio_storage::value::Value;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// An attribute identified by its owning object type (or relation) and
 /// name, e.g. `CLASS.Displacement`.
@@ -147,11 +149,6 @@ impl Rule {
         self
     }
 
-    /// Whether the premise constrains the given attribute.
-    pub fn lhs_mentions(&self, object: &str, attribute: &str) -> bool {
-        self.lhs.iter().any(|c| c.attr.matches(object, attribute))
-    }
-
     /// The premise clause over the given attribute, if present.
     pub fn lhs_clause(&self, object: &str, attribute: &str) -> Option<&Clause> {
         self.lhs.iter().find(|c| c.attr.matches(object, attribute))
@@ -175,9 +172,31 @@ impl fmt::Display for Rule {
 }
 
 /// A collection of rules with stable numbering.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct RuleSet {
     rules: Vec<Rule>,
+    /// [`RuleSet::lookup`], built on first use.
+    lookup: LookupCache,
+}
+
+/// A rule set's lookup, built once. It is derived from the rules, so it
+/// takes no part in equality; every method that changes the rules
+/// empties it.
+#[derive(Clone, Default)]
+struct LookupCache(OnceLock<RuleLookup>);
+
+impl PartialEq for LookupCache {
+    fn eq(&self, _: &LookupCache) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for RuleSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RuleSet")
+            .field("rules", &self.rules)
+            .finish()
+    }
 }
 
 impl RuleSet {
@@ -197,6 +216,7 @@ impl RuleSet {
 
     /// Append a rule, assigning the next id.
     pub fn push(&mut self, mut rule: Rule) -> u32 {
+        self.lookup.0.take();
         let id = self.rules.len() as u32 + 1;
         rule.id = id;
         self.rules.push(rule);
@@ -215,6 +235,17 @@ impl RuleSet {
                 .iter()
                 .zip(&other.rules)
                 .all(|(a, b)| a.identical(b))
+    }
+
+    /// The rules keyed by attribute, built on the first call after the
+    /// rules last changed; later calls borrow the same lookup.
+    pub fn lookup(&self) -> &RuleLookup {
+        self.lookup.0.get_or_init(|| RuleLookup::new(&self.rules))
+    }
+
+    /// The rules at `positions` (ids − 1).
+    fn at<'s>(&'s self, positions: &'s [u32]) -> impl Iterator<Item = &'s Rule> + 's {
+        positions.iter().map(|&p| &self.rules[p as usize])
     }
 
     /// The rules, in id order.
@@ -288,10 +319,9 @@ impl RuleSet {
 
     /// Rules whose consequence constrains `object.attribute`.
     pub fn rules_concluding(&self, object: &str, attribute: &str) -> Vec<&Rule> {
-        self.rules
-            .iter()
-            .filter(|r| r.rhs.attr.matches(object, attribute))
-            .collect()
+        let lookup = self.lookup();
+        let positions = lookup.key(object, attribute).map(|k| lookup.concluding(k));
+        self.at(positions.unwrap_or_default()).collect()
     }
 
     /// Rules whose consequence is the given subtype.
@@ -309,16 +339,16 @@ impl RuleSet {
 
     /// Rules whose premise mentions `object.attribute`.
     pub fn rules_premised_on(&self, object: &str, attribute: &str) -> Vec<&Rule> {
-        self.rules
-            .iter()
-            .filter(|r| r.lhs_mentions(object, attribute))
-            .collect()
+        let lookup = self.lookup();
+        let positions = lookup.key(object, attribute).map(|k| lookup.premised_on(k));
+        self.at(positions.unwrap_or_default()).collect()
     }
 
     /// Drop rules with support below `min_support`, renumbering. Returns
     /// the number removed. This is the §5.2.1 step-4 pruning with
     /// threshold `N_c`.
     pub fn prune_below(&mut self, min_support: usize) -> usize {
+        self.lookup.0.take();
         let before = self.rules.len();
         self.rules.retain(|r| r.support >= min_support);
         for (i, r) in self.rules.iter_mut().enumerate() {
@@ -337,6 +367,7 @@ impl RuleSet {
     /// (§5.2.1 step 4): it trades no applicability at all, since every
     /// query the dropped rule would answer is answered by its subsumer.
     pub fn minimize(&mut self) -> usize {
+        self.lookup.0.take();
         let groups = self.consequence_groups();
         let rules = std::mem::take(&mut self.rules);
         let mut keep: Vec<bool> = vec![true; rules.len()];
@@ -518,6 +549,25 @@ mod tests {
         assert_eq!(rs.rules_concluding_subtype("ssbn").len(), 2);
         assert_eq!(rs.rules_premised_on("CLASS", "Displacement").len(), 2);
         assert_eq!(rs.rules_premised_on("CLASS", "Nope").len(), 0);
+        // Each mutation empties the lookup the queries above built.
+        let draft = Clause::between(AttrId::new("Class", "DRAFT"), 1, 9);
+        rs.push(Rule::new(
+            0,
+            vec![draft],
+            Clause::equals(AttrId::new("class", "Type"), "SSN"),
+        ));
+        assert_eq!(rs.rules_concluding("CLASS", "TYPE").len(), 3);
+        assert_eq!(rs.rules_premised_on("CLASS", "Draft").len(), 1);
+        assert_eq!(rs.prune_below(4), 1);
+        assert_eq!(rs.rules_premised_on("CLASS", "Draft").len(), 0);
+        assert_eq!(rs.minimize(), 1);
+        assert_eq!(rs.rules_concluding("CLASS", "Type").len(), 1);
+        let lookup = rs.lookup();
+        let k = lookup.key("class", "displacement").unwrap();
+        assert_eq!(
+            (lookup.key_count(), lookup.premised_on(k)),
+            (2, &[0u32][..])
+        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::ast::{SelectItem, SelectQuery, TableRef};
 use intensio_storage::expr::{ArithOp, AttrRef, CmpOp, Expr};
 use intensio_storage::value::Value;
-use std::borrow::Cow;
 use std::fmt;
 
 /// A SQL parse error.
@@ -31,9 +30,8 @@ impl std::error::Error for SqlParseError {}
 #[derive(Debug, Clone, PartialEq)]
 enum Tok<'a> {
     Ident(&'a str),
-    /// A quoted literal's bytes, each read as one `char` (so non-ASCII
-    /// text is owned, ASCII borrowed).
-    Str(Cow<'a, str>),
+    /// A quoted literal's text.
+    Str(&'a str),
     Num {
         text: &'a str,
         value: f64,
@@ -146,13 +144,10 @@ fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, SqlParseError> {
                         offset: start,
                     });
                 };
+                // Both quotes are ASCII, so the body is whole characters.
                 let body = &src[i + 1..i + 1 + len];
                 i += len + 2;
-                let text = match body.is_ascii() {
-                    true => Cow::Borrowed(body),
-                    false => Cow::Owned(body.bytes().map(char::from).collect()),
-                };
-                out.push((Tok::Str(text), start));
+                out.push((Tok::Str(body), start));
             }
             d if d.is_ascii_digit() => {
                 let mut is_int = true;

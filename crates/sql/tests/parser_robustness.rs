@@ -69,3 +69,29 @@ proptest! {
         prop_assert_eq!(ns, sorted);
     }
 }
+
+/// A quoted literal is read as the text it is: a non-ASCII constant
+/// matches the stored value it spells, in either quote style.
+#[test]
+fn non_ascii_literals_match_stored_text() {
+    let schema = Schema::new(vec![
+        Attribute::key("K", Domain::char_n(8)),
+        Attribute::new("S", Domain::char_n(8)),
+    ])
+    .unwrap();
+    let mut r = Relation::new("T", schema);
+    for (k, s) in [("a", "é"), ("b", "Ã©"), ("c", "naïve"), ("d", "😀 ∀")] {
+        r.insert(tuple![k, s]).unwrap();
+    }
+    let mut d = Database::new();
+    d.create(r).unwrap();
+    for (sql, key) in [
+        ("SELECT K FROM T WHERE S = 'é'", "a"),
+        ("SELECT K FROM T WHERE S = \"naïve\"", "c"),
+        ("SELECT K FROM T WHERE S = '😀 ∀'", "d"),
+    ] {
+        let out = query(&d, sql).unwrap();
+        let keys: Vec<String> = out.iter().map(|t| t.get(0).render_bare()).collect();
+        assert_eq!(keys, [key], "{sql}");
+    }
+}
