@@ -41,11 +41,13 @@ pub struct IlsStats {
     pub rules_kept: usize,
 }
 
-/// The result of a learning run: the rule set plus statistics.
+/// The result of a learning run: the rule set plus statistics. A
+/// memoized run ([`Ils::induce_memo`]) shares its rule set with the
+/// memo, as an `Arc<RuleSet>`.
 #[derive(Debug, Clone)]
-pub struct IlsOutput {
+pub struct IlsOutput<R = RuleSet> {
     /// The induced rules, numbered.
-    pub rules: RuleSet,
+    pub rules: R,
     /// Run statistics.
     pub stats: IlsStats,
 }
@@ -100,7 +102,13 @@ fn record_induction_metrics(stats: &IlsStats, work: PairWork) {
 /// A different model (as far as a run reads it: its classifiers and
 /// each object type's declared attribute names and domains),
 /// configuration, or catalog (relation names and schema handles)
-/// empties the whole memo. A run takes the memo's
+/// empties the whole memo.
+///
+/// The memo also keeps the rule set the run produced. When every pair
+/// a run recomputes kept the rules it had (bounds and conclusion
+/// [`Value::identical`], the same support and subtype), the run returns
+/// that same `Arc` instead of numbering the rules again, and
+/// `induction.rules_reused` counts it. A run takes the memo's
 /// contents once it starts and puts the new ones back only when it
 /// succeeds, so a run that fails or panics leaves it empty (the
 /// `induction.run` failpoint fires before, and leaves it as it was).
@@ -126,13 +134,29 @@ impl IlsMemo {
 /// and each object type, in declaration order, with its declared
 /// attributes' names and domain names (which attributes are
 /// object-valued, and the types they reference).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct ModelKey {
     classifiers: Vec<Classifier>,
     types: Vec<(String, Vec<(String, String)>)>,
 }
 
 impl ModelKey {
+    /// Whether `model` reads as this key: [`ModelKey::of`], compared
+    /// in place instead of built.
+    fn matches(&self, model: &KerModel) -> bool {
+        let mut types = (model.type_names().iter()).filter_map(|name| model.object_type(name));
+        self.classifiers.as_slice() == model.classifier_list()
+            && self.types.iter().all(|(name, attrs)| {
+                types.next().is_some_and(|ot| {
+                    *name == ot.name
+                        && attrs.len() == ot.declared_attrs.len()
+                        && (attrs.iter().zip(&ot.declared_attrs))
+                            .all(|((n, d), a)| n == a.name() && d == a.domain().name())
+                })
+            })
+            && types.next().is_none()
+    }
+
     fn of(model: &KerModel) -> ModelKey {
         let types = model.type_names().iter().filter_map(|name| {
             let ot = model.object_type(name)?;
@@ -148,7 +172,8 @@ impl ModelKey {
     }
 }
 
-/// One successful run: its key and what it learned per source.
+/// One successful run: its key, what it learned per source, and the
+/// rule set it produced.
 #[derive(Debug, Clone)]
 struct Learned {
     model: ModelKey,
@@ -157,6 +182,8 @@ struct Learned {
     catalog: Vec<(String, SchemaRef)>,
     /// One per relation, in catalog order.
     sources: Vec<SourceMemo>,
+    /// Every source's pairs' rules, numbered in job order.
+    rules: Arc<RuleSet>,
 }
 
 impl Learned {
@@ -170,7 +197,7 @@ impl Learned {
                 .all(|((name, schema), rel)| {
                     name == rel.name() && Arc::ptr_eq(schema, &rel.schema_ref())
                 })
-            && self.model == ModelKey::of(model)
+            && self.model.matches(model)
     }
 }
 
@@ -220,6 +247,19 @@ struct PairRule {
     support: usize,
     /// The subtype the conclusion selects.
     subtype: Option<String>,
+}
+
+impl PairRule {
+    /// Whether `other` yields the same rule: its bounds (value `x` of
+    /// `lo` and `hi`) and conclusion (value `y` of `y`) identical, and
+    /// the same support and subtype.
+    fn same_rule(&self, other: &PairRule, x: usize, y: usize) -> bool {
+        self.lo.get(x).identical(other.lo.get(x))
+            && self.hi.get(x).identical(other.hi.get(x))
+            && self.y.get(y).identical(other.y.get(y))
+            && self.support == other.support
+            && self.subtype == other.subtype
+    }
 }
 
 impl PairMemo {
@@ -282,7 +322,7 @@ impl<'m> Ils<'m> {
 
     /// Run schema-guided induction over every relation of the database.
     pub fn induce(&self, db: &Database) -> Result<IlsOutput> {
-        self.induce_memo(db, 1, &mut IlsMemo::new())
+        self.induce_parallel(db, 1)
     }
 
     /// Run schema-guided induction with pair-level parallelism.
@@ -294,7 +334,12 @@ impl<'m> Ils<'m> {
     /// [`Ils::induce`] (tested). Relationship joins are resolved to row
     /// ids once, up front, on the calling thread.
     pub fn induce_parallel(&self, db: &Database, threads: usize) -> Result<IlsOutput> {
-        self.induce_memo(db, threads, &mut IlsMemo::new())
+        // The memo is dropped with the statement, so the set is unshared.
+        let out = self.induce_memo(db, threads, &mut IlsMemo::new())?;
+        Ok(IlsOutput {
+            rules: Arc::try_unwrap(out.rules).unwrap_or_else(|shared| RuleSet::clone(&shared)),
+            stats: out.stats,
+        })
     }
 
     /// Run schema-guided induction, reusing what `memo` learned from an
@@ -302,13 +347,14 @@ impl<'m> Ils<'m> {
     /// [`IlsMemo`]), and leave this run's results in it. The pairs that
     /// must be recomputed are spread over `threads` workers as in
     /// [`Ils::induce_parallel`]. The output is that of [`Ils::induce`]
-    /// on `db` (tested).
+    /// on `db` (tested); when no recomputed pair's rules changed, its
+    /// rule set is the one the memo's run returned, the same `Arc`.
     pub fn induce_memo(
         &self,
         db: &Database,
         threads: usize,
         memo: &mut IlsMemo,
-    ) -> Result<IlsOutput> {
+    ) -> Result<IlsOutput<Arc<RuleSet>>> {
         let threads = threads.max(1);
         let mode = if threads == 1 {
             "sequential"
@@ -323,39 +369,43 @@ impl<'m> Ils<'m> {
             .learned
             .take()
             .filter(|l| l.matches(self.model, &self.cfg, db));
-        let (model, catalog, old_sources) = match old {
-            Some(l) => (l.model, l.catalog, l.sources),
+        let (model, catalog, old_sources, old_rules) = match old {
+            Some(l) => (l.model, l.catalog, l.sources, Some(l.rules)),
             None => {
                 let catalog = db
                     .relations()
                     .map(|r| (r.name().to_string(), r.schema_ref()))
                     .collect();
-                (ModelKey::of(self.model), catalog, Vec::new())
+                (ModelKey::of(self.model), catalog, Vec::new(), None)
             }
         };
         let mut plan = self.plan(db, old_sources)?;
         let jobs = std::mem::take(&mut plan.jobs);
         let results = plan.run_jobs(jobs, &self.cfg, self.model.classifier_list(), threads);
-        let (out, sources) = self.assemble(plan, results)?;
+        let (out, sources) = self.assemble(plan, results, old_rules)?;
         memo.learned = Some(Learned {
             model,
             cfg: self.cfg,
             catalog,
             sources,
+            rules: Arc::clone(&out.rules),
         });
         Ok(out)
     }
 
     /// Number the rules of every pair, in job order, record the run's
-    /// statistics, and collect what the memo keeps.
+    /// statistics, and collect what the memo keeps. `previous` is the
+    /// rule set of the run the memo held, if it still applies: when
+    /// every recomputed pair kept its rules, it is the run's rule set.
     fn assemble(
         &self,
         plan: Plan<'_>,
-        results: Vec<PairMemo>,
-    ) -> Result<(IlsOutput, Vec<SourceMemo>)> {
+        results: Vec<(PairMemo, bool)>,
+        previous: Option<Arc<RuleSet>>,
+    ) -> Result<(IlsOutput<Arc<RuleSet>>, Vec<SourceMemo>)> {
         let mut stats = IlsStats::default();
         let mut work = PairWork::default();
-        let mut rules = RuleSet::new();
+        let mut changed = false;
         let mut results = results.into_iter();
         let mut sources = Vec::with_capacity(plan.sources.len());
         for planned in plan.sources {
@@ -371,8 +421,9 @@ impl<'m> Ils<'m> {
                         work.rebuilt += planned.jobs;
                     }
                     let mut pairs = Vec::with_capacity(planned.jobs);
-                    for pair in results.by_ref().take(planned.jobs) {
+                    for (pair, kept) in results.by_ref().take(planned.jobs) {
                         intensio_fault::fire("induction.pair")?;
+                        changed |= !kept;
                         pairs.push(pair);
                     }
                     pairs
@@ -382,9 +433,6 @@ impl<'m> Ils<'m> {
                 stats.pairs_examined += 1;
                 stats.rules_constructed += pair.constructed;
                 stats.rules_kept += pair.rules.len();
-                for rule in pair.rules() {
-                    rules.push(rule);
-                }
             }
             sources.push(SourceMemo {
                 rel: planned.rel,
@@ -393,6 +441,16 @@ impl<'m> Ils<'m> {
             });
         }
         record_induction_metrics(&stats, work);
+        let rules = match previous.filter(|_| !changed) {
+            Some(rules) => {
+                intensio_obs::inc("induction.rules_reused");
+                rules
+            }
+            None => {
+                let pairs = sources.iter().flat_map(|s| &s.pairs);
+                Arc::new(RuleSet::from_rules(pairs.flat_map(PairMemo::rules)))
+            }
+        };
         Ok((IlsOutput { rules, stats }, sources))
     }
 
@@ -1026,7 +1084,7 @@ impl Plan<'_> {
         cfg: &InductionConfig,
         classifiers: &[Classifier],
         threads: usize,
-    ) -> Vec<PairMemo> {
+    ) -> Vec<(PairMemo, bool)> {
         let total = jobs.len();
         let chunk = total.div_ceil(threads).max(1);
         let mut jobs = jobs.into_iter();
@@ -1055,8 +1113,9 @@ impl Plan<'_> {
         })
     }
 
-    /// Induce one job's pair.
-    fn run(&self, job: Job, cfg: &InductionConfig, classifiers: &[Classifier]) -> PairMemo {
+    /// Induce one job's pair, and tell whether it kept the rules of the
+    /// pair the job remembered (a job with none kept nothing).
+    fn run(&self, job: Job, cfg: &InductionConfig, classifiers: &[Classifier]) -> (PairMemo, bool) {
         let source = &self.sources[job.source].read;
         let obs = match source {
             Read::Stored(rel) => sorted_obs(rel.iter().map(|t| (t.get(job.x), t.get(job.y))), 0),
@@ -1091,6 +1150,7 @@ impl Plan<'_> {
             support: k.support,
             subtype: subtype_label_among(classifiers, &job.y_id.attribute, k.y.y),
         });
+        let remembered = job.remembered.is_some();
         let mut pair = match job.remembered {
             Some(pair) => pair,
             // Where X and Y sit in the tuples the rules point into.
@@ -1110,16 +1170,25 @@ impl Plan<'_> {
                 }
             }
         };
-        // Refilled in place: an extended pair keeps its buffers.
-        pair.rules.clear();
-        pair.rules.extend(rules);
+        // Refilled in place (an extended pair keeps its buffers), noting
+        // whether every rule came out as the remembered one.
+        let mut kept_rules = remembered && pair.rules.len() == kept.len();
+        if kept_rules {
+            for (old, new) in pair.rules.iter_mut().zip(rules) {
+                kept_rules &= old.same_rule(&new, pair.x, pair.y);
+                *old = new;
+            }
+        } else {
+            pair.rules.clear();
+            pair.rules.extend(rules);
+        }
         pair.constructed = constructed;
         pair.order.clear();
         // Only a stored relation's order is kept, to extend.
         if !matches!(source, Read::Joined(_)) {
             pair.order.extend(obs.iter().map(|o| row_id(o.row)));
         }
-        pair
+        (pair, kept_rules)
     }
 }
 

@@ -11,15 +11,16 @@
 //! replaces, so the gate keeps what it computed for the last candidate:
 //! the verdict and its Warn/Error counts, the pruned set, and (once a
 //! durable install asked for it) the encoded body. A candidate that is
-//! [`RuleSet::identical`] to the last one, checked against the same
-//! catalog schemas under the same support floor, reuses all three. The
-//! key is exact: identical rules check to the same report and encode
-//! to the same bytes, and the rule checks read nothing of the database
-//! but its relations' names and schemas. A reused rejection is still a
-//! rejection. The metrics a check emits (`induction.lint_warnings`,
-//! `induction.lint_errors`, `serve.rules_pruned`) advance on a reuse
-//! exactly as they would on a fresh check; `induction.gate_reused`
-//! counts the reuses.
+//! the last one (the same `Arc`, which is what the inducer hands over
+//! when induction reused its set) or [`RuleSet::identical`] to it,
+//! checked against the same catalog schemas under the same support
+//! floor, reuses all three. The key is exact: identical rules check to
+//! the same report and encode to the same bytes, and the rule checks
+//! read nothing of the database but its relations' names and schemas.
+//! A reused rejection is still a rejection. The metrics a check emits
+//! (`induction.lint_warnings`, `induction.lint_errors`,
+//! `serve.rules_pruned`) advance on a reuse exactly as they would on a
+//! fresh check; `induction.gate_reused` counts the reuses.
 
 use intensio_check::{check_rules, Report, RuleCheckConfig, Severity};
 use intensio_rules::rule::RuleSet;
@@ -73,7 +74,7 @@ struct Memo {
 }
 
 impl Memo {
-    fn matches(&self, candidate: &RuleSet, db: &Database) -> bool {
+    fn matches(&self, candidate: &Arc<RuleSet>, db: &Database) -> bool {
         self.catalog.len() == db.len()
             && self
                 .catalog
@@ -82,7 +83,7 @@ impl Memo {
                 .all(|((name, schema), rel)| {
                     name == rel.name() && Arc::ptr_eq(schema, &rel.schema_ref())
                 })
-            && self.candidate.identical(candidate)
+            && (Arc::ptr_eq(&self.candidate, candidate) || self.candidate.identical(candidate))
     }
 }
 
@@ -141,7 +142,8 @@ impl InstallGate {
     /// previous verdict when the candidate and the catalog's schemas
     /// are those it was reached for, else check and prune afresh and
     /// remember the result.
-    pub fn admit(&self, candidate: RuleSet, db: &Database) -> Verdict {
+    pub fn admit(&self, candidate: impl Into<Arc<RuleSet>>, db: &Database) -> Verdict {
+        let candidate = candidate.into();
         let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
         let hit = memo
             .as_ref()
@@ -176,7 +178,7 @@ impl InstallGate {
     /// conclusion never contributes a fact the wider rule does not.
     /// Chain-redundant rules (IC025) are only reported, never pruned:
     /// deriving their conclusion takes more than one step.
-    fn check_and_prune(&self, candidate: RuleSet, db: &Database) -> (Memo, Verdict) {
+    fn check_and_prune(&self, candidate: Arc<RuleSet>, db: &Database) -> (Memo, Verdict) {
         // With the check off there is nothing to print.
         let (mut warnings, mut errors, mut findings) = (0, 0, Some(Vec::new()));
         if self.check {
@@ -185,7 +187,6 @@ impl InstallGate {
             errors = report.count(Severity::Error);
             findings = verbose().then(|| finding_lines(&report).collect());
         }
-        let candidate = Arc::new(candidate);
         let (rules, pruned) = if errors > 0 {
             (None, 0)
         } else {

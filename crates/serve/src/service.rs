@@ -521,7 +521,7 @@ impl Shared {
     /// Pass `candidate`, induced from or shipped for `db`, through the
     /// install gate, counting a rejection or the rules pruned. Returns
     /// the set to install, `None` when the gate rejected it.
-    fn admit(&self, candidate: RuleSet, db: &Database) -> Option<Arc<RuleSet>> {
+    fn admit(&self, candidate: Arc<RuleSet>, db: &Database) -> Option<Arc<RuleSet>> {
         let verdict = self.gate.admit(candidate, db);
         if verdict.rules.is_none() {
             self.note_ruleset_rejected();

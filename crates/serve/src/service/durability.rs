@@ -143,11 +143,11 @@ impl Replay {
     pub(super) fn into_snapshot(
         self,
         mut dictionary: DataDictionary,
-        admit: impl FnOnce(RuleSet, &Database) -> Option<Arc<RuleSet>>,
+        admit: impl FnOnce(Arc<RuleSet>, &Database) -> Option<Arc<RuleSet>>,
     ) -> Snapshot {
         let mut rules_fresh = self.rules_fresh;
         if let Some(rules) = self.rules {
-            match admit(rules, &self.db) {
+            match admit(Arc::new(rules), &self.db) {
                 Some(rules) => dictionary.set_shared_rules(rules),
                 None => rules_fresh = false,
             }
@@ -216,7 +216,7 @@ pub(super) fn boot(
     }
 
     let (mut rejected, mut pruned) = (false, 0);
-    let mut admit = |rules: RuleSet, db: &Database| {
+    let mut admit = |rules: Arc<RuleSet>, db: &Database| {
         let verdict = gate.admit(rules, db);
         rejected |= verdict.rules.is_none();
         pruned += verdict.pruned;

@@ -21,16 +21,17 @@ use intensio_induction::{Ils, IlsMemo};
 use intensio_rules::rule::RuleSet;
 use intensio_wal::record::Record;
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Induce a candidate rule set from `snap`'s data, reusing what `memo`
-/// kept of the previous run. Boot and the background inducer both
+/// kept of the previous run (the previous set itself, the same `Arc`,
+/// when no pair's rules changed). Boot and the background inducer both
 /// learn through here.
 pub(super) fn induce(
     cfg: &ServiceConfig,
     snap: &Snapshot,
     memo: &Mutex<IlsMemo>,
-) -> intensio_storage::error::Result<RuleSet> {
+) -> intensio_storage::error::Result<Arc<RuleSet>> {
     let mut memo = memo.lock().unwrap_or_else(|e| e.into_inner());
     Ils::new(snap.dictionary.model(), cfg.induction)
         .induce_memo(&snap.db, cfg.induction_threads, &mut memo)

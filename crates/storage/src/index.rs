@@ -1,9 +1,10 @@
 //! Secondary indexes over relation attributes.
 //!
 //! An index maps attribute values to tuple positions, supporting exact
-//! lookups and range scans. Indexes are owned by the relation, built on
-//! demand, and invalidated by any mutation (inserts, deletes, updates,
-//! sorting) — the next lookup rebuilds them lazily. The SQL executor
+//! lookups and range scans. Indexes are owned by the relation and built
+//! on demand. An insert places its row into every built index in place
+//! (`AttributeIndex::push_row`); deletes, updates and sorting drop
+//! them, and the next lookup rebuilds the one it needs. The SQL executor
 //! reads restriction candidates from their ranges and probes them to
 //! attach join partners; the inference engine reads the distinct
 //! values inside a condition's range (data-grounded subsumption) and
@@ -80,6 +81,43 @@ impl AttributeIndex {
     /// Tuple count the index was built against.
     pub fn built_for(&self) -> usize {
         self.built_for
+    }
+
+    /// Index `row`, appended to the rows this index covers (at position
+    /// [`AttributeIndex::built_for`]), leaving exactly what
+    /// [`AttributeIndex::over_rows`] builds over the longer rows: the
+    /// new position ends its value's group, or starts a group of its
+    /// own that `row` names.
+    pub(crate) fn push_row(&mut self, row: &Tuple) {
+        let pos = self.built_for;
+        self.built_for += 1;
+        let v = row.get(self.col);
+        if v.is_null() {
+            return;
+        }
+        let g = self
+            .groups
+            .partition_point(|(rep, _)| rep.get(self.col).total_cmp(v) == Ordering::Less);
+        let joins = self
+            .groups
+            .get(g)
+            .is_some_and(|(rep, _)| rep.get(self.col).total_cmp(v) == Ordering::Equal);
+        // The groups after the one the position goes into start one later.
+        let later = if joins { g + 1 } else { g };
+        let at = self.groups.get(later).map_or(self.positions.len(), |e| e.1);
+        self.positions.insert(at, pos);
+        for group in &mut self.groups[later..] {
+            group.1 += 1;
+        }
+        if !joins {
+            self.groups.insert(g, (row.clone(), at));
+        }
+    }
+
+    /// Each distinct value's group, ascending: the row that names the
+    /// value (the first holding it) and the positions holding it.
+    pub fn groups(&self) -> impl Iterator<Item = (&Tuple, &[usize])> + '_ {
+        (0..self.groups.len()).map(|g| (&self.groups[g].0, self.positions_of(g..g + 1)))
     }
 
     /// The value of group `g`.
@@ -256,6 +294,42 @@ mod tests {
         let firsts: Vec<&Value> = idx.values_in(None, None).collect();
         assert!(shared(firsts[0], &rows[1]) && shared(firsts[1], &rows[0]));
         assert!(shared(firsts[2], &rows[3]));
+    }
+
+    #[test]
+    fn pushing_rows_one_by_one_builds_what_over_rows_builds() {
+        let column = [
+            Value::Int(5),
+            Value::Null,
+            Value::Int(3),
+            Value::Real(5.0),
+            Value::Int(9),
+            Value::Int(1),
+            Value::str("a"),
+            Value::Int(3),
+            Value::Real(4.5),
+        ];
+        let rows: Vec<Tuple> = column
+            .iter()
+            .enumerate()
+            .map(|(i, v)| Tuple::new(vec![Value::Int(i as i64), v.clone()]))
+            .collect();
+        let mut idx = AttributeIndex::over_rows(&[], 1);
+        for n in 1..=rows.len() {
+            idx.push_row(&rows[n - 1]);
+            let want = AttributeIndex::over_rows(&rows[..n], 1);
+            assert_eq!(idx.built_for(), want.built_for());
+            let got: Vec<_> = idx.groups().collect();
+            let want: Vec<_> = want.groups().collect();
+            assert_eq!(got.len(), want.len(), "after {n} rows");
+            for ((row, at), (want_row, want_at)) in got.into_iter().zip(want) {
+                assert!(row.shares_values(want_row), "after {n} rows");
+                assert_eq!(at, want_at, "after {n} rows");
+            }
+        }
+        // Real(5.0) joined Int(5)'s group, which Int(5)'s row still names.
+        assert_eq!(idx.lookup(&Value::Real(5.0)), &[0, 3]);
+        assert_eq!(idx.range(None, None), vec![5, 2, 7, 8, 0, 3, 4, 6]);
     }
 
     #[test]

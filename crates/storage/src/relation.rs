@@ -31,9 +31,11 @@ pub struct Relation {
     key_spill: Vec<(u64, usize)>,
     /// Lazily built secondary indexes: attr (lowercase) -> index.
     /// Interior mutability lets read-only scans build and reuse
-    /// indexes; the lock is uncontended in single-threaded use. Every
-    /// mutation empties the cache, and a clone shares the built indexes
-    /// (`Arc`), so a copy-on-write snapshot copies none of them.
+    /// indexes; the lock is uncontended in single-threaded use. An
+    /// insert places its row into every built index; any other mutation
+    /// empties the cache. A clone shares the built indexes (`Arc`), so a
+    /// copy-on-write snapshot copies none of them until its first
+    /// insert copies each one it updates.
     indexes: RwLock<HashMap<String, Arc<AttributeIndex>>>,
 }
 
@@ -76,8 +78,8 @@ impl Relation {
         }
     }
 
-    /// Drop the cached indexes after a mutation; the next lookup
-    /// rebuilds the one it needs.
+    /// Drop the cached indexes after a mutation other than an insert;
+    /// the next lookup rebuilds the one it needs.
     fn touch(&mut self) {
         self.indexes
             .get_mut()
@@ -139,7 +141,11 @@ impl Relation {
             self.register_key(hash, self.tuples.len());
         }
         self.tuples.push(tuple);
-        self.touch();
+        let row = &self.tuples[self.tuples.len() - 1];
+        let indexes = self.indexes.get_mut().unwrap_or_else(|e| e.into_inner());
+        for index in indexes.values_mut() {
+            Arc::make_mut(index).push_row(row);
+        }
         Ok(())
     }
 
@@ -300,9 +306,10 @@ impl Relation {
     }
 
     /// Run `f` over the (lazily built, cached) secondary index on
-    /// `attr`. The index is rebuilt when the relation has mutated since
-    /// it was last built; until then every caller, and every clone of
-    /// the relation, reads the same one.
+    /// `attr`. The index is built on the first lookup, and again after
+    /// a mutation other than an insert dropped it (an insert keeps it
+    /// up to date in place); until then every caller, and every clone
+    /// of the relation, reads the same one.
     ///
     /// `f` runs outside the cache lock, so a panicking reader cannot
     /// poison it; a poisoned lock is recovered anyway — the cache holds
@@ -320,6 +327,7 @@ impl Relation {
         let index = match cached {
             Some(index) => index,
             None => {
+                intensio_obs::inc("storage.index_builds");
                 let built = Arc::new(AttributeIndex::over_rows(&self.tuples, idx));
                 self.indexes
                     .write()
@@ -329,6 +337,15 @@ impl Relation {
             }
         };
         Ok(f(&index))
+    }
+
+    /// The cached index on `attr`, if one is built. Never builds one.
+    pub fn cached_index(&self, attr: &str) -> Option<Arc<AttributeIndex>> {
+        self.indexes
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&attr.to_ascii_lowercase())
+            .cloned()
     }
 
     /// Positions of tuples whose `attr` equals `v`, via the secondary
@@ -605,6 +622,24 @@ mod tests {
         // And the cache still answers correctly after the storm.
         let hits = r.index_lookup("Class", &Value::str("0101")).unwrap();
         assert_eq!(hits, vec![0]);
+    }
+
+    #[test]
+    fn an_insert_keeps_built_indexes_and_other_mutations_drop_them() {
+        let mut r = submarine();
+        r.insert(tuple!["SSBN730", "Rhode Island", "0101"]).unwrap();
+        assert!(r.cached_index("Class").is_none());
+        r.index_lookup("Class", &Value::str("0101")).unwrap();
+        r.insert(tuple!["SSN582", "Bonefish", "0215"]).unwrap();
+        r.insert(tuple!["SSN592", "Snook", "0101"]).unwrap();
+        let kept = r.cached_index("CLASS").expect("inserts keep the index");
+        assert_eq!(kept.built_for(), 3);
+        assert_eq!(kept.lookup(&Value::str("0101")), &[0, 2]);
+        r.delete_where(|t| t.get(0) == &Value::str("SSN582"));
+        assert!(r.cached_index("Class").is_none());
+        r.index_lookup("Class", &Value::str("0101")).unwrap();
+        r.sort_by_names(&["Id"]).unwrap();
+        assert!(r.cached_index("Class").is_none());
     }
 
     #[test]

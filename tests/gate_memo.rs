@@ -16,7 +16,11 @@
 //! rule (an IC020 rejection, often repeated), or with a rule bounded by
 //! `0.0` or `-0.0`; some replace a relation by a copy under a fresh but
 //! equal schema; some re-gate the previous candidate against a catalog
-//! whose schema renames an attribute a rule reads. A second test runs
+//! whose schema renames an attribute a rule reads. The inducer hands
+//! the gate the previous candidate itself (the same `Arc`) when
+//! induction reused its rule set; one test gates one `Arc` across
+//! catalogs, which must be checked again whenever a schema handle
+//! changed. A second test runs
 //! a durable service through random writes and compares each install,
 //! every logged rule record and the four gate counters
 //! (`rulesets_rejected`, `rules_pruned`, `induction.lint_warnings`,
@@ -469,6 +473,54 @@ fn signed_zero_bounds_never_share_a_verdict() {
         );
     }
     assert_eq!(tally.hits, 1, "{tally:?}");
+}
+
+#[test]
+fn the_same_candidate_arc_is_checked_again_under_a_changed_schema_handle() {
+    let _serial = serial();
+    let mut bed = Bed::appendix_c();
+    let gate = InstallGate::new(true, MIN_SUPPORT);
+    let candidate = Arc::new(bed.induce());
+    let mut last: Option<Arc<RuleSet>> = None;
+    let mut admit = |db: &Database, hit: bool, ctx: &str| {
+        let want = reference(&candidate, db);
+        let got = gate.admit(Arc::clone(&candidate), db);
+        assert_eq!(got.reused, hit, "{ctx}: reuse");
+        assert_eq!(got.warnings, want.warnings, "{ctx}: warnings");
+        assert_eq!(got.errors, want.errors, "{ctx}: errors");
+        assert_eq!(got.pruned, want.pruned, "{ctx}: pruned");
+        match (&got.rules, &want.rules) {
+            (Some(g), Some(w)) => {
+                assert_same_set(g, w, ctx);
+                if hit {
+                    let prev = last.as_ref().expect("a hit follows an install");
+                    assert!(Arc::ptr_eq(g, prev), "{ctx}: a hit installs a new set");
+                }
+            }
+            (None, None) => {}
+            (g, w) => panic!(
+                "{ctx}: gate installs {}, reference {}",
+                g.is_some(),
+                w.is_some()
+            ),
+        }
+        last = got.rules;
+        (want.warnings, want.errors)
+    };
+    let findings = admit(&bed.db, false, "first");
+    admit(&bed.db, true, "same catalog");
+    // An equal schema under a fresh handle: the key compares handles.
+    let copy = rebuilt(bed.db.get("SUBMARINE").unwrap(), None);
+    bed.db.create_or_replace(copy);
+    admit(&bed.db, false, "fresh SUBMARINE schema");
+    admit(&bed.db, true, "fresh SUBMARINE schema again");
+    // A schema without an attribute a rule reads changes the findings.
+    let attr = candidate.rules()[0].lhs[0].attr.clone();
+    let renamed = rebuilt(bed.db.get(&attr.object).unwrap(), Some(&attr.attribute));
+    bed.db.create_or_replace(renamed);
+    let ctx = format!("{attr} renamed");
+    assert_ne!(admit(&bed.db, false, &ctx), findings, "{ctx}");
+    admit(&bed.db, true, &format!("{ctx} again"));
 }
 
 /// Metric counters the gate emits, read from a service's STATS.

@@ -38,6 +38,11 @@
 //! runs failing on injected `induction.run` and `induction.pair`
 //! faults, included. A failed run must leave its memo empty, or (for
 //! `induction.run`, which fails before the memo is taken) as it was.
+//! A run that hands back the previous run's rule set (the same `Arc`)
+//! is held to the same comparison. Hand-made appends pin when it must:
+//! exactly when no pair's kept rules changed — not after a support
+//! bump, a run reaching `N_c`, a new inconsistency or a new X value
+//! splitting a run.
 //!
 //! Each of these mutants of the new path fails this file:
 //! - an unstable sort of the pairs;
@@ -74,6 +79,7 @@ use intensio::storage::error::StorageError;
 use intensio::storage::expr::CmpOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Every combination of the three semantic knobs.
 fn configs(min_support: usize) -> Vec<InductionConfig> {
@@ -224,8 +230,8 @@ fn seeded_pairs_induce_like_the_reference() {
 /// Compare one ILS run with the reference: rule set (Display and
 /// every field, each value's representation included), statistics, or
 /// error.
-fn assert_same_output(
-    got: &intensio::storage::error::Result<IlsOutput>,
+fn assert_same_output<R: std::fmt::Display + std::fmt::Debug>(
+    got: &intensio::storage::error::Result<IlsOutput<R>>,
     want: &intensio::storage::error::Result<(RuleSet, IlsStats)>,
     what: &str,
 ) {
@@ -936,6 +942,8 @@ struct MemoTally {
     errors: usize,
     faults: usize,
     with_rules: usize,
+    /// Runs that returned the rule set of their memo's previous run.
+    reused: usize,
 }
 
 /// Run `steps` seeded writes over `ed`, and after every one compare
@@ -950,6 +958,7 @@ struct MemoTally {
 fn memo_sequence(mut ed: Edits, configs: &[InductionConfig], steps: usize) -> MemoTally {
     let mut tally = MemoTally::default();
     let mut memos: Vec<IlsMemo> = configs.iter().map(|_| IlsMemo::new()).collect();
+    let mut last: Vec<Option<Arc<RuleSet>>> = configs.iter().map(|_| None).collect();
     let mut roaming = IlsMemo::new();
     let (mut roam_cfg, mut roam_model) = (0usize, 0usize);
     for step in 0..=steps {
@@ -960,10 +969,18 @@ fn memo_sequence(mut ed: Edits, configs: &[InductionConfig], steps: usize) -> Me
         let ctx = |extra: &str| format!("{} step {step} ({what}) {extra}", ed.what);
         let threads = 1 + step % 3;
         let mut wants = Vec::new();
-        for (cfg, memo) in configs.iter().zip(&mut memos) {
+        for ((cfg, memo), last) in configs.iter().zip(&mut memos).zip(&mut last) {
             let want = reference::induce(&ed.model, *cfg, &ed.db);
             let got = Ils::new(&ed.model, *cfg).induce_memo(&ed.db, threads, memo);
             assert_same_output(&got, &want, &ctx(&format!("{cfg:?}")));
+            let now = got.as_ref().ok().map(|o| Arc::clone(&o.rules));
+            let same = |a: &Arc<RuleSet>, b: &Arc<RuleSet>| Arc::ptr_eq(a, b);
+            tally.reused += usize::from(
+                last.as_ref()
+                    .zip(now.as_ref())
+                    .is_some_and(|(a, b)| same(a, b)),
+            );
+            *last = now;
             assert_eq!(
                 memo.is_empty(),
                 got.is_err(),
@@ -1082,6 +1099,7 @@ fn memoized_runs_match_the_reference_after_every_write() {
         tally.errors += t.errors;
         tally.faults += t.faults;
         tally.with_rules += t.with_rules;
+        tally.reused += t.reused;
     };
     for seed in 0..6 {
         add(memo_sequence(join_edits(seed), &configs(2), 25));
@@ -1094,11 +1112,102 @@ fn memoized_runs_match_the_reference_after_every_write() {
     }
     assert!(tally.errors > 0 && tally.faults > 0, "{tally:?}");
     assert!(tally.with_rules * 2 > tally.runs, "{tally:?}");
+    assert!(tally.reused > 0, "{tally:?}");
     let after = pair_counters();
     assert!(
         (0..3).all(|i| after[i] > before[i]),
         "pairs reused, extended, rebuilt: {before:?} -> {after:?}"
     );
+}
+
+/// One stored relation `T(X, Kind)` whose `Kind` classifies, so a run
+/// has exactly one pair; `N_c` = 3.
+const REUSE_KER: &str = r#"
+object type T
+  has: X domain: INTEGER
+  has: Kind domain: CHAR[4]
+T contains T0, T1
+T0 isa T with Kind = "k0"
+T1 isa T with Kind = "k1"
+"#;
+
+#[test]
+fn appends_reuse_the_rule_set_exactly_when_no_rule_changes() {
+    let model = KerModel::parse(REUSE_KER).unwrap();
+    let cfg = InductionConfig::with_min_support(3);
+    let row = |x: Option<i64>, kind: Option<&str>| {
+        Tuple::new(vec![
+            x.map_or(Value::Null, Value::Int),
+            kind.map_or(Value::Null, Value::str),
+        ])
+    };
+    let schema = Schema::new(vec![
+        Attribute::new("X", Domain::basic(ValueType::Int)),
+        Attribute::new("Kind", Domain::basic(ValueType::Str)),
+    ])
+    .unwrap();
+    let mut t = Relation::new("T", schema);
+    // Kept: [10, 30] -> k0 (support 3) and [100, 130] -> k1 (4); the
+    // runs [50, 60] -> k1 (2), 80 -> k0 and 200 -> k0 fall below N_c.
+    for (x, kind) in [
+        (10, "k0"),
+        (20, "k0"),
+        (30, "k0"),
+        (50, "k1"),
+        (60, "k1"),
+        (80, "k0"),
+        (100, "k1"),
+        (110, "k1"),
+        (120, "k1"),
+        (130, "k1"),
+        (200, "k0"),
+    ] {
+        t.insert(row(Some(x), Some(kind))).unwrap();
+    }
+    let mut db = Database::new();
+    db.create(t).unwrap();
+    let ils = Ils::new(&model, cfg);
+    let mut memo = IlsMemo::new();
+    let mut last = ils.induce_memo(&db, 1, &mut memo).unwrap().rules;
+    assert_eq!(last.len(), 2);
+    let reused = || intensio::obs::metrics().counter("induction.rules_reused");
+    let steps = [
+        ("a null X", row(None, Some("k0")), true),
+        (
+            "a below-N_c run above the rest",
+            row(Some(300), Some("k1")),
+            true,
+        ),
+        ("a null Kind", row(Some(20), None), true),
+        ("a support bump", row(Some(20), Some("k0")), false),
+        ("a run reaching N_c", row(Some(50), Some("k1")), false),
+        ("a new inconsistency", row(Some(110), Some("k0")), false),
+        (
+            "an X that stays inconsistent",
+            row(Some(110), Some("k1")),
+            true,
+        ),
+        (
+            "a new X group splitting a run",
+            row(Some(15), Some("k1")),
+            false,
+        ),
+        ("an all-null row", row(None, None), true),
+    ];
+    for (what, appended, reuse) in steps {
+        db.get_mut("T").unwrap().insert(appended).unwrap();
+        let before = reused();
+        let got = ils.induce_memo(&db, 1, &mut memo).unwrap();
+        assert_same_output(&Ok(got.clone()), &reference::induce(&model, cfg, &db), what);
+        let fresh = ils.induce(&db).unwrap();
+        assert!(got.rules.identical(&fresh.rules), "{what}");
+        assert_eq!(got.stats, fresh.stats, "{what}");
+        assert_eq!(Arc::ptr_eq(&got.rules, &last), reuse, "{what}");
+        if reuse {
+            assert!(reused() > before, "{what}: induction.rules_reused");
+        }
+        last = got.rules;
+    }
 }
 
 #[test]

@@ -14,6 +14,17 @@
 //! mismatches, with and without joins); a relation mutated after its
 //! indexes were cached; a column holding integers, reals and nulls. Each
 //! case runs under both subsumption modes.
+//!
+//! An insert keeps a relation's cached indexes up to date in place
+//! instead of dropping them. The upkeep oracle appends seeded rows —
+//! values below, inside and above every group, new and repeated values,
+//! nulls, and `Int`/`Real` spellings of one number — through a
+//! copy-on-write catalog whose previous snapshot shares the indexes.
+//! After every append each cached index must be what
+//! `AttributeIndex::over_rows` builds from the rows (the same group
+//! values, spelled the same, named by the same row, over the same
+//! positions), and every earlier snapshot must still hold its own index,
+//! unchanged.
 
 use intensio::prelude::*;
 use intensio::shipdb::{generate, ship_database, ship_model, FleetConfig};
@@ -22,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use scan_reference::ScanEngine;
+use std::sync::Arc;
 
 const EXAMPLE1: &str = "SELECT SUBMARINE.ID, SUBMARINE.NAME, SUBMARINE.CLASS, CLASS.TYPE \
      FROM SUBMARINE, CLASS \
@@ -442,6 +454,153 @@ fn a_column_of_integers_reals_and_nulls_matches_the_scan_reference() {
         );
     }
     assert!(tally.forward > 0, "{tally:?}");
+}
+
+/// Assert that `got` is what `over_rows` builds over `rows` for column
+/// `col`: group by group, the same value (spelled the same), named by
+/// the same row, over the same positions.
+fn assert_fresh_index(got: &AttributeIndex, rows: &[Tuple], col: usize, ctx: &str) {
+    let want = AttributeIndex::over_rows(rows, col);
+    assert_eq!(got.built_for(), want.built_for(), "{ctx}: rows covered");
+    let (got, want): (Vec<_>, Vec<_>) = (got.groups().collect(), want.groups().collect());
+    assert_eq!(got.len(), want.len(), "{ctx}: groups");
+    for (g, ((row, at), (want_row, want_at))) in got.into_iter().zip(want).enumerate() {
+        assert!(
+            row.get(col).identical(want_row.get(col)),
+            "{ctx}: group {g} holds {:?}, a rebuild {:?}",
+            row.get(col),
+            want_row.get(col)
+        );
+        assert!(row.shares_values(want_row), "{ctx}: group {g}'s row");
+        assert_eq!(at, want_at, "{ctx}: group {g}'s positions");
+    }
+}
+
+const UPKEEP_ATTRS: [&str; 3] = ["N", "S", "T"];
+
+/// A value for a number column near the stored ones: equal to one,
+/// its other spelling (`Int(3)` for `Real(3.0)`), just below or above
+/// it, below or above them all, or null.
+fn number_near(stored: &[Value], rng: &mut StdRng) -> Value {
+    let numbers: Vec<f64> = stored
+        .iter()
+        .filter_map(|v| match v {
+            Value::Int(n) => Some(*n as f64),
+            Value::Real(r) => Some(*r),
+            _ => None,
+        })
+        .collect();
+    let Some(&n) = numbers.get(rng.gen_range(0..numbers.len().max(1))) else {
+        return Value::Int(rng.gen_range(-3..4i64));
+    };
+    let spelled = |n: f64, rng: &mut StdRng| match n.fract() == 0.0 && rng.gen_bool(0.5) {
+        true => Value::Int(n as i64),
+        false => Value::Real(n),
+    };
+    let lo = numbers.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = numbers.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    match rng.gen_range(0..8) {
+        0 => Value::Null,
+        1 | 2 => spelled(n, rng),
+        3 => spelled(n - 1.0, rng),
+        4 => Value::Real(n + 0.5),
+        5 => Value::Real(n - 0.25),
+        6 => spelled(lo - 2.0, rng),
+        _ => spelled(hi + 1.0, rng),
+    }
+}
+
+/// A value for a string column: a stored one, one just after it (a new
+/// group inside), one below or above them all, or null.
+fn text_near(stored: &[Value], rng: &mut StdRng) -> Value {
+    let texts: Vec<&str> = stored.iter().filter_map(|v| v.as_str()).collect();
+    let Some(&t) = texts.get(rng.gen_range(0..texts.len().max(1))) else {
+        return Value::str(format!("m{}", rng.gen_range(0..3)));
+    };
+    match rng.gen_range(0..6) {
+        0 => Value::Null,
+        1 | 2 => Value::str(t),
+        3 => Value::str(format!("{t}a")),
+        4 => Value::str(format!("!{}", rng.gen_range(0..3))),
+        _ => Value::str(format!("~{}", rng.gen_range(0..3))),
+    }
+}
+
+/// `appends` seeded appends onto relation `R(N, S, T)` whose indexes
+/// are cached, each through a copy-on-write clone of the catalog; see
+/// the module docs for what is compared.
+fn upkeep_sequence(seed: u64, appends: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema = Schema::new(vec![
+        Attribute::new("N", Domain::basic(ValueType::Real)),
+        Attribute::new("S", Domain::basic(ValueType::Str)),
+        Attribute::new("T", Domain::basic(ValueType::Str)),
+    ])
+    .unwrap();
+    let mut db = Database::new();
+    db.create(Relation::new("R", schema)).unwrap();
+    // Snapshots that shared an index, with the index they held.
+    let mut kept: Vec<(Database, Vec<Arc<AttributeIndex>>)> = Vec::new();
+    for step in 0..appends {
+        let ctx = format!("seed {seed} step {step}");
+        let rel = db.get("R").unwrap();
+        let column = |attr: &str| rel.column(attr).unwrap();
+        let row = Tuple::new(vec![
+            number_near(&column("N"), &mut rng),
+            text_near(&column("S"), &mut rng),
+            match rng.gen_range(0..4usize) {
+                0 => Value::Null,
+                k => Value::str(["a", "b", "c"][k - 1]),
+            },
+        ]);
+        // The first rows go in before any index is cached.
+        if step == 3 {
+            for attr in UPKEEP_ATTRS {
+                rel.with_index(attr, |_| ()).unwrap();
+            }
+        }
+        if step >= 3 && rng.gen_bool(0.3) {
+            let held = UPKEEP_ATTRS.map(|a| rel.cached_index(a).expect("cached"));
+            kept.push((db.clone(), held.to_vec()));
+        }
+        let before = db.clone();
+        db.get_mut("R").unwrap().insert(row).unwrap();
+        assert!(!db.shares_storage(&before, "R"), "{ctx}");
+        let rel = db.get("R").unwrap();
+        for (col, attr) in UPKEEP_ATTRS.into_iter().enumerate() {
+            let index = match rel.cached_index(attr) {
+                Some(index) => index,
+                None if step < 3 => continue,
+                None => panic!("{ctx}: the append dropped the {attr} index"),
+            };
+            assert_fresh_index(&index, rel.tuples(), col, &format!("{ctx} {attr}"));
+        }
+        for (snapshot, held) in &kept {
+            let old = snapshot.get("R").unwrap();
+            for (col, attr) in UPKEEP_ATTRS.into_iter().enumerate() {
+                let index = old.cached_index(attr).expect("a snapshot keeps its index");
+                assert!(Arc::ptr_eq(&index, &held[col]), "{ctx}: snapshot {attr}");
+                let what = format!("{ctx} snapshot of {} rows, {attr}", old.len());
+                assert_fresh_index(&index, old.tuples(), col, &what);
+            }
+        }
+        kept.retain(|_| rng.gen_bool(0.9));
+    }
+}
+
+#[test]
+fn appends_keep_cached_indexes_equal_to_a_rebuild() {
+    for seed in 0..12 {
+        upkeep_sequence(seed, 60);
+    }
+}
+
+#[test]
+#[ignore = "long seed run; CI runs it in release"]
+fn long_seed_run_keeps_cached_indexes_equal_to_a_rebuild() {
+    for seed in 1_000..1_250 {
+        upkeep_sequence(seed, 400);
+    }
 }
 
 /// The inference engine as it stood before it read the relations'
