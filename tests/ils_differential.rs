@@ -974,12 +974,8 @@ fn memo_sequence(mut ed: Edits, configs: &[InductionConfig], steps: usize) -> Me
             let got = Ils::new(&ed.model, *cfg).induce_memo(&ed.db, threads, memo);
             assert_same_output(&got, &want, &ctx(&format!("{cfg:?}")));
             let now = got.as_ref().ok().map(|o| Arc::clone(&o.rules));
-            let same = |a: &Arc<RuleSet>, b: &Arc<RuleSet>| Arc::ptr_eq(a, b);
-            tally.reused += usize::from(
-                last.as_ref()
-                    .zip(now.as_ref())
-                    .is_some_and(|(a, b)| same(a, b)),
-            );
+            let reused = last.as_ref().zip(now.as_ref());
+            tally.reused += usize::from(reused.is_some_and(|(a, b)| Arc::ptr_eq(a, b)));
             *last = now;
             assert_eq!(
                 memo.is_empty(),
